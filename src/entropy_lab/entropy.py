@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,7 @@ from scipy.special import gammaln
 _KINDS = ("certified_lower", "certified_upper", "heuristic")
 _SAMPLED_K_CAP = 24
 _DEFAULT_SAMPLES = 2 ** 14
+_BLOCK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -171,19 +174,36 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
     Coordinates are drawn from the generalized Gaussian density
     proportional to exp(-|x|^p) (gamma trick) and normalized; for p = inf
     the coordinates are uniform on [-1, 1].  Counter-based generator keyed
-    by (seed, tag) for reproducibility.
+    by (seed, tag) for reproducibility.  The draws are transformed in place
+    and the row norms taken in row blocks, so the only sample-sized arrays
+    are the result and the sign draw.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
     if math.isinf(p):
         x = rng.uniform(-1.0, 1.0, (n_samples, nu))
-        norms = np.max(np.abs(x), axis=1)
     else:
-        mags = rng.gamma(1.0 / p, 1.0, (n_samples, nu)) ** (1.0 / p)
-        signs = rng.integers(0, 2, (n_samples, nu)) * 2 - 1
-        x = mags * signs
-        norms = np.sum(np.abs(x) ** p, axis=1) ** (1.0 / p)
+        x = rng.gamma(1.0 / p, 1.0, (n_samples, nu))
+        x **= 1.0 / p
+        signs = rng.integers(0, 2, (n_samples, nu))
+        signs *= 2
+        signs -= 1
+        x *= signs
+    norms = np.empty(n_samples)
+    rows = _block_rows(nu)
+    buf = np.empty((min(rows, n_samples), nu))
+    for s in range(0, n_samples, rows):
+        e = min(s + rows, n_samples)
+        block = np.abs(x[s:e], out=buf[:e - s])
+        if math.isinf(p):
+            np.max(block, axis=1, out=norms[s:e])
+        else:
+            block **= p
+            np.sum(block, axis=1, out=norms[s:e])
+    if not math.isinf(p):
+        norms **= 1.0 / p
     norms[norms == 0] = 1.0
-    return x / norms[:, None]
+    x /= norms[:, None]
+    return x
 
 
 def sample_lp_ball(nu: int, p: float, n_samples: int, seed: int,
@@ -197,35 +217,131 @@ def sample_lp_ball(nu: int, p: float, n_samples: int, seed: int,
     return sphere * radial[:, None]
 
 
+def _block_rows(width: int) -> int:
+    """Rows of float64 `width`-vectors that fit in one _BLOCK_BYTES block."""
+    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+class _LqPasses:
+    """l_q distance passes from one center to every row of a fixed pool.
+
+    A pass walks the pool in row blocks of about _BLOCK_BYTES: each block's
+    |x - c| goes into a reused scratch buffer, is reduced per row, and is
+    written (or min-folded) straight into the caller's `dist`, so no pass
+    allocates anything pool-sized.  The blocks are split into contiguous
+    chunks, one per CPU and never more than there are blocks; the calling
+    thread runs the first chunk and a thread pool the others, in parallel
+    because numpy's ufuncs and einsum release the GIL.  Per row the
+    arithmetic is the one-shot expression's (same ufuncs, same reduction,
+    same final power), so every distance is bit-identical to it and none
+    depends on the thread count.  Use as a context manager: the threads
+    live until exit.
+    """
+
+    def __init__(self, points: np.ndarray, q: float):
+        n, m = points.shape
+        self.points, self.q = points, q
+        self.rows = _block_rows(m)
+        n_blocks = -(-n // self.rows)
+        n_chunks = max(1, min(_cpu_count(), n_blocks))
+        edges = [min(n, n_blocks * i // n_chunks * self.rows)
+                 for i in range(n_chunks + 1)]
+        self.chunks = list(zip(edges, edges[1:]))
+        # einsum sums a lone row in one loop but the rows of a taller
+        # operand in buffer-sized pieces, which rounds differently for wide
+        # rows; reducing over >= 2 rows whenever the pool has them keeps a
+        # one-row block rounding like that row inside the whole pool
+        self.min_rows = min(n, 2)
+        buf_rows = max(min(self.rows, n), self.min_rows)
+        self.scratch = [(np.zeros((buf_rows, m)), np.empty(buf_rows))
+                        for _ in self.chunks]
+        self.executor = (ThreadPoolExecutor(n_chunks - 1)
+                         if n_chunks > 1 else None)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.executor is not None:
+            self.executor.shutdown()
+
+    def __call__(self, center: np.ndarray, dist: np.ndarray, fold: bool):
+        """dist = distances to `center`, or with fold, min(dist, them)."""
+        futures = [self.executor.submit(self._chunk, i, center, dist, fold)
+                   for i in range(1, len(self.chunks))]
+        self._chunk(0, center, dist, fold)
+        for f in futures:
+            f.result()
+
+    def _chunk(self, i, center, dist, fold):
+        q = self.q
+        buf, red = self.scratch[i]
+        lo, hi = self.chunks[i]
+        for s in range(lo, hi, self.rows):
+            e = min(s + self.rows, hi)
+            diff = np.subtract(self.points[s:e], center, out=buf[:e - s])
+            np.abs(diff, out=diff)
+            # rows past e - s are stale or zero; their sums are discarded
+            wide = buf[:max(e - s, self.min_rows)]
+            out = red[:wide.shape[0]]
+            if math.isinf(q):
+                np.max(wide, axis=1, out=out)
+            elif q == 2.0:
+                np.einsum("ij,ij->i", wide, wide, out=out)
+                np.sqrt(out, out=out)
+            elif q == 4.0:
+                diff *= diff
+                np.einsum("ij,ij->i", wide, wide, out=out)
+                out **= 0.25
+            else:
+                diff **= q
+                np.sum(wide, axis=1, out=out)
+                out **= 1.0 / q
+            if fold:
+                np.minimum(dist[s:e], out[:e - s], out=dist[s:e])
+            else:
+                dist[s:e] = out[:e - s]
+
+
 def _lq_dist(points: np.ndarray, center: np.ndarray, q: float) -> np.ndarray:
-    diff = np.abs(points - center)
-    if math.isinf(q):
-        return np.max(diff, axis=1)
-    if q == 2.0:
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if q == 4.0:
-        diff *= diff
-        return np.einsum("ij,ij->i", diff, diff) ** 0.25
-    return np.sum(diff ** q, axis=1) ** (1.0 / q)
+    """l_q distance of every row of `points` to `center`."""
+    dist = np.empty(points.shape[0])
+    with _LqPasses(points, q) as lq_pass:
+        lq_pass(center, dist, fold=False)
+    return dist
 
 
 def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
-                        start: int):
+                        start: int, *, poll=None):
     """Select n_select points by farthest-point traversal from `start`.
 
-    Returns (selected indices, radii), where radii[i] is the distance of
-    selection i+1 from the previous centers (nonincreasing), and the final
-    covering radius can be read off a last _lq_dist pass by the caller.
-    Ties pick the lowest sample index.
+    Returns (selected indices, radii, dist): radii[i] is the distance of
+    selection i+1 from the previous centers (nonincreasing), and dist[j]
+    is point j's distance to its nearest selected center, so max(dist) is
+    the covering radius of the selection.  Ties pick the lowest sample
+    index.  poll, if given, is called once before each selection after
+    the first; when it returns a cap name the run stops and returns what
+    it has selected so far.
     """
-    dist = _lq_dist(points, points[start], q)
+    dist = np.empty(points.shape[0])
     selected = [start]
     radii = []
-    for _ in range(1, n_select):
-        c = int(np.argmax(dist))
-        radii.append(float(dist[c]))
-        selected.append(c)
-        np.minimum(dist, _lq_dist(points, points[c], q), out=dist)
+    with _LqPasses(points, q) as lq_pass:
+        lq_pass(points[start], dist, fold=False)
+        for _ in range(1, n_select):
+            if poll is not None and poll() is not None:
+                break
+            c = int(np.argmax(dist))
+            radii.append(float(dist[c]))
+            selected.append(c)
+            lq_pass(points[c], dist, fold=True)
     return selected, radii, dist
 
 

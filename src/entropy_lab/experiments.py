@@ -7,9 +7,10 @@ fitted slopes and worst-case margins and is byte-stable across reruns
 with the same seed; wall-clock timestamps go only into the manifest.
 
 A run enforces two resource caps (wall clock and peak RSS), polled
-between work items: when a cap trips, the rows produced so far are
-flushed and the summary reports the partial status instead of failing
-silently or dying on a hard limit.
+between work items and once per center inside the farthest-point
+traversal: when a cap trips, the rows produced so far are flushed and the
+summary reports the partial status instead of failing silently or dying
+on a hard limit.
 """
 
 import json
@@ -23,6 +24,7 @@ import numpy as np
 
 from .certificate import entropy_certificate
 from .entropy import (
+    _block_rows,
     _farthest_point_run,
     cover_profile,
     kuhn_value,
@@ -51,7 +53,8 @@ CSV_HEADER = "n_or_k,lower,upper,heuristic,reference,ratio"
 
 
 class ResourceBudget:
-    """Wall-clock and peak-RSS caps, polled between work items.
+    """Wall-clock and peak-RSS caps, polled between work items and once
+    per selected center of a farthest-point traversal.
 
     Polling keeps the enforcement cooperative: a work item never gets
     interrupted halfway, it just becomes the last one.  ru_maxrss is in
@@ -298,7 +301,12 @@ def _run_hardy_consistency(params, seed, budget):
 
 def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
     """Images of unit l_p vectors: stratified basis columns per depth level
-    plus random sphere samples, so deep and shallow directions both appear."""
+    plus random sphere samples, so deep and shallow directions both appear.
+
+    apply maps each column on its own, so the pool is preallocated and
+    filled a block of columns at a time: no full-width basis or image is
+    ever built.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
     per_level = []
     for d in range(tree.height + 1):
@@ -308,12 +316,17 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
             ids = np.sort(rng.choice(ids, per_level_cap, replace=False))
         per_level.append(ids)
     cols = np.concatenate(per_level)
-    basis = np.zeros((tree.n, cols.size))
-    basis[cols, np.arange(cols.size)] = 1.0
-    pool = apply(tree, u, w, basis).T
-    if samples > 0:
-        sph = sample_lp_sphere(tree.n, p, samples, seed)
-        pool = np.concatenate([pool, apply(tree, u, w, sph.T).T])
+    sph = sample_lp_sphere(tree.n, p, samples, seed) if samples > 0 else None
+    pool = np.empty((cols.size + samples, tree.n))
+    step = _block_rows(tree.n)
+    for s in range(0, cols.size, step):
+        e = min(s + step, cols.size)
+        basis = np.zeros((tree.n, e - s))
+        basis[cols[s:e], np.arange(e - s)] = 1.0
+        pool[s:e] = apply(tree, u, w, basis).T
+    for s in range(0, samples, step):
+        e = min(s + step, samples)
+        pool[cols.size + s:cols.size + e] = apply(tree, u, w, sph[s:e].T).T
     return pool
 
 
@@ -350,24 +363,29 @@ def _run_critical_scaling(kind, params, seed, budget):
             raise ValueError(
                 f"witness pool has {pool.shape[0]} points, packing at "
                 f"n={n_max} needs {n_sel}; raise per_level_cap or samples")
-        _, radii, _ = _farthest_point_run(pool, q, n_sel, start=0)
+        _, radii, _ = _farthest_point_run(pool, q, n_sel, start=0,
+                                          poll=budget.exceeded)
+        # a cap stops the traversal early; keep the n it got through
         lows = {n: radii[2 ** (n - 1) - 1] / 2.0
-                for n in range(n_min, n_max + 1)}
+                for n in range(n_min, n_max + 1)
+                if 2 ** (n - 1) <= len(radii)}
         cap = budget.exceeded()
 
     rows = []
     budget_constants = []
     c_guarantee = None
     for n in sorted(lows):
-        if cap is not None:
-            break
-        cert = entropy_certificate(tree, scheme, h, n, p, q, eps=eps)
+        # once a cap has tripped, packing rows are flushed uncertified
+        upper = None
+        if cap is None:
+            cert = entropy_certificate(tree, scheme, h, n, p, q, eps=eps)
+            upper = float(cert.bound.value)
+            budget_constants.append(cert.c_budget)
+            c_guarantee = cert.c_guarantee
+            cap = budget.exceeded()
         ref = float(n ** expo)
-        rows.append(Row(n, lower=float(lows[n]), upper=float(cert.bound.value),
+        rows.append(Row(n, lower=float(lows[n]), upper=upper,
                         reference=ref, ratio=float(lows[n] / ref)))
-        budget_constants.append(cert.c_budget)
-        c_guarantee = cert.c_guarantee
-        cap = budget.exceeded()
 
     extra = {"p": p, "q": q, "slope_target": expo, "tree_vertices": tree.n,
              "budget_constants": budget_constants}
@@ -378,7 +396,9 @@ def _run_critical_scaling(kind, params, seed, budget):
         extra["packing_slope"] = slope
         extra["packing_r2"] = r2
         checks["packing_slope_in_band"] = abs(slope - expo) <= 0.20
-        normalized = [r.upper * r.n_or_k ** (-expo) for r in rows]
+    certified = [r for r in rows if r.upper is not None]
+    if len(certified) >= 3:
+        normalized = [r.upper * r.n_or_k ** (-expo) for r in certified]
         extra["certificate_band"] = max(normalized) / min(normalized)
         checks["certificate_band_within_10"] = extra["certificate_band"] <= 10.0
     if budget_constants:

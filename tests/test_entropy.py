@@ -1,16 +1,19 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropy_lab import entropy
 from entropy_lab.entropy import (
     BoundExpr,
     EntropyEstimate,
     _farthest_point_run,
     _greedy_cover_radius,
+    _lq_dist,
     combine_scale,
     combine_sum,
     cover_profile,
@@ -176,6 +179,34 @@ def test_ball_samples_fill_the_ball():
     assert norms.max() > 0.95 and norms.min() < 0.3
 
 
+def _reference_sphere(nu, p, n_samples, seed, tag=0x6c7073):
+    """One-shot sampler: every step builds a fresh sample-sized array."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed, tag])))
+    if math.isinf(p):
+        x = rng.uniform(-1.0, 1.0, (n_samples, nu))
+        norms = np.max(np.abs(x), axis=1)
+    else:
+        mags = rng.gamma(1.0 / p, 1.0, (n_samples, nu)) ** (1.0 / p)
+        signs = rng.integers(0, 2, (n_samples, nu)) * 2 - 1
+        x = mags * signs
+        norms = np.sum(np.abs(x) ** p, axis=1) ** (1.0 / p)
+    norms[norms == 0] = 1.0
+    return x / norms[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.integers(1, 40), n_samples=st.integers(0, 60),
+       p=st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       block_bytes=st.integers(1, 4096))
+def test_sphere_sampler_matches_one_shot_reference(nu, n_samples, p, seed,
+                                                   block_bytes):
+    with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes):
+        got = sample_lp_sphere(nu, p, n_samples, seed)
+    assert np.array_equal(got, _reference_sphere(nu, p, n_samples, seed))
+
+
 def test_sampler_determinism():
     a = sample_lp_sphere(4, 2, 128, seed=9)
     b = sample_lp_sphere(4, 2, 128, seed=9)
@@ -185,6 +216,99 @@ def test_sampler_determinism():
 
 
 # -- farthest-point engine ----------------------------------------------------
+
+
+def _reference_lq_dist(points, center, q):
+    """One-shot distance pass: pool-sized temporaries, no blocks."""
+    diff = np.abs(points - center)
+    if math.isinf(q):
+        return np.max(diff, axis=1)
+    if q == 2.0:
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if q == 4.0:
+        diff *= diff
+        return np.einsum("ij,ij->i", diff, diff) ** 0.25
+    return np.sum(diff ** q, axis=1) ** (1.0 / q)
+
+
+def _reference_farthest_point_run(points, q, n_select, start):
+    dist = _reference_lq_dist(points, points[start], q)
+    selected = [start]
+    radii = []
+    for _ in range(1, n_select):
+        c = int(np.argmax(dist))
+        radii.append(float(dist[c]))
+        selected.append(c)
+        np.minimum(dist, _reference_lq_dist(points, points[c], q), out=dist)
+    return selected, radii, dist
+
+
+def _assert_matches_reference(points, q, n_select, start):
+    sel, radii, dist = _farthest_point_run(points, q, n_select, start)
+    ref_sel, ref_radii, ref_dist = _reference_farthest_point_run(
+        points, q, n_select, start)
+    assert sel == ref_sel
+    assert radii == ref_radii
+    assert np.array_equal(dist, ref_dist)
+    centroid = points.mean(axis=0)
+    assert np.array_equal(_lq_dist(points, centroid, q),
+                          _reference_lq_dist(points, centroid, q))
+
+
+# widths past 8192 columns are where einsum rounds a lone row differently
+# from the rows of a taller operand
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), m=st.sampled_from([1, 3, 32, 9000]),
+       distinct=st.integers(1, 40),
+       q=st.sampled_from([1.5, 2.0, 4.0, math.inf]),
+       block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3, 5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, q,
+                                                      block_rows, cpus, seed):
+    # block_rows = 0 makes the block narrower than one row; rows drawn
+    # from a few distinct points make ties that must break to the lowest
+    # index
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((distinct, m))[rng.integers(0, distinct, n)]
+    block_bytes = max(1, 8 * m * block_rows)
+    with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(entropy, "_cpu_count", lambda: cpus):
+        _assert_matches_reference(points, q, min(n, 12), int(seed % n))
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+def test_traversal_rows_wider_than_a_block(q):
+    rng = np.random.default_rng(3)
+    width = entropy._BLOCK_BYTES // 8 + 1000
+    points = rng.standard_normal((5, width))
+    assert entropy._block_rows(width) == 1
+    _assert_matches_reference(points, q, 5, 0)
+
+
+def test_traversal_on_many_blocks_and_threads():
+    # several default-size blocks per CPU plus a ragged tail block
+    rng = np.random.default_rng(4)
+    points = rng.standard_normal((1000, 1500))
+    assert 1000 % entropy._block_rows(1500) != 0
+    for q in (1.5, 2.0, 4.0, math.inf):
+        _assert_matches_reference(points, q, 6, 7)
+
+
+def test_traversal_poll_stops_at_a_cap():
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((300, 4))
+    calls = []
+
+    def poll():
+        calls.append(1)
+        return "wall_clock" if len(calls) > 5 else None
+
+    sel, radii, dist = _farthest_point_run(points, 2.0, 40, 0, poll=poll)
+    full_sel, full_radii, _ = _farthest_point_run(points, 2.0, 40, 0)
+    assert len(calls) == 6
+    assert sel == full_sel[:6] and radii == full_radii[:5]
+    assert np.array_equal(dist, _reference_farthest_point_run(
+        points, 2.0, 6, 0)[2])
 
 
 def test_farthest_point_radii_nonincreasing():

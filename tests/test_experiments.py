@@ -1,9 +1,14 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entropy_lab import entropy
+from entropy_lab.entropy import sample_lp_sphere
 from entropy_lab.experiments import (
     CSV_HEADER,
     EXPERIMENT_NAMES,
@@ -11,10 +16,13 @@ from entropy_lab.experiments import (
     ResourceBudget,
     Row,
     _EXPERIMENTS,
+    _witness_pool,
     fit_slope,
     rows_to_csv,
     run,
 )
+from entropy_lab.summation import apply
+from entropy_lab.trees import random_tree
 
 
 # -- fit_slope ---------------------------------------------------------------
@@ -246,6 +254,73 @@ def test_critical_scaling_pool_too_small(tmp_path):
         seed=0, output_dir=str(tmp_path))
     with pytest.raises(ValueError, match="witness pool"):
         run(cfg)
+
+
+def test_critical_scaling_cap_trips_inside_the_traversal(tmp_path,
+                                                       monkeypatch):
+    params = {"depth": 7, "per_level_cap": 32, "samples": 256,
+              "n_min": 3, "n_max": 6}
+    full = run(ExperimentConfig("critical_scaling_power", params=params,
+                                seed=0, output_dir=str(tmp_path / "full")))
+    polls = []
+
+    def exceeded(self):
+        # one poll before the pool, then one per center: 11 pass, so the
+        # traversal reaches 11 centers, enough for n = 3 and n = 4 only
+        polls.append(1)
+        return "wall_clock" if len(polls) > 11 else None
+
+    monkeypatch.setattr(ResourceBudget, "exceeded", exceeded)
+    res = run(ExperimentConfig("critical_scaling_power", params=params,
+                               seed=0, output_dir=str(tmp_path / "cut")))
+    assert res.cap_hit == "wall_clock" and not res.passed
+    assert len(polls) == 13  # the tripped poll and the one after the run
+    assert [r.n_or_k for r in res.rows] == [3, 4]
+    assert [r.lower for r in res.rows] == [r.lower for r in full.rows[:2]]
+    assert all(r.upper is None for r in res.rows)
+    summary = json.loads(Path(res.summary_path).read_text())
+    assert summary["cap_hit"] == "wall_clock" and summary["rows"] == 2
+    assert summary["pass"] is False
+    lines = Path(res.csv_path).read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 3
+
+
+def _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed):
+    """One-shot pool: full identity basis, full-width images, concatenate."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
+    per_level = []
+    for d in range(tree.height + 1):
+        sl = tree.level_slice(d)
+        ids = np.arange(sl.start, sl.stop)
+        if ids.size > per_level_cap:
+            ids = np.sort(rng.choice(ids, per_level_cap, replace=False))
+        per_level.append(ids)
+    cols = np.concatenate(per_level)
+    basis = np.zeros((tree.n, cols.size))
+    basis[cols, np.arange(cols.size)] = 1.0
+    pool = apply(tree, u, w, basis).T
+    if samples > 0:
+        sph = sample_lp_sphere(tree.n, p, samples, seed)
+        pool = np.concatenate([pool, apply(tree, u, w, sph.T).T])
+    return pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 120), branching=st.integers(1, 4),
+       p=st.sampled_from([1.0, 1.5, 2.0, 4.0]), samples=st.integers(0, 30),
+       per_level_cap=st.integers(1, 9), block_rows=st.integers(0, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_witness_pool_matches_one_shot_reference(n, branching, p, samples,
+                                                  per_level_cap, block_rows,
+                                                  seed):
+    tree = random_tree(n, branching, seed=seed)
+    rng = np.random.default_rng(seed)
+    u, w = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+    with mock.patch.object(entropy, "_BLOCK_BYTES",
+                           max(1, 8 * n * block_rows)):
+        got = _witness_pool(tree, u, w, p, samples, per_level_cap, seed)
+    ref = _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed)
+    assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_certificate_growth_small(tmp_path):
