@@ -494,12 +494,16 @@ def greedy_cover_estimate(matrix, p: float, q: float, k: int,
 
 
 def cover_profile(matrix, p: float, q: float, ks,
-                  samples: int = _DEFAULT_SAMPLES, seed: int = 0) -> list:
+                  samples: int = _DEFAULT_SAMPLES, seed: int = 0, *,
+                  poll=None) -> list:
     """greedy_cover_estimate over many k from one farthest-point run.
 
     The greedy center sequence is nested, so the covering radius with
     2^{k-1} centers for every requested k falls out of a single traversal;
     the values match independent greedy_cover_estimate calls bit for bit.
+    poll is passed to the traversal (called once per center after the
+    first); when it stops the run, only the k whose 2^{k-1} centers were
+    reached are reported.
     """
     matrix = np.asarray(matrix, dtype=float)
     ks = sorted(set(int(k) for k in ks))
@@ -517,11 +521,15 @@ def cover_profile(matrix, p: float, q: float, ks,
         centroid = points.mean(axis=0)
         start = int(np.argmin(_lq_dist(points, centroid, q)))
         run_to = 2 ** (feasible[-1] - 1) + 1
-        _, radii, _ = _farthest_point_run(points, q, run_to, start=start)
+        _, radii, _ = _farthest_point_run(points, q, run_to, start=start,
+                                          poll=poll)
         for k in feasible:
-            values[k] = radii[2 ** (k - 1) - 1]
-    return [EntropyEstimate(k, values[k], "heuristic", method, seed)
-            for k in ks]
+            if 2 ** (k - 1) <= len(radii):
+                values[k] = radii[2 ** (k - 1) - 1]
+            else:
+                del values[k]
+    return [EntropyEstimate(k, v, "heuristic", method, seed)
+            for k, v in values.items()]
 
 
 # -- combination calculus ----------------------------------------------------

@@ -7,10 +7,11 @@ fitted slopes and worst-case margins and is byte-stable across reruns
 with the same seed; wall-clock timestamps go only into the manifest.
 
 A run enforces two resource caps (wall clock and peak RSS), polled
-between work items and once per center inside the farthest-point
-traversal: when a cap trips, the rows produced so far are flushed and the
-summary reports the partial status instead of failing silently or dying
-on a hard limit.
+between work items, once per selected center inside the farthest-point
+traversals (the critical-scaling packing and the cover profile) and once
+per norm-oracle iteration: when a cap trips, the rows produced so far are
+flushed and the summary reports the partial status instead of failing
+silently or dying on a hard limit.
 """
 
 import json
@@ -53,8 +54,9 @@ CSV_HEADER = "n_or_k,lower,upper,heuristic,reference,ratio"
 
 
 class ResourceBudget:
-    """Wall-clock and peak-RSS caps, polled between work items and once
-    per selected center of a farthest-point traversal.
+    """Wall-clock and peak-RSS caps, polled between work items, once per
+    selected center of a farthest-point traversal (packing or cover
+    profile) and once per norm-oracle iteration.
 
     Polling keeps the enforcement cooperative: a work item never gets
     interrupted halfway, it just becomes the last one.  ru_maxrss is in
@@ -139,8 +141,9 @@ def _run_schuett_regimes(params, seed, budget):
     cap = budget.exceeded()
     heur = {}
     if cap is None:
+        # a cap stops the traversal early; only the k it got through report
         prof = cover_profile(np.eye(nu), p, q, range(1, k_feas_max + 1),
-                             samples=samples, seed=seed)
+                             samples=samples, seed=seed, poll=budget.exceeded)
         heur = {e.k: e.value for e in prof}
         cap = budget.exceeded()
 
@@ -275,10 +278,14 @@ def _run_hardy_consistency(params, seed, budget):
         u, w = weights_for_tree(scheme, tree, start_depth=j)
         est = norm_oracle(tree, u, w, p, q,
                           {"restarts": int(params["restarts"]),
-                           "seed": seed + idx})
+                           "seed": seed + idx}, poll=budget.exceeded)
         hb = hardy_bound(None, scheme, h, p, q, j)
+        # an oracle stopped by a cap still brackets the norm: keep its row
         rows.append(Row(j, lower=float(est.lower), upper=float(est.upper),
                         reference=float(hb), ratio=float(est.lower / hb)))
+        cap = est.meta.get("stopped")
+        if cap is not None:
+            break
 
     extra = {"p": p, "q": q, "m_star": m,
              "envelope_target": 1.0 / q - 1.0 / p}

@@ -73,14 +73,15 @@ def balanced_partition(tree: Tree, weights: VertexWeight, n: int,
     """Split the tree into at most (k+2) n connected parts, every
     multi-vertex part carrying weight at most (k+2) Phi(total) / n.
 
-    Post-order sweep with threshold tau = Phi(total)/n: each vertex
+    Bottom-up sweep with threshold tau = Phi(total)/n: each vertex
     accumulates its own phi plus the still-pending weight of its children.
     When the accumulated mass first reaches tau (ties cut), the vertex
     closes a part consisting of itself and all pending child bundles; a
     vertex whose own phi already exceeds tau instead becomes a singleton
     part and releases each pending child bundle as a part of its own.
     Every such event retires at least tau of mass, so there are at most n
-    events, each producing at most k+1 parts.
+    events, each producing at most k+1 parts.  A vertex depends only on
+    its children, so the sweep runs one depth level at a time.
     """
     _check_inputs(tree, weights, n, k)
     phi = weights.phi
@@ -93,31 +94,38 @@ def balanced_partition(tree: Tree, weights: VertexWeight, n: int,
             np.arange(tree.n, dtype=np.int64),
             {"C": float(k + 2), "threshold": tau, "n": 1, "k": int(k)})
 
+    levels = tree.levels()
     marked = np.zeros(tree.n, dtype=bool)
     res = np.zeros(tree.n)
-    for v in range(tree.n - 1, -1, -1):
-        pend = [c for c in tree.children(v) if not marked[c]]
-        mass = phi[v] + sum(res[c] for c in pend)
-        if mass >= tau:
-            marked[v] = True
-            if phi[v] > tau:
-                # heavy singleton: pending bundles become parts of their own
-                for c in pend:
-                    marked[c] = True
-        else:
-            res[v] = mass
+    below = None
+    for level in reversed(levels):
+        mass = phi[level.ids].copy()
+        if below is not None:
+            # closed children hold res 0, so the sum over all children in
+            # id order adds exactly what the pending ones carry
+            slot = below.parent - level.ids.start
+            mass += np.bincount(slot, weights=res[below.ids],
+                                minlength=mass.size)
+        close = mass >= tau
+        marked[level.ids] = close
+        res[level.ids] = np.where(close, 0.0, mass)
+        if below is not None:
+            # heavy singleton: pending bundles become parts of their own
+            marked[below.ids] |= (close & (phi[level.ids] > tau))[slot]
+        below = level
     marked[0] = True  # the leftover bundle at the root is the final part
 
     # every vertex belongs to the part closed at its nearest marked ancestor
     top = np.zeros(tree.n, dtype=np.int64)
-    for v in range(1, tree.n):
-        top[v] = v if marked[v] else top[tree.parent[v]]
+    for level in levels[1:]:
+        top[level.ids] = np.where(marked[level.ids],
+                                  np.arange(level.ids.start, level.ids.stop),
+                                  top[level.parent])
 
     roots = np.flatnonzero(marked)
+    # a stable sort keeps each part's ids increasing
     order = np.argsort(top, kind="stable")
-    bounds = np.searchsorted(top[order], roots)
-    parts = [np.sort(order[a:b]) for a, b in
-             zip(bounds, np.append(bounds[1:], tree.n))]
+    parts = np.split(order, np.searchsorted(top[order], roots[1:]))
     part = SubtreePartition(roots, parts, np.arange(tree.n, dtype=np.int64),
                             {"C": float(k + 2), "threshold": tau,
                              "n": int(n), "k": int(k)})
@@ -159,16 +167,14 @@ class PartitionFamily:
             raise AssertionError("top level is not the whole tree")
         for l in range(len(self.levels) - 1):
             fine, coarse = self.levels[l], self.levels[l + 1]
-            owner = np.full(tree.n, -1, dtype=np.int64)
-            for i, p in enumerate(coarse.parts):
-                owner[p] = i
-            hits = np.zeros(coarse.n_parts(), dtype=np.int64)
-            for p in fine.parts:
-                owners = np.unique(owner[p])
-                if owners.size != 1:
-                    raise AssertionError(
-                        f"level {l} part crosses level {l + 1} parts")
-                hits[owners[0]] += 1
+            # the smallest and largest coarse label over each fine part
+            owner = coarse.labels(tree.n)[np.concatenate(fine.parts)]
+            starts = np.cumsum([0] + [len(p) for p in fine.parts[:-1]])
+            lo = np.minimum.reduceat(owner, starts)
+            if np.any(lo != np.maximum.reduceat(owner, starts)) or lo.min() < 0:
+                raise AssertionError(
+                    f"level {l} part crosses level {l + 1} parts")
+            hits = np.bincount(lo, minlength=coarse.n_parts())
             if hits.max() > cross:
                 raise AssertionError(
                     f"a level-{l + 1} part meets {int(hits.max())} level-{l} "

@@ -147,49 +147,45 @@ def _as_columns(f, n):
     return f
 
 
-def _scale_rows(vec, x):
+def _scale_rows(vec, x, out=None):
     vec = np.asarray(vec, dtype=float)
-    return vec[:, None] * x if x.ndim == 2 else vec * x
+    return np.multiply(vec[:, None] if x.ndim == 2 else vec, x, out=out)
 
 
 def apply(tree: Tree, u, w, f):
     """g(xi) = w(xi) * prefix sum of u*f along the root path; O(|V|).
 
     f may be a vector or a (|V|, r) block of columns processed together.
+    The prefix sums run one depth level at a time over the tree's cached
+    level plan.
     """
     f = _as_columns(f, tree.n)
-    z = _scale_rows(u, f)
-    acc = np.empty_like(z)
-    acc[0] = z[0]
-    for d in range(1, tree.height + 1):
-        sl = tree.level_slice(d)
-        acc[sl] = acc[tree.parent[sl]] + z[sl]
-    return _scale_rows(w, acc)
-
-
-def _scatter_add(acc, idx, vals):
-    """acc[idx] += vals with duplicate indices accumulated.
-
-    BFS construction leaves each level's parent ids sorted, in which case
-    segment sums via reduceat are much faster than np.add.at.
-    """
-    if idx.size == 0:
-        return
-    if np.all(idx[1:] >= idx[:-1]):
-        starts = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
-        acc[idx[starts]] += np.add.reduceat(vals, starts, axis=0)
-    else:
-        np.add.at(acc, idx, vals)
+    acc = _scale_rows(u, f)
+    for level in tree.levels()[1:]:
+        acc[level.ids] += acc[level.parent]
+    return _scale_rows(w, acc, out=acc)
 
 
 def apply_adjoint(tree: Tree, u, w, g):
-    """(S^T g)(xi') = u(xi') * sum over descendants xi >= xi' of w(xi) g(xi)."""
+    """(S^T g)(xi') = u(xi') * sum over descendants xi >= xi' of w(xi) g(xi).
+
+    The descendant sums run one depth level at a time, deepest first, over
+    the tree's cached level plan: a level with sorted parent ids adds its
+    per-parent child sums (np.add.reduceat, or two strided slices when
+    every parent has two children) into the parents' rows, any other level
+    scatters through np.add.at.
+    """
     g = _as_columns(g, tree.n)
-    acc = _scale_rows(w, g).copy()
-    for d in range(tree.height, 0, -1):
-        sl = tree.level_slice(d)
-        _scatter_add(acc, tree.parent[sl], acc[sl])
-    return _scale_rows(u, acc)
+    acc = _scale_rows(w, g)
+    for level, seg in zip(tree.levels()[:0:-1], tree.segments()[:0:-1]):
+        vals = acc[level.ids]
+        if seg is None:
+            np.add.at(acc, level.parent, vals)
+        elif seg.pairs:
+            acc[seg.targets] += vals[0::2] + vals[1::2]
+        else:
+            acc[seg.targets] += np.add.reduceat(vals, seg.starts, axis=0)
+    return _scale_rows(u, acc, out=acc)
 
 
 def operator_matrix(tree: Tree, u, w) -> np.ndarray:
@@ -210,18 +206,16 @@ class NormEstimate:
 
 
 def _lp_norm(x, p, axis=0):
-    return np.sum(np.abs(x) ** p, axis=axis) ** (1.0 / p)
+    mag = np.abs(x)
+    mag **= p
+    return np.sum(mag, axis=axis) ** (1.0 / p)
 
 
 def _row_hoelder_upper(tree: Tree, u, w, p: float, q: float) -> float:
     """(sum_xi ||row_xi||_{p'}^q)^{1/q} without forming the matrix."""
     pp = _conj(p)
-    cum = np.empty(tree.n)
-    up = np.asarray(u, dtype=float) ** pp
-    cum[0] = up[0]
-    for d in range(1, tree.height + 1):
-        sl = tree.level_slice(d)
-        cum[sl] = cum[tree.parent[sl]] + up[sl]
+    ones = np.ones(tree.n)
+    cum = apply(tree, np.asarray(u, dtype=float) ** pp, ones, ones)
     return float(np.sum(np.asarray(w) ** q * cum ** (q / pp)) ** (1.0 / q))
 
 
@@ -252,7 +246,7 @@ def _simplex_grid_upper(tree: Tree, u, w, p: float, q: float,
 
 
 def norm_oracle(tree: Tree, u, w, p: float, q: float,
-                cfg: dict | None = None) -> NormEstimate:
+                cfg: dict | None = None, *, poll=None) -> NormEstimate:
     """Certified two-sided estimate of ||S||_{l_p -> l_q}.
 
     Lower bound: multiplicative fixed-point ascent (the power-method
@@ -263,6 +257,10 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
 
     Upper bound: row-wise Hoelder, tightened by a simplex-grid search for
     trees with at most 12 vertices; the smaller certified value is returned.
+
+    poll, if given, is called once before each ascent iteration; when it
+    returns a cap name the ascent stops, the bounds are computed from the
+    iterate reached (still certified), and meta["stopped"] holds the name.
     """
     cfg = dict(cfg or {})
     restarts = int(cfg.pop("restarts", 16))
@@ -294,16 +292,23 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
 
     vals = np.zeros(cols)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    stopped = None
+    for it in range(1, max_iter + 1):
+        if poll is not None:
+            stopped = poll()
+            if stopped is not None:
+                break
+        iterations = it
         g = apply(tree, u, w, f)
         new_vals = _lp_norm(g, q, axis=0)
         done = np.all(np.abs(new_vals - vals) <= tol * np.maximum(new_vals, 1e-300))
         vals = new_vals
         if done:
             break
-        z = apply_adjoint(tree, u, w, g ** (q - 1.0))
-        f = z ** (pp - 1.0)
-        f = f / _lp_norm(f, p, axis=0)
+        g **= q - 1.0
+        f = apply_adjoint(tree, u, w, g)
+        f **= pp - 1.0
+        f /= _lp_norm(f, p, axis=0)
 
     best = int(np.argmax(vals))
     witness = f[:, best].copy()
@@ -313,9 +318,10 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     if tree.n <= 12:
         upper = min(upper, _simplex_grid_upper(tree, u, w, p, q, upper))
     upper = max(upper, lower)
-    return NormEstimate(lower, upper, witness,
-                        {"iterations": iterations, "seed": seed,
-                         "restarts": restarts})
+    meta = {"iterations": iterations, "seed": seed, "restarts": restarts}
+    if stopped is not None:
+        meta["stopped"] = stopped
+    return NormEstimate(lower, upper, witness, meta)
 
 
 # -- Hardy-type analytic bounds ---------------------------------------------

@@ -12,10 +12,45 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 MAX_VERTICES_DEFAULT = 1 << 22
+
+class Level(NamedTuple):
+    """One depth level of a tree: its id range and their parent ids."""
+
+    ids: slice
+    parent: np.ndarray
+
+
+class Segments(NamedTuple):
+    """A level's children grouped by parent, for a level whose parent ids
+    are sorted, so that each parent's children form one segment.
+
+    targets holds the distinct parents in order, as a slice when they are
+    contiguous; starts the segment starts within the level, for
+    np.add.reduceat.  pairs is set when every parent has exactly two
+    children: the segment sums are then c0 + c1, the one sum reduceat can
+    form, and strided slices add them without its per-segment overhead.
+    """
+
+    targets: slice | np.ndarray
+    starts: np.ndarray
+    pairs: bool
+
+
+def _segments(par: np.ndarray) -> Segments | None:
+    """The Segments of a level with parent ids par; None if unsorted."""
+    if np.any(par[1:] < par[:-1]):
+        return None
+    starts = np.flatnonzero(np.concatenate(([True], par[1:] != par[:-1])))
+    targets = par[starts]
+    if targets[-1] - targets[0] + 1 == targets.size:
+        targets = slice(int(targets[0]), int(targets[-1]) + 1)
+    pairs = bool(np.all(np.diff(starts, append=par.size) == 2))
+    return Segments(targets, starts, pairs)
 
 
 class Tree:
@@ -36,10 +71,15 @@ class Tree:
         ``depth[v]`` = edge distance from the root.
     height : int
         Maximum depth.
+
+    The level plan that the level-at-a-time sweeps of ``summation`` and
+    ``partition`` run on (``levels`` and ``segments``) is computed on first
+    use and cached on the tree.  Two threads may both compute it on first
+    use; either result is correct and immutable, so the race is benign.
     """
 
     __slots__ = ("parent", "depth", "height", "n", "_level_start",
-                 "_child_ptr", "_child_ids")
+                 "_child_ptr", "_child_ids", "_levels", "_segments")
 
     def __init__(self, parent, max_vertices: int = MAX_VERTICES_DEFAULT):
         parent = np.asarray(parent, dtype=np.int64)
@@ -85,6 +125,8 @@ class Tree:
 
         parent.setflags(write=False)
         depth.setflags(write=False)
+        self._levels = None
+        self._segments = None
 
     # -- basic structure ------------------------------------------------
 
@@ -102,7 +144,24 @@ class Tree:
         """Ids of the vertices at depth d, as a contiguous slice."""
         if d < 0 or d > self.height:
             return slice(0, 0)
-        return slice(int(self._level_start[d]), int(self._level_start[d + 1]))
+        return self.levels()[d].ids
+
+    def levels(self) -> tuple:
+        """The depth levels 0..height as ``Level`` records, root first."""
+        if self._levels is None:
+            bounds = self._level_start.tolist()
+            self._levels = tuple(Level(slice(lo, hi), self.parent[lo:hi])
+                                 for lo, hi in zip(bounds, bounds[1:]))
+        return self._levels
+
+    def segments(self) -> tuple:
+        """Per depth level, its children grouped by parent as ``Segments``;
+        None for the root level and for levels whose parent ids are not
+        sorted."""
+        if self._segments is None:
+            self._segments = (None,) + tuple(
+                _segments(level.parent) for level in self.levels()[1:])
+        return self._segments
 
     def level(self, d: int) -> np.ndarray:
         s = self.level_slice(d)
@@ -285,21 +344,39 @@ class SubtreePartition:
     def n_parts(self) -> int:
         return len(self.parts)
 
+    def labels(self, n: int) -> np.ndarray:
+        """label[v] = index of the part holding vertex v, -1 for vertices in
+        no part; n + 1 entries, so label[-1] (for the root's parent id -1)
+        is -1 too."""
+        label = np.full(n + 1, -1, dtype=np.int64)
+        if self.parts:
+            sizes = [len(p) for p in self.parts]
+            members = np.concatenate(self.parts).astype(np.int64, copy=False)
+            label[members] = np.repeat(
+                np.arange(len(self.parts)), sizes)
+        return label
+
     def validate(self, tree: Tree) -> None:
         seen = np.concatenate(self.parts) if self.parts else np.array([], dtype=np.int64)
         if seen.size != np.unique(seen).size:
             raise AssertionError("parts overlap")
         if not np.array_equal(np.sort(seen), np.sort(self.universe)):
             raise AssertionError("parts do not cover the universe")
-        for r, part in zip(self.roots, self.parts):
-            members = set(int(x) for x in part)
-            if int(r) not in members:
-                raise AssertionError("root not inside its part")
-            for v in part:
-                v = int(v)
-                if v != int(r) and int(tree.parent[v]) not in members:
-                    raise AssertionError(
-                        f"part rooted at {int(r)} is not connected at vertex {v}")
+        seen = seen.astype(np.int64, copy=False)
+        roots = np.asarray(self.roots, dtype=np.int64)
+        if roots.size != len(self.parts):
+            raise AssertionError("roots and parts differ in number")
+        label = self.labels(tree.n)
+        if np.any(label[np.clip(roots, -1, tree.n)] != np.arange(roots.size)):
+            raise AssertionError("root not inside its part")
+        own = label[seen]
+        cut = np.flatnonzero((seen != roots[own])
+                             & (label[tree.parent[seen]] != own))
+        if cut.size:
+            v = int(seen[cut[0]])
+            raise AssertionError(
+                f"part rooted at {int(roots[own[cut[0]]])} is not connected "
+                f"at vertex {v}")
 
     def to_json(self) -> str:
         return json.dumps([

@@ -465,6 +465,26 @@ def test_cover_profile_matches_single_calls_bitwise():
         assert est.kind == "heuristic" and est.method == single.method
 
 
+def test_cover_profile_poll_reports_only_the_k_reached():
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((5, 4))
+    ks = [1, 2, 3, 5, 13]
+    full = cover_profile(a, 2, 4, ks, samples=512, seed=7)
+    calls = []
+
+    def poll():
+        calls.append(1)
+        return "wall_clock" if len(calls) > 6 else None
+
+    cut = cover_profile(a, 2, 4, ks, samples=512, seed=7, poll=poll)
+    # 7 centers were selected: the radii of 1, 2 and 4 centers are known,
+    # and k = 13 needs more centers than the 512-point pool has
+    assert len(calls) == 7
+    assert [e.k for e in cut] == [1, 2, 3, 13]
+    assert [e.value for e in cut] == [e.value for e in full if e.k != 5]
+    assert cut[-1].value == 0.0
+
+
 def test_cover_profile_exhausted_pool_is_zero():
     prof = cover_profile(np.eye(2), 2, 2, [3, 12], samples=16, seed=0)
     # 2^11 centers exceed the 16-point pool, so that entry collapses to 0

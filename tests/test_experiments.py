@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropy_lab import entropy
+from entropy_lab import entropy, experiments
 from entropy_lab.entropy import sample_lp_sphere
 from entropy_lab.experiments import (
     CSV_HEADER,
@@ -283,6 +283,74 @@ def test_critical_scaling_cap_trips_inside_the_traversal(tmp_path,
     assert summary["pass"] is False
     lines = Path(res.csv_path).read_text().splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 3
+
+
+def _trip_on_poll(monkeypatch, trip_at):
+    """Make ResourceBudget.exceeded report a wall-clock cap from poll
+    number trip_at on; returns the list the polls are counted in."""
+    polls = []
+
+    def exceeded(self):
+        polls.append(1)
+        return "wall_clock" if len(polls) >= trip_at else None
+
+    monkeypatch.setattr(ResourceBudget, "exceeded", exceeded)
+    return polls
+
+
+def test_hardy_consistency_cap_trips_inside_the_oracle(tmp_path, monkeypatch):
+    params = {"j_values": [4, 8, 16], "height": 5, "restarts": 4}
+    iterations = []
+    oracle = experiments.norm_oracle
+
+    def counted(*args, **kwargs):
+        est = oracle(*args, **kwargs)
+        iterations.append(est.meta["iterations"])
+        return est
+
+    monkeypatch.setattr(experiments, "norm_oracle", counted)
+    full = run(ExperimentConfig("hardy_consistency", params=params, seed=0,
+                                output_dir=str(tmp_path / "full")))
+    assert full.passed and iterations[1] > 3
+    # one poll per start depth and one per oracle iteration: trip before
+    # the fourth iteration of the second oracle
+    trip_at = 1 + iterations[0] + 1 + 4
+    polls = _trip_on_poll(monkeypatch, trip_at)
+    res = run(ExperimentConfig("hardy_consistency", params=params, seed=0,
+                               output_dir=str(tmp_path / "cut")))
+    assert res.cap_hit == "wall_clock" and not res.passed
+    assert len(polls) == trip_at and iterations[-1] == 3
+    assert [r.n_or_k for r in res.rows] == [4, 8]
+    assert res.rows[0] == full.rows[0]
+    cut = res.rows[1]
+    assert cut.lower <= cut.upper and cut.upper == full.rows[1].upper
+    summary = json.loads(Path(res.summary_path).read_text())
+    assert summary["cap_hit"] == "wall_clock" and summary["rows"] == 2
+    assert summary["invariant_violations"] == []
+    lines = Path(res.csv_path).read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 3
+
+
+def test_schuett_regimes_cap_trips_inside_the_cover_traversal(tmp_path,
+                                                            monkeypatch):
+    params = {"nu": 8, "samples": 512, "cover_k_cap": 8}
+    full = run(ExperimentConfig("schuett_regimes", params=params, seed=1,
+                                output_dir=str(tmp_path / "full")))
+    # one poll before the traversal, then one per center after the first:
+    # the sixth traversal poll trips with 6 centers, enough for k <= 3
+    polls = _trip_on_poll(monkeypatch, 7)
+    res = run(ExperimentConfig("schuett_regimes", params=params, seed=1,
+                               output_dir=str(tmp_path / "cut")))
+    assert res.cap_hit == "wall_clock" and not res.passed
+    assert len(polls) == 8  # the tripped poll and the one after the run
+    assert [r.n_or_k for r in res.rows] == [r.n_or_k for r in full.rows]
+    assert res.rows[:3] == full.rows[:3]
+    assert all(r.heuristic is not None for r in full.rows[:8])
+    assert all(r.heuristic is None for r in res.rows[3:])
+    assert [r.lower for r in res.rows] == [r.lower for r in full.rows]
+    summary = json.loads(Path(res.summary_path).read_text())
+    assert summary["cap_hit"] == "wall_clock"
+    assert summary["rows"] == len(full.rows)
 
 
 def _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed):

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_cases import trees
 
 from entropy_lab.partition import (
     PartitionFamily,
     VertexWeight,
+    _check_inputs,
     balanced_partition,
     dyadic_family,
 )
-from entropy_lab.trees import Tree, build_tree, full_tree, path_tree
+from entropy_lab.trees import (
+    SubtreePartition,
+    Tree,
+    build_tree,
+    full_tree,
+    path_tree,
+)
 
 
 def star_tree(leaves):
@@ -211,3 +219,227 @@ def test_family_deterministic():
     a = dyadic_family(t, w, 8, 2)
     b = dyadic_family(t, w, 8, 2)
     assert a.to_json() == b.to_json()
+
+
+# -- the per-vertex sweeps the level sweeps replaced, kept as references ------
+
+
+def _ref_balanced_partition(tree, weights, n, k):
+    _check_inputs(tree, weights, n, k)
+    phi = weights.phi
+    tau = weights.total() / n
+    if n == 1:
+        return np.array([0]), [np.arange(tree.n)]
+    marked = np.zeros(tree.n, dtype=bool)
+    res = np.zeros(tree.n)
+    for v in range(tree.n - 1, -1, -1):
+        pend = [c for c in tree.children(v) if not marked[c]]
+        mass = phi[v] + sum(res[c] for c in pend)
+        if mass >= tau:
+            marked[v] = True
+            if phi[v] > tau:
+                for c in pend:
+                    marked[c] = True
+        else:
+            res[v] = mass
+    marked[0] = True
+    top = np.zeros(tree.n, dtype=np.int64)
+    for v in range(1, tree.n):
+        top[v] = v if marked[v] else top[tree.parent[v]]
+    roots = np.flatnonzero(marked)
+    order = np.argsort(top, kind="stable")
+    bounds = np.searchsorted(top[order], roots)
+    parts = [np.sort(order[a:b]) for a, b in
+             zip(bounds, np.append(bounds[1:], tree.n))]
+    return roots, parts
+
+
+def _ref_part_validate(part, tree):
+    seen = np.concatenate(part.parts) if part.parts else np.array([], dtype=np.int64)
+    if seen.size != np.unique(seen).size:
+        raise AssertionError("parts overlap")
+    if not np.array_equal(np.sort(seen), np.sort(part.universe)):
+        raise AssertionError("parts do not cover the universe")
+    for r, vertices in zip(part.roots, part.parts):
+        members = set(int(x) for x in vertices)
+        if int(r) not in members:
+            raise AssertionError("root not inside its part")
+        for v in vertices:
+            v = int(v)
+            if v != int(r) and int(tree.parent[v]) not in members:
+                raise AssertionError(
+                    f"part rooted at {int(r)} is not connected at vertex {v}")
+
+
+def _ref_family_validate(fam, tree, part_validate=_ref_part_validate):
+    big_c = fam.meta.get("C", np.inf)
+    cross = fam.meta.get("cross", np.inf)
+    for l, level in enumerate(fam.levels):
+        part_validate(level, tree)
+        if level.n_parts() > big_c * fam.n0 * 2.0 ** (-l) + 1e-9:
+            raise AssertionError(
+                f"level {l} has {level.n_parts()} parts, above the "
+                f"reported C * 2^-l * n0")
+    top = fam.levels[-1]
+    if top.n_parts() != 1 or top.parts[0].size != tree.n:
+        raise AssertionError("top level is not the whole tree")
+    for l in range(len(fam.levels) - 1):
+        fine, coarse = fam.levels[l], fam.levels[l + 1]
+        owner = np.full(tree.n, -1, dtype=np.int64)
+        for i, p in enumerate(coarse.parts):
+            owner[p] = i
+        hits = np.zeros(coarse.n_parts(), dtype=np.int64)
+        for p in fine.parts:
+            owners = np.unique(owner[p])
+            if owners.size != 1:
+                raise AssertionError(
+                    f"level {l} part crosses level {l + 1} parts")
+            hits[owners[0]] += 1
+        if hits.max() > cross:
+            raise AssertionError(
+                f"a level-{l + 1} part meets {int(hits.max())} level-{l} "
+                f"parts, above the reported cross constant")
+
+
+def _weights(style, n, rng):
+    if style == "uniform":
+        return VertexWeight.uniform(n)
+    if style == "exponential":
+        return VertexWeight(rng.exponential(1.0, n) + 1e-9)
+    if style == "pareto":
+        return VertexWeight(rng.pareto(1.5, n) + 1e-9)
+    # zero-heavy: most vertices weigh nothing, the rest small integers
+    phi = np.where(rng.random(n) < 0.8, 0.0, rng.integers(1, 4, n))
+    phi[rng.integers(0, n)] += 1.0
+    return VertexWeight(phi)
+
+
+WEIGHT_STYLES = ["uniform", "exponential", "pareto", "zero-heavy"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=trees(), style=st.sampled_from(WEIGHT_STYLES),
+       n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_level_sweep_partition_matches_reference_exactly(tree, style, n, seed):
+    wts = _weights(style, tree.n, np.random.default_rng(seed))
+    k = max(1, tree.branching())
+    part = balanced_partition(tree, wts, n, k)
+    roots, parts = _ref_balanced_partition(tree, wts, n, k)
+    assert np.array_equal(part.roots, roots)
+    assert len(part.parts) == len(parts)
+    assert all(np.array_equal(a, b) for a, b in zip(part.parts, parts))
+    part.validate(tree)
+    _ref_part_validate(part, tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=trees(), style=st.sampled_from(WEIGHT_STYLES),
+       n0=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_validators_agree_with_reference_on_families(tree, style, n0, seed):
+    """Both validators accept every family; after one vertex moves to
+    another part of a level, both reject it or both accept it (the message
+    may differ when the edit breaks more than one invariant)."""
+    rng = np.random.default_rng(seed)
+    fam = dyadic_family(tree, _weights(style, tree.n, rng), n0,
+                        max(1, tree.branching()))
+    fam.validate(tree)
+    _ref_family_validate(fam, tree)
+    l = int(rng.integers(0, fam.n_levels()))
+    level = fam.levels[l]
+    if level.n_parts() < 2:
+        return
+    src, dst = rng.choice(level.n_parts(), 2, replace=False)
+    v = int(rng.choice(level.parts[src]))
+    parts = list(level.parts)
+    parts[src] = parts[src][parts[src] != v]
+    parts[dst] = np.sort(np.append(parts[dst], v))
+    levels = list(fam.levels)
+    levels[l] = SubtreePartition(level.roots, parts, level.universe)
+    bad = PartitionFamily(levels, fam.n0, fam.meta)
+    verdicts = []
+    for check in (bad.validate, lambda t: _ref_family_validate(bad, t)):
+        try:
+            check(tree)
+            verdicts.append(True)
+        except AssertionError:
+            verdicts.append(False)
+    assert verdicts[0] == verdicts[1]
+
+
+# -- every validator branch can fire, on the new and the reference code -------
+
+
+PART_VALIDATORS = [pytest.param(SubtreePartition.validate, id="new"),
+                   pytest.param(_ref_part_validate, id="reference")]
+FAMILY_VALIDATORS = [pytest.param(PartitionFamily.validate, id="new"),
+                     pytest.param(_ref_family_validate, id="reference")]
+
+
+def _split(tree, roots, parts):
+    return SubtreePartition(np.array(roots),
+                            [np.array(p, dtype=np.int64) for p in parts],
+                            np.arange(tree.n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("validate", PART_VALIDATORS)
+@pytest.mark.parametrize("roots, parts, message", [
+    ([0, 3], [[0, 1, 2, 3], [3, 4, 5, 6]], "overlap"),
+    ([0, 4], [[0, 1, 2], [4, 5, 6]], "do not cover"),
+    ([1, 2], [[0, 2, 5, 6], [1, 3, 4]], "root not inside"),
+    ([0, 3], [[0, 1, 3, 4], [2, 5, 6]], "root not inside"),
+    ([0, 1], [[0, 2, 3, 5, 6], [1, 4]], "not connected at vertex 3"),
+    ([0, 3], [[0, 1, 2, 5, 6], [3, 4]], "not connected at vertex 4"),
+])
+def test_part_validator_fails_on_bad_partition(validate, roots, parts,
+                                               message):
+    t = full_tree(2, 2)  # 0 -> 1, 2; 1 -> 3, 4; 2 -> 5, 6
+    good = _split(t, [0, 1, 2], [[0], [1, 3, 4], [2, 5, 6]])
+    validate(good, t)
+    with pytest.raises(AssertionError, match=message):
+        validate(_split(t, roots, parts), t)
+
+
+def test_part_validator_rejects_roots_without_parts():
+    t = full_tree(2, 2)
+    bad = _split(t, [0, 1], [[0, 1, 2, 3, 4, 5, 6]])
+    with pytest.raises(AssertionError, match="differ in number"):
+        bad.validate(t)
+
+
+def _path8_family():
+    t = path_tree(8)
+    fam = dyadic_family(t, VertexWeight.uniform(8), 4, 1)
+    assert [lv.n_parts() for lv in fam.levels] == [4, 2, 1]
+    return t, fam
+
+
+def _edit(fam, l=None, parts=None, **meta):
+    levels = list(fam.levels)
+    if l is not None:
+        parts = [np.array(p, dtype=np.int64) for p in parts]
+        levels[l] = SubtreePartition(np.array([p[0] for p in parts]), parts,
+                                     levels[l].universe)
+    return PartitionFamily(levels, fam.n0, {**fam.meta, **meta})
+
+
+@pytest.mark.parametrize("validate", FAMILY_VALIDATORS)
+def test_family_validator_fails_on_each_bad_family(validate):
+    t, fam = _path8_family()
+    validate(fam, t)
+    cases = [
+        # a level's part is broken: the part validator fires inside
+        (_edit(fam, 1, [[0, 1, 2, 3], [3, 4, 5, 6, 7]]), "overlap"),
+        # level 0 holds more parts than C * n0 allows
+        (_edit(fam, C=0.5), "level 0 has 4 parts"),
+        # a fine part straddles two coarse parts
+        (_edit(fam, 0, [[0, 1], [2, 3, 4], [5], [6, 7]]), "crosses"),
+        # a coarse part meets more fine parts than the cross constant
+        (_edit(fam, cross=1), "meets 2 level-0 parts"),
+        # the top level is not the whole tree
+        (PartitionFamily(fam.levels[:-1], fam.n0, fam.meta),
+         "not the whole tree"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(AssertionError, match=message):
+            validate(bad, t)

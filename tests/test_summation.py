@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_cases import trees, unsorted_bfs_tree
 
 from entropy_lab.hset import HProfile, TauFn
 from entropy_lab.summation import (
     NormEstimate,
     WeightScheme,
+    _check_pq,
+    _conj,
+    _simplex_grid_upper,
     apply,
     apply_adjoint,
     hardy_bound,
@@ -17,7 +21,7 @@ from entropy_lab.summation import (
     operator_matrix,
     weights_for_tree,
 )
-from entropy_lab.trees import Tree, full_tree, path_tree
+from entropy_lab.trees import Tree, full_tree, path_tree, random_tree
 
 GOLDEN = 1.618033988749895          # largest singular value, 2-step path
 PATH3_NORM = 2.246979603717467      # 1 / (2 sin(pi/14)), 3-step path
@@ -154,6 +158,145 @@ def test_operator_matrix_agrees_with_dense():
     t = random_parent(12, rng)
     u, w = rand_weights(12, rng)
     np.testing.assert_allclose(operator_matrix(t, u, w), dense_matrix(t, u, w))
+
+
+# -- the per-vertex kernels the level sweeps replaced, kept as references ----
+
+
+def _ref_scale_rows(vec, x):
+    vec = np.asarray(vec, dtype=float)
+    return vec[:, None] * x if x.ndim == 2 else vec * x
+
+
+def _ref_apply(tree, u, w, f):
+    f = np.asarray(f, dtype=float)
+    z = _ref_scale_rows(u, f)
+    acc = np.empty_like(z)
+    acc[0] = z[0]
+    for d in range(1, tree.height + 1):
+        sl = tree.level_slice(d)
+        acc[sl] = acc[tree.parent[sl]] + z[sl]
+    return _ref_scale_rows(w, acc)
+
+
+def _ref_scatter_add(acc, idx, vals):
+    if idx.size == 0:
+        return
+    if np.all(idx[1:] >= idx[:-1]):
+        starts = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+        acc[idx[starts]] += np.add.reduceat(vals, starts, axis=0)
+    else:
+        np.add.at(acc, idx, vals)
+
+
+def _ref_apply_adjoint(tree, u, w, g):
+    g = np.asarray(g, dtype=float)
+    acc = _ref_scale_rows(w, g).copy()
+    for d in range(tree.height, 0, -1):
+        sl = tree.level_slice(d)
+        _ref_scatter_add(acc, tree.parent[sl], acc[sl])
+    return _ref_scale_rows(u, acc)
+
+
+def _ref_lp_norm(x, p, axis=0):
+    return np.sum(np.abs(x) ** p, axis=axis) ** (1.0 / p)
+
+
+def _ref_row_hoelder_upper(tree, u, w, p, q):
+    pp = _conj(p)
+    cum = np.empty(tree.n)
+    up = np.asarray(u, dtype=float) ** pp
+    cum[0] = up[0]
+    for d in range(1, tree.height + 1):
+        sl = tree.level_slice(d)
+        cum[sl] = cum[tree.parent[sl]] + up[sl]
+    return float(np.sum(np.asarray(w) ** q * cum ** (q / pp)) ** (1.0 / q))
+
+
+def _ref_norm_oracle(tree, u, w, p, q, cfg):
+    cfg = dict(cfg)
+    restarts = int(cfg.pop("restarts", 16))
+    tol = float(cfg.pop("tol", 1e-10))
+    max_iter = int(cfg.pop("max_iter", 10_000))
+    seed = int(cfg.pop("seed", 0))
+    _check_pq(p, q)
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if tree.n == 1:
+        v = float(u[0] * w[0])
+        return NormEstimate(v, v, np.ones(1), {"iterations": 0, "seed": seed})
+    pp = _conj(p)
+    cols = max(1, restarts)
+    f0 = np.empty((tree.n, cols))
+    f0[:, 0] = 1.0
+    for r in range(1, cols):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6f7261, r]))
+        f0[:, r] = np.abs(rng.standard_normal(tree.n)) + 1e-12
+    f = f0 / _ref_lp_norm(f0, p, axis=0)
+    vals = np.zeros(cols)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        g = _ref_apply(tree, u, w, f)
+        new_vals = _ref_lp_norm(g, q, axis=0)
+        done = np.all(np.abs(new_vals - vals) <= tol * np.maximum(new_vals, 1e-300))
+        vals = new_vals
+        if done:
+            break
+        z = _ref_apply_adjoint(tree, u, w, g ** (q - 1.0))
+        f = z ** (pp - 1.0)
+        f = f / _ref_lp_norm(f, p, axis=0)
+    best = int(np.argmax(vals))
+    witness = f[:, best].copy()
+    lower = float(_ref_lp_norm(_ref_apply(tree, u, w, witness), q)
+                  / _ref_lp_norm(witness, p))
+    upper = _ref_row_hoelder_upper(tree, u, w, p, q)
+    if tree.n <= 12:
+        upper = min(upper, _simplex_grid_upper(tree, u, w, p, q, upper))
+    upper = max(upper, lower)
+    return NormEstimate(lower, upper, witness, {"iterations": iterations})
+
+
+def _block(rng, n, cols):
+    """A vector (cols == 0) or an (n, cols) block spanning many magnitudes."""
+    shape = (n,) if cols == 0 else (n, cols)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=trees(), cols=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_level_sweeps_match_reference_kernels_exactly(tree, cols, seed):
+    rng = np.random.default_rng(seed)
+    u, w = rand_weights(tree.n, rng)
+    f = _block(rng, tree.n, cols)
+    assert np.array_equal(apply(tree, u, w, f), _ref_apply(tree, u, w, f))
+    assert np.array_equal(apply_adjoint(tree, u, w, f),
+                          _ref_apply_adjoint(tree, u, w, f))
+
+
+def test_level_sweeps_cover_every_segment_shape():
+    """Sorted levels with two children per parent, with uniform, mixed and
+    wide fan-out, and unsorted ones."""
+    rng = np.random.default_rng(21)
+    shapes = set()
+    for tree in (full_tree(2, 5), full_tree(3, 4), random_tree(300, 3, 1),
+                 random_tree(300, 14, 2), unsorted_bfs_tree(200, 4, 3)):
+        for seg in tree.segments()[1:]:
+            shapes.add("unsorted" if seg is None else
+                       "pairs" if seg.pairs else "reduceat")
+        u, w = rand_weights(tree.n, rng)
+        for cols in (0, 3):
+            g = _block(rng, tree.n, cols)
+            assert np.array_equal(apply_adjoint(tree, u, w, g),
+                                  _ref_apply_adjoint(tree, u, w, g))
+    assert shapes == {"unsorted", "pairs", "reduceat"}
+
+
+def test_level_plan_is_cached_on_the_tree():
+    t = random_tree(50, 3, 4)
+    assert t.levels() is t.levels() and t.segments() is t.segments()
+    for d, lv in enumerate(t.levels()):
+        assert np.array_equal(np.arange(t.n)[lv.ids], np.flatnonzero(t.depth == d))
+        assert np.array_equal(lv.parent, t.parent[t.depth == d])
 
 
 # -- weight schemes ----------------------------------------------------------
@@ -322,6 +465,60 @@ def test_norm_deterministic_given_seed():
     a = norm_oracle(t, u, w, 2.0, 4.0, {"seed": 42})
     b = norm_oracle(t, u, w, 2.0, 4.0, {"seed": 42})
     assert a.lower == b.lower and a.upper == b.upper
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=trees(max_n=40), pq=st.sampled_from([(2.0, 2.0), (2.0, 4.0),
+                                                  (1.5, 3.0), (1.25, 1.75)]),
+       restarts=st.integers(1, 4), max_iter=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 16))
+def test_norm_oracle_matches_reference_exactly(tree, pq, restarts, max_iter,
+                                               seed):
+    rng = np.random.default_rng(seed)
+    u, w = rand_weights(tree.n, rng)
+    cfg = {"restarts": restarts, "max_iter": max_iter, "seed": seed}
+    got = norm_oracle(tree, u, w, *pq, cfg)
+    ref = _ref_norm_oracle(tree, u, w, *pq, cfg)
+    assert got.lower == ref.lower and got.upper == ref.upper
+    assert np.array_equal(got.witness, ref.witness)
+    assert got.meta["iterations"] == ref.meta["iterations"]
+    assert "stopped" not in got.meta
+
+
+def test_norm_oracle_poll_stops_with_certified_bounds():
+    rng = np.random.default_rng(9)
+    t = random_parent(40, rng)
+    u, w = rand_weights(40, rng)
+    full = norm_oracle(t, u, w, 2.0, 4.0, {"seed": 3})
+    assert full.meta["iterations"] > 5
+    calls = []
+
+    def poll():
+        calls.append(1)
+        return "wall_clock" if len(calls) > 4 else None
+
+    cut = norm_oracle(t, u, w, 2.0, 4.0, {"seed": 3}, poll=poll)
+    assert len(calls) == 5
+    assert cut.meta["stopped"] == "wall_clock" and cut.meta["iterations"] == 4
+    # the same iterates as the uncapped run, stopped early: still a
+    # feasible point, so the ratio it reaches is a lower bound
+    ref = _ref_norm_oracle(t, u, w, 2.0, 4.0, {"seed": 3, "max_iter": 4})
+    assert cut.lower == ref.lower and np.array_equal(cut.witness, ref.witness)
+    assert cut.lower <= full.lower <= cut.upper
+    assert cut.upper == full.upper
+    mat = dense_matrix(t, u, w)
+    ratio = (np.sum((mat @ cut.witness) ** 4.0) ** 0.25
+             / np.sum(cut.witness ** 2.0) ** 0.5)
+    assert ratio == pytest.approx(cut.lower, rel=1e-12)
+
+
+def test_norm_oracle_poll_before_the_first_iteration():
+    t = full_tree(2, 3)
+    ones = np.ones(t.n)
+    cut = norm_oracle(t, ones, ones, 2.0, 2.0, poll=lambda: "memory")
+    assert cut.meta == {"iterations": 0, "seed": 0, "restarts": 16,
+                        "stopped": "memory"}
+    assert 0.0 < cut.lower <= cut.upper
 
 
 # -- Hardy bounds ------------------------------------------------------------
