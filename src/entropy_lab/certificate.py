@@ -19,24 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import BoundExpr, EntropyEstimate
-from .hset import HProfile, schedule_from_profile, validate_critical
-from .summation import WeightScheme, apply, hardy_bound, weights_for_tree
+from .hset import HProfile, schedule_from_profile
+from .summation import (
+    WeightScheme,
+    _require_critical,
+    _row_hoelder_upper,
+    hardy_bound,
+    weights_for_tree,
+)
 from .trees import Layering, Tree
-
-
-def _block_norm_upper(tree: Tree, u, w, q: float, lo: int, hi: int) -> float:
-    """Row-wise Hoelder bound for the l_q -> l_q norm of the summation
-    kernel restricted to input depths in [lo, hi)."""
-    qq = q / (q - 1.0)
-    mask = (tree.depth >= lo) & (tree.depth < hi)
-    uq = np.zeros(tree.n)
-    uq[mask] = u[mask] ** qq
-    cum = apply(tree, uq, np.ones(tree.n), np.ones(tree.n))
-    live = cum > 0
-    if not np.any(live):
-        return 0.0
-    total = np.sum(w[live] ** q * cum[live] ** (q / qq))
-    return float(total ** (1.0 / q))
 
 
 @dataclass
@@ -78,16 +69,9 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
     layer.  The tail term is the analytic norm bound for the subtree below
     the truncation depth, or 0 when the tree does not reach it.
     """
-    if not (1.0 < p <= q < math.inf):
-        raise ValueError(f"need 1 < p <= q < inf, got p={p}, q={q}")
+    _require_critical(scheme, h, p, q)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rep = validate_critical(scheme.params(h=h, p=p, q=q))
-    if not rep.valid:
-        failing = [c["name"] for c in rep.conditions if not c["holds"]]
-        raise ValueError(
-            f"scheme is not a critical pack (label {rep.label}; "
-            f"failing: {failing})")
     if n < 2:
         raise ValueError("n too small: need n >= 2")
     sched = schedule_from_profile(h, m_star=scheme.m_star)
@@ -132,7 +116,10 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
                     break
         k_block = 1 + sum(k - 1 for _, _, k in spent)
         budgets.extend(spent)
-        norm_t = _block_norm_upper(tree, u, w, q, lo, hi_clip)
+        # row-wise Hoelder l_q -> l_q bound of the kernel restricted to
+        # input depths in [lo, hi_clip)
+        in_block = (tree.depth >= lo) & (tree.depth < hi_clip)
+        norm_t = _row_hoelder_upper(tree, np.where(in_block, u, 0.0), w, q, q)
         leaves.append(BoundExpr.scaled(
             BoundExpr.norm(norm_t),
             BoundExpr.schuett_leaf(dim, k_block, p, q)))

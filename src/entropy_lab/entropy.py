@@ -31,6 +31,8 @@ _KINDS = ("certified_lower", "certified_upper", "heuristic")
 _SAMPLED_K_CAP = 24
 _DEFAULT_SAMPLES = 2 ** 14
 _BLOCK_BYTES = 2 ** 20
+_BALL_TAG = 0x6c7062
+_NET_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class EntropyEstimate:
     kind: str
     method: str
     seed: int | None = None
-    wall_time_ms: float = 0.0
 
     def __post_init__(self):
         if self.k < 1:
@@ -52,15 +53,14 @@ class EntropyEstimate:
 
     def csv_row(self):
         return [self.method, self.k, repr(float(self.value)), self.kind,
-                "" if self.seed is None else self.seed,
-                round(self.wall_time_ms, 3)]
+                "" if self.seed is None else self.seed]
 
 
 def estimates_to_csv(estimates, path=None) -> str:
-    """CSV export (method, k, value, kind, seed, wall_time_ms)."""
+    """CSV export (method, k, value, kind, seed)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "k", "value", "kind", "seed", "wall_time_ms"])
+    writer.writerow(["method", "k", "value", "kind", "seed"])
     for est in estimates:
         writer.writerow(est.csv_row())
     text = buf.getvalue()
@@ -206,13 +206,12 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
     return x
 
 
-def sample_lp_ball(nu: int, p: float, n_samples: int, seed: int,
-                   tag: int = 0x6c7062) -> np.ndarray:
+def sample_lp_ball(nu: int, p: float, n_samples: int, seed: int) -> np.ndarray:
     """Uniform samples in the l_p unit ball: cone-measure sphere points
     scaled by U^{1/nu} radial factors."""
-    sphere = sample_lp_sphere(nu, p, n_samples, seed, tag=tag)
+    sphere = sample_lp_sphere(nu, p, n_samples, seed, tag=_BALL_TAG)
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, tag, 1])))
+        np.random.SeedSequence([seed, _BALL_TAG, 1])))
     radial = rng.uniform(0.0, 1.0, n_samples) ** (1.0 / nu)
     return sphere * radial[:, None]
 
@@ -345,9 +344,43 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     return selected, radii, dist
 
 
+def _sampled_images(matrix, p: float, ks, samples: int, seed: int):
+    """Sorted distinct indices (validated) and the images of `samples`
+    l_p-ball points: the common prologue of the sampled estimators."""
+    matrix = np.asarray(matrix, dtype=float)
+    ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise ValueError("indices must be >= 1")
+    if ks[-1] > _SAMPLED_K_CAP:
+        raise ValueError(f"k capped at {_SAMPLED_K_CAP} for sampled methods")
+    return ks, sample_lp_ball(matrix.shape[1], p, samples, seed) @ matrix.T
+
+
+def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None) -> dict:
+    """{k: covering radius of the greedy 2^{k-1}-center set} for sorted ks:
+    first center nearest the centroid, the rest by farthest-point descent,
+    so the radius is the distance of the next center selected.  0 once the
+    centers reach the points; a k the polled traversal stops short of is
+    left out."""
+    feasible = [k for k in ks if 2 ** (k - 1) < points.shape[0]]
+    values = {k: 0.0 for k in ks}
+    if feasible:
+        centroid = points.mean(axis=0)
+        start = int(np.argmin(_lq_dist(points, centroid, q)))
+        _, radii, _ = _farthest_point_run(points, q,
+                                          2 ** (feasible[-1] - 1) + 1,
+                                          start=start, poll=poll)
+        for k in feasible:
+            if 2 ** (k - 1) <= len(radii):
+                values[k] = radii[2 ** (k - 1) - 1]
+            else:
+                del values[k]
+    return values
+
+
 def packing_lower(matrix, p: float, q: float, k: int,
-                  samples: int = _DEFAULT_SAMPLES, seed: int = 0,
-                  _points=None) -> EntropyEstimate:
+                  samples: int = _DEFAULT_SAMPLES,
+                  seed: int = 0) -> EntropyEstimate:
     """Certified lower bound for e_k from a farthest-point packing.
 
     Images of l_p-ball samples are packed greedily; M = 2^{k-1} + 1
@@ -357,23 +390,7 @@ def packing_lower(matrix, p: float, q: float, k: int,
     low dimension the interior carries separations the sphere cannot
     (dimension 1 has a two-point sphere).
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if k < 1:
-        raise ValueError("index k must be >= 1")
-    if k > _SAMPLED_K_CAP:
-        raise ValueError(f"k capped at {_SAMPLED_K_CAP} for sampled methods")
-    method = f"packing(samples={samples})"
-    m_pts = 2 ** (k - 1) + 1
-    if m_pts > samples:
-        return EntropyEstimate(k, 0.0, "certified_lower",
-                               method + "[insufficient samples]", seed)
-    if _points is None:
-        x = sample_lp_ball(matrix.shape[1], p, samples, seed)
-        _points = x @ matrix.T
-    if not np.any(_points):
-        return EntropyEstimate(k, 0.0, "certified_lower", method, seed)
-    _, radii, _ = _farthest_point_run(_points, q, m_pts, start=0)
-    return EntropyEstimate(k, radii[-1] / 2.0, "certified_lower", method, seed)
+    return packing_profile(matrix, p, q, [k], samples, seed)[0]
 
 
 def packing_profile(matrix, p: float, q: float, ks,
@@ -382,45 +399,20 @@ def packing_profile(matrix, p: float, q: float, ks,
     """packing_lower over many k from one farthest-point run.
 
     The traversal is identical for every k (it only gets truncated), so
-    the results match independent packing_lower calls bit for bit.
+    one run serves every requested k.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ValueError("indices must be >= 1")
-    if ks[-1] > _SAMPLED_K_CAP:
-        raise ValueError(f"k capped at {_SAMPLED_K_CAP} for sampled methods")
+    ks, points = _sampled_images(matrix, p, ks, samples, seed)
     method = f"packing(samples={samples})"
-    x = sample_lp_ball(matrix.shape[1], p, samples, seed)
-    points = x @ matrix.T
     feasible = [k for k in ks if 2 ** (k - 1) + 1 <= samples]
-    out = []
+    radii = []
     if feasible and np.any(points):
-        m_max = 2 ** (feasible[-1] - 1) + 1
-        _, radii, _ = _farthest_point_run(points, q, m_max, start=0)
-        for k in feasible:
-            out.append(EntropyEstimate(k, radii[2 ** (k - 1) - 1] / 2.0,
-                                       "certified_lower", method, seed))
-    elif feasible:
-        out = [EntropyEstimate(k, 0.0, "certified_lower", method, seed)
-               for k in feasible]
-    for k in ks:
-        if 2 ** (k - 1) + 1 > samples:
-            out.append(EntropyEstimate(k, 0.0, "certified_lower",
-                                       method + "[insufficient samples]",
-                                       seed))
-    return sorted(out, key=lambda e: e.k)
-
-
-def _greedy_cover_radius(points: np.ndarray, q: float, n_centers: int) -> float:
-    """Covering radius of a greedy center set: first center nearest the
-    centroid, the rest by farthest-point descent."""
-    if n_centers >= points.shape[0]:
-        return 0.0
-    centroid = points.mean(axis=0)
-    start = int(np.argmin(_lq_dist(points, centroid, q)))
-    _, _, dist = _farthest_point_run(points, q, n_centers, start=start)
-    return float(np.max(dist))
+        _, radii, _ = _farthest_point_run(points, q,
+                                          2 ** (feasible[-1] - 1) + 1, start=0)
+    out = [EntropyEstimate(k, radii[2 ** (k - 1) - 1] / 2.0 if radii else 0.0,
+                           "certified_lower", method, seed) for k in feasible]
+    return out + [EntropyEstimate(k, 0.0, "certified_lower",
+                                  method + "[insufficient samples]", seed)
+                  for k in ks[len(feasible):]]
 
 
 def matrix_norm_upper(matrix, p: float, q: float) -> float:
@@ -436,8 +428,8 @@ def matrix_norm_upper(matrix, p: float, q: float) -> float:
     return float(np.sum(row ** q) ** (1.0 / q))
 
 
-def net_upper(matrix, p: float, q: float, k: int, eta: float,
-              max_net: int = 4_000_000) -> EntropyEstimate:
+def net_upper(matrix, p: float, q: float, k: int,
+              eta: float) -> EntropyEstimate:
     """Certified upper bound for e_k via a deterministic eta-net.
 
     A cubic lattice of mesh 2 eta / m^{1/p} has a point within l_p
@@ -456,7 +448,7 @@ def net_upper(matrix, p: float, q: float, k: int, eta: float,
     step = 2.0 * eta / m ** (1.0 / p) if not math.isinf(p) else 2.0 * eta
     half = int(math.ceil((1.0 + step) / step))
     axis = step * np.arange(-half, half + 1)
-    if (2 * half + 1) ** m > max_net:
+    if (2 * half + 1) ** m > _NET_CAP:
         raise ValueError("eta too small for this dimension (net too large)")
     grid = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1)
     grid = grid.reshape(-1, m)
@@ -466,7 +458,7 @@ def net_upper(matrix, p: float, q: float, k: int, eta: float,
         norms = np.sum(np.abs(grid) ** p, axis=1) ** (1.0 / p)
     net = grid[norms <= 1.0 + eta]
     images = net @ matrix.T
-    radius = _greedy_cover_radius(images, q, 2 ** (k - 1))
+    radius = _cover_radii(images, q, [k])[k]
     value = radius + eta * matrix_norm_upper(matrix, p, q)
     return EntropyEstimate(k, value, "certified_upper", f"net(eta={eta:g})")
 
@@ -481,16 +473,7 @@ def greedy_cover_estimate(matrix, p: float, q: float, k: int,
     heuristic; it always dominates the packing half-separation computed
     from the same sample set.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if k < 1:
-        raise ValueError("index k must be >= 1")
-    if k > _SAMPLED_K_CAP:
-        raise ValueError(f"k capped at {_SAMPLED_K_CAP} for sampled methods")
-    x = sample_lp_ball(matrix.shape[1], p, samples, seed)
-    points = x @ matrix.T
-    radius = _greedy_cover_radius(points, q, 2 ** (k - 1))
-    return EntropyEstimate(k, radius, "heuristic",
-                           f"greedy-cover(samples={samples})", seed)
+    return cover_profile(matrix, p, q, [k], samples, seed)[0]
 
 
 def cover_profile(matrix, p: float, q: float, ks,
@@ -499,37 +482,15 @@ def cover_profile(matrix, p: float, q: float, ks,
     """greedy_cover_estimate over many k from one farthest-point run.
 
     The greedy center sequence is nested, so the covering radius with
-    2^{k-1} centers for every requested k falls out of a single traversal;
-    the values match independent greedy_cover_estimate calls bit for bit.
+    2^{k-1} centers for every requested k falls out of a single traversal.
     poll is passed to the traversal (called once per center after the
     first); when it stops the run, only the k whose 2^{k-1} centers were
     reached are reported.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ValueError("indices must be >= 1")
-    if ks[-1] > _SAMPLED_K_CAP:
-        raise ValueError(f"k capped at {_SAMPLED_K_CAP} for sampled methods")
+    ks, points = _sampled_images(matrix, p, ks, samples, seed)
     method = f"greedy-cover(samples={samples})"
-    x = sample_lp_ball(matrix.shape[1], p, samples, seed)
-    points = x @ matrix.T
-    n_pts = points.shape[0]
-    feasible = [k for k in ks if 2 ** (k - 1) < n_pts]
-    values = {k: 0.0 for k in ks}
-    if feasible:
-        centroid = points.mean(axis=0)
-        start = int(np.argmin(_lq_dist(points, centroid, q)))
-        run_to = 2 ** (feasible[-1] - 1) + 1
-        _, radii, _ = _farthest_point_run(points, q, run_to, start=start,
-                                          poll=poll)
-        for k in feasible:
-            if 2 ** (k - 1) <= len(radii):
-                values[k] = radii[2 ** (k - 1) - 1]
-            else:
-                del values[k]
     return [EntropyEstimate(k, v, "heuristic", method, seed)
-            for k, v in values.items()]
+            for k, v in _cover_radii(points, q, ks, poll=poll).items()]
 
 
 # -- combination calculus ----------------------------------------------------
@@ -589,8 +550,8 @@ def lifshits_combine(n: int, family_size: int, per_member,
 class BoundExpr:
     """Expression tree over entropy estimates and norm constants.
 
-    ops: "leaf" (estimate), "norm" (scalar), "schuett" / "kuhn" (reference
-    leaves, value precomputed), "sum", "scale", "lifshits".  evaluate() is
+    ops: "leaf" (estimate), "norm" (scalar), "schuett" (reference leaf,
+    value precomputed), "sum", "scale", "lifshits".  evaluate() is
     deterministic and routes every combination through the calculus
     functions, so index bookkeeping is exact by construction.
     """
@@ -614,11 +575,6 @@ class BoundExpr:
         return BoundExpr("schuett", payload={
             "nu": int(nu), "k": int(k), "p": p, "q": q,
             "value": schuett(nu, k, p, q)})
-
-    @staticmethod
-    def kuhn_leaf(n: int, p: float, q: float, phi) -> "BoundExpr":
-        return BoundExpr("kuhn", payload={
-            "n": int(n), "p": p, "q": q, "value": kuhn_value(n, p, q, phi)})
 
     @staticmethod
     def sum_of(*exprs: "BoundExpr") -> "BoundExpr":
@@ -651,10 +607,6 @@ class BoundExpr:
             pl = self.payload
             return EntropyEstimate(pl["k"], pl["value"], "certified_upper",
                                    f"schuett(nu={pl['nu']},stitched)")
-        if self.op == "kuhn":
-            pl = self.payload
-            return EntropyEstimate(max(pl["n"], 1), pl["value"],
-                                   "certified_upper", "kuhn(1/phi(2^n))")
         if self.op == "sum":
             a, b = self.children
             return combine_sum(a.evaluate(), b.evaluate())

@@ -131,6 +131,21 @@ def fit_slope(xs, ys):
 # booleans, and cap is None or the name of the resource cap that tripped.
 
 
+def _critical_pack(kind, params):
+    """(HProfile, WeightScheme) of a "power" or "log" critical pack from an
+    experiment's params; profile fields absent from them keep defaults."""
+    power = kind == "power"
+    h = HProfile(theta=float(params["theta"]) if power else 0.0,
+                 gamma=float(params.get("gamma", HProfile.gamma)),
+                 c3=float(params.get("c3", HProfile.c3)))
+    names = (("alpha_u", "alpha_w") if power
+             else ("alpha", "lambda_u", "lambda_w"))
+    scheme = WeightScheme(f"{kind}-critical", kappa=float(params["kappa"]),
+                          m_star=int(params["m_star"]),
+                          **{name: float(params[name]) for name in names})
+    return h, scheme
+
+
 def _run_schuett_regimes(params, seed, budget):
     nu = int(params["nu"])
     p, q = float(params["p"]), float(params["q"])
@@ -258,10 +273,7 @@ def _run_hardy_consistency(params, seed, budget):
     height = int(params["height"])
     p, q = float(params["p"]), float(params["q"])
     m = int(params["m_star"])
-    h = HProfile(theta=float(params["theta"]))
-    scheme = WeightScheme("power-critical", kappa=float(params["kappa"]),
-                          m_star=m, alpha_u=float(params["alpha_u"]),
-                          alpha_w=float(params["alpha_w"]))
+    h, scheme = _critical_pack("power", params)
 
     # the analytic bound is the diagonal envelope sup u_s w_s; the norm
     # exceeds it by the Hardy constant, so it goes into the reference
@@ -339,22 +351,12 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
 
 def _run_critical_scaling(kind, params, seed, budget):
     p, q = float(params["p"]), float(params["q"])
-    m = int(params["m_star"])
     eps = float(params["eps"])
+    h, scheme = _critical_pack(kind, params)
     if kind == "power":
-        h = HProfile(theta=float(params["theta"]), c3=float(params["c3"]))
-        scheme = WeightScheme("power-critical", kappa=float(params["kappa"]),
-                              m_star=m, alpha_u=float(params["alpha_u"]),
-                              alpha_w=float(params["alpha_w"]))
         tree = full_tree(int(params["arity"]), int(params["depth"]))
     else:
-        h = HProfile(theta=0.0, gamma=float(params["gamma"]),
-                     c3=float(params["c3"]))
-        scheme = WeightScheme("log-critical", kappa=float(params["kappa"]),
-                              m_star=m, alpha=float(params["alpha"]),
-                              lambda_u=float(params["lambda_u"]),
-                              lambda_w=float(params["lambda_w"]))
-        tree = generate_hset_tree(h, m, int(params["depth"]),
+        tree = generate_hset_tree(h, scheme.m_star, int(params["depth"]),
                                   seed=int(params["tree_seed"]))
     u, w = weights_for_tree(scheme, tree)
     n_min, n_max = int(params["n_min"]), int(params["n_max"])
@@ -426,11 +428,7 @@ def _run_critical_scaling_log(params, seed, budget):
 
 def _run_certificate_growth(params, seed, budget):
     p, q = float(params["p"]), float(params["q"])
-    m = int(params["m_star"])
-    h = HProfile(theta=float(params["theta"]), c3=float(params["c3"]))
-    scheme = WeightScheme("power-critical", kappa=float(params["kappa"]),
-                          m_star=m, alpha_u=float(params["alpha_u"]),
-                          alpha_w=float(params["alpha_w"]))
+    h, scheme = _critical_pack("power", params)
     tree = full_tree(int(params["arity"]), int(params["depth"]))
     expo = 1.0 / q - 1.0 / p
 

@@ -11,7 +11,6 @@ no zero at t = 1 (documented reparametrization).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -190,20 +189,9 @@ def check_hset_census(tree, h: HProfile, m_star: int, start_depth: int = 0,
     return {"c_hat": worst, "n_checked": checked}
 
 
-def tree_profile_json(tree, h: HProfile, m_star: int, depth: int, seed: int,
-                      start_depth: int = 0, u=None, w=None) -> str:
-    """Tree JSON with the attached profile metadata block."""
-    doc = json.loads(tree.to_json(u=u, w=w))
-    doc["profile"] = {
-        "theta": h.theta, "gamma": h.gamma,
-        "tau": {"kind": h.tau.kind, "nu": h.tau.nu},
-        "c3": h.c3, "m_star": m_star, "depth": depth,
-        "start_depth": start_depth, "seed": seed,
-    }
-    return json.dumps(doc)
-
-
 # -- multiscale schedule ---------------------------------------------------
+
+_T_CAP = 64  # last layer index a schedule scan visits
 
 
 @dataclass
@@ -218,25 +206,16 @@ class Schedule:
     gamma_star: float
     psi_star: object
     c3: float = 1.0
-    t0: int = 0
-    t_cap: int = 64
 
     def nu_bar_log2(self, t: int) -> float:
         return math.log2(self.c3) + self.gamma_star * 2.0 ** t \
             + float(self.psi_star(2.0 ** t))
 
-    def nu_bar(self, t: int) -> float:
-        return 2.0 ** min(self.nu_bar_log2(t), 1020.0)
-
-    def m_t(self, t: int) -> int:
-        """m_t = ceil(log2 nu_bar_t)."""
-        return max(0, math.ceil(self.nu_bar_log2(t) - 1e-12))
-
     def _min_t_with(self, threshold_log2: float) -> int:
-        for t in range(self.t0, self.t_cap + 1):
+        for t in range(_T_CAP + 1):
             if self.nu_bar_log2(t) >= threshold_log2:
                 return t
-        raise ValueError("schedule scan exceeded t_cap; profile grows too slowly")
+        raise ValueError("schedule scan hit its layer cap; profile grows too slowly")
 
     def t_star(self, n: int) -> int:
         """Minimal t with nu_bar_t >= n."""
@@ -249,15 +228,6 @@ class Schedule:
         if n < 2:
             raise ValueError("n must be >= 2")
         return self._min_t_with(float(n))
-
-
-def schedule(gamma_star: float, psi_star, c3: float, n: int) -> Schedule:
-    """Build the schedule and precompute t_*(n), t_**(n) for the given n."""
-    sch = Schedule(gamma_star=gamma_star, psi_star=psi_star, c3=c3)
-    sch.n = int(n)
-    sch.t_star_n = sch.t_star(n)
-    sch.t_star_star_n = sch.t_star_star(n)
-    return sch
 
 
 def schedule_from_profile(h: HProfile, m_star: int = 1, c3: float | None = None) -> Schedule:

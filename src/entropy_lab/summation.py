@@ -21,6 +21,8 @@ from .trees import Tree
 
 _TAIL_REL = 1e-12
 _TAIL_CAP = 10 ** 6
+_ORACLE_TOL = 1e-10
+_GRID_POINTS = 200_000
 
 
 def _check_pq(p: float, q: float):
@@ -30,6 +32,18 @@ def _check_pq(p: float, q: float):
 
 def _conj(p: float) -> float:
     return p / (p - 1.0)
+
+
+def _require_critical(scheme: WeightScheme, h: HProfile, p: float,
+                      q: float):
+    """Raise ValueError naming the failing conditions unless (scheme, h) is
+    a critical pack for 1 < p <= q < inf."""
+    _check_pq(p, q)
+    rep = validate_critical(scheme.params(h=h, p=p, q=q))
+    if not rep.valid:
+        failing = [c["name"] for c in rep.conditions if not c["holds"]]
+        raise ValueError(f"scheme is not a critical pack (label {rep.label}; "
+                         f"failing: {failing})")
 
 
 # -- weight schemes -------------------------------------------------------
@@ -84,18 +98,21 @@ class WeightScheme:
         return d
 
 
-def make_weights(scheme: WeightScheme, depth: int):
-    """Per-depth weight arrays (u_0..u_depth, w_0..w_depth)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+def _depth_weights(scheme: WeightScheme, first: int, count: int):
+    """(u, w) at the absolute depths first .. first + count - 1.
+
+    The exponential factor is anchored at `first` (u scaled by
+    2^{-kappa m_* first}, w by its reciprocal).  The kernel w(xi) u(xi') is
+    unchanged, so norms and entropy numbers are identical, but entries stay
+    inside float64 range for deep subtrees.
+    """
     if scheme.kind == "explicit":
-        if len(scheme.u) < depth + 1:
+        if len(scheme.u) < first + count:
             raise ValueError("explicit scheme shorter than requested depth")
-        return (np.asarray(scheme.u[:depth + 1], dtype=float),
-                np.asarray(scheme.w[:depth + 1], dtype=float))
-    j = np.arange(depth + 1, dtype=float)
-    mj = scheme.m_star * j
-    expo = np.exp2(scheme.kappa * mj)
+        return (np.asarray(scheme.u[first:first + count], dtype=float),
+                np.asarray(scheme.w[first:first + count], dtype=float))
+    mj = scheme.m_star * (first + np.arange(count, dtype=float))
+    expo = np.exp2(scheme.kappa * (mj - scheme.m_star * float(first)))
     if scheme.kind == "power-critical":
         u = expo * (mj + 1.0) ** (-scheme.alpha_u)
         w = (mj + 1.0) ** (-scheme.alpha_w) / expo
@@ -109,32 +126,18 @@ def make_weights(scheme: WeightScheme, depth: int):
     return u, w
 
 
-def weights_for_tree(scheme: WeightScheme, tree: Tree, start_depth: int = 0,
-                     gauge: bool = True):
-    """Per-vertex weights for a subtree rooted at absolute depth start_depth.
+def make_weights(scheme: WeightScheme, depth: int):
+    """Per-depth weight arrays (u_0..u_depth, w_0..w_depth)."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return _depth_weights(scheme, 0, depth + 1)
 
-    With gauge=True the exponential factor is anchored at the start depth
-    (u scaled by 2^{-kappa m_* start_depth}, w by its reciprocal).  The
-    kernel w(xi) u(xi') is unchanged, so norms and entropy numbers are
-    identical, but entries stay inside float64 range for deep subtrees.
-    """
-    if scheme.kind == "explicit":
-        u_d, w_d = make_weights(scheme, start_depth + tree.height)
-        return u_d[start_depth + tree.depth], w_d[start_depth + tree.depth]
-    d = start_depth + tree.depth.astype(float)
-    mj = scheme.m_star * d
-    anchor = scheme.m_star * float(start_depth) if gauge else 0.0
-    expo = np.exp2(scheme.kappa * (mj - anchor))
-    if scheme.kind == "power-critical":
-        u = expo * (mj + 1.0) ** (-scheme.alpha_u)
-        w = (mj + 1.0) ** (-scheme.alpha_w) / expo
-    else:
-        big_l = np.log(np.e + mj)
-        u = expo * (mj + 1.0) ** scheme.alpha * big_l ** (-scheme.lambda_u)
-        w = (mj + 1.0) ** (-scheme.alpha) * big_l ** (-scheme.lambda_w) / expo
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
-        raise ValueError("weights overflow; use gauge=True for deep subtrees")
-    return u, w
+
+def weights_for_tree(scheme: WeightScheme, tree: Tree, start_depth: int = 0):
+    """Per-vertex weights for a subtree rooted at absolute depth start_depth,
+    with the exponential factor anchored at start_depth."""
+    u, w = _depth_weights(scheme, start_depth, tree.height + 1)
+    return u[tree.depth], w[tree.depth]
 
 
 # -- the operator ---------------------------------------------------------
@@ -212,15 +215,18 @@ def _lp_norm(x, p, axis=0):
 
 
 def _row_hoelder_upper(tree: Tree, u, w, p: float, q: float) -> float:
-    """(sum_xi ||row_xi||_{p'}^q)^{1/q} without forming the matrix."""
+    """(sum_xi ||row_xi||_{p'}^q)^{1/q} without forming the matrix; u may
+    vanish (a kernel restricted to a depth window), and zero rows drop out."""
     pp = _conj(p)
     ones = np.ones(tree.n)
     cum = apply(tree, np.asarray(u, dtype=float) ** pp, ones, ones)
-    return float(np.sum(np.asarray(w) ** q * cum ** (q / pp)) ** (1.0 / q))
+    live = cum > 0
+    return float(np.sum(np.asarray(w)[live] ** q * cum[live] ** (q / pp))
+                 ** (1.0 / q))
 
 
 def _simplex_grid_upper(tree: Tree, u, w, p: float, q: float,
-                        hoelder: float, max_points: int = 200_000) -> float:
+                        hoelder: float) -> float:
     """Tightened upper bound for |V| <= 12 by sign-free grid maximization.
 
     For the nonnegative kernel the norm is attained at f >= 0, so f = g^{1/p}
@@ -232,7 +238,7 @@ def _simplex_grid_upper(tree: Tree, u, w, p: float, q: float,
 
     n = tree.n
     nn = 1
-    while math.comb(nn + n, n - 1) <= max_points:
+    while math.comb(nn + n, n - 1) <= _GRID_POINTS:
         nn += 1
     mat = operator_matrix(tree, u, w)
     # compositions of nn into n parts via stars and bars, as one array
@@ -264,7 +270,6 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     """
     cfg = dict(cfg or {})
     restarts = int(cfg.pop("restarts", 16))
-    tol = float(cfg.pop("tol", 1e-10))
     max_iter = int(cfg.pop("max_iter", 10_000))
     seed = int(cfg.pop("seed", 0))
     if cfg:
@@ -301,7 +306,8 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
         iterations = it
         g = apply(tree, u, w, f)
         new_vals = _lp_norm(g, q, axis=0)
-        done = np.all(np.abs(new_vals - vals) <= tol * np.maximum(new_vals, 1e-300))
+        done = np.all(np.abs(new_vals - vals)
+                      <= _ORACLE_TOL * np.maximum(new_vals, 1e-300))
         vals = new_vals
         if done:
             break
@@ -339,7 +345,7 @@ def hardy_bound(depth_profile, scheme: WeightScheme, h: HProfile,
     kappa = theta/q: sup over s >= j of
         (sum_{i=j}^s (m_* i)^{-p' alpha_u} 2^{p' kappa m_* i})^{1/p'}
         * (tail series)^{1/q},
-    evaluated in gauge-anchored form (the 2^{+-kappa m_* s} factors cancel
+    evaluated in anchored form (the 2^{+-kappa m_* s} factors cancel
     analytically); the tail series extends until the increment drops below
     1e-12 of the running value, capped at 1e6 terms.
 
@@ -349,15 +355,9 @@ def hardy_bound(depth_profile, scheme: WeightScheme, h: HProfile,
     Raises ValueError naming the failing Assumption condition when the
     scheme is not a valid critical pack.
     """
-    _check_pq(p, q)
+    _require_critical(scheme, h, p, q)
     if j < 1:
         raise ValueError("start depth j must be >= 1 (Hardy normalization)")
-    rep = validate_critical(scheme.params(h=h, p=p, q=q))
-    if not rep.valid:
-        failing = [c["name"] for c in rep.conditions if not c["holds"]]
-        raise ValueError(
-            f"scheme is not a critical pack (label {rep.label}; "
-            f"failing: {failing or ['sum identity']})")
 
     m = scheme.m_star
     scan_hi = max(8 * j, j + 128)

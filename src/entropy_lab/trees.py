@@ -218,10 +218,6 @@ class Tree:
         return f"Tree(n={self.n}, height={self.height})"
 
 
-def build_tree(parent, max_vertices: int = MAX_VERTICES_DEFAULT) -> Tree:
-    return Tree(parent, max_vertices=max_vertices)
-
-
 def path_tree(n: int) -> Tree:
     return Tree(np.arange(-1, n - 1))
 

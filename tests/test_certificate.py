@@ -3,11 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tree_cases import trees
 
-from entropy_lab.certificate import Certificate, _block_norm_upper, entropy_certificate
+from entropy_lab.certificate import Certificate, entropy_certificate
 from entropy_lab.entropy import schuett
 from entropy_lab.hset import HProfile, generate_hset_tree
-from entropy_lab.summation import WeightScheme, weights_for_tree
+from entropy_lab.summation import (
+    WeightScheme,
+    _row_hoelder_upper,
+    apply,
+    weights_for_tree,
+)
 from entropy_lab.trees import full_tree
 
 H_POWER = HProfile(theta=1.0)
@@ -105,11 +113,66 @@ def test_certificate_rejects_bad_inputs():
         entropy_certificate(tree, POWER, H_POWER, 8, p=2, q=4, eps=0.0)
 
 
+def _reference_block_norm_upper(tree, u, w, q, lo, hi):
+    """The certificate's former private copy of the row-wise Hoelder bound
+    for the l_q -> l_q norm of the kernel restricted to input depths in
+    [lo, hi), kept as the reference for the shared one."""
+    qq = q / (q - 1.0)
+    mask = (tree.depth >= lo) & (tree.depth < hi)
+    uq = np.zeros(tree.n)
+    uq[mask] = u[mask] ** qq
+    cum = apply(tree, uq, np.ones(tree.n), np.ones(tree.n))
+    live = cum > 0
+    if not np.any(live):
+        return 0.0
+    total = np.sum(w[live] ** q * cum[live] ** (q / qq))
+    return float(total ** (1.0 / q))
+
+
+def _window_norm(tree, u, w, q, lo, hi):
+    """What entropy_certificate computes for the block [lo, hi)."""
+    in_block = (tree.depth >= lo) & (tree.depth < hi)
+    return _row_hoelder_upper(tree, np.where(in_block, u, 0.0), w, q, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=trees(), q=st.sampled_from([1.5, 2.0, 3.3, 4.0]),
+       pack=st.sampled_from(["power", "log", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_masked_hoelder_matches_block_norm_reference(tree, q, pack, seed):
+    if pack == "random":
+        rng = np.random.default_rng(seed)
+        u, w = rng.uniform(0.01, 3.0, tree.n), rng.uniform(0.01, 3.0, tree.n)
+    else:
+        u, w = weights_for_tree(POWER if pack == "power" else LOG, tree)
+    # every depth window, plus windows reaching past the tree
+    for lo in range(tree.height + 2):
+        for hi in range(lo, tree.height + 3):
+            assert _window_norm(tree, u, w, q, lo, hi) == \
+                _reference_block_norm_upper(tree, u, w, q, lo, hi)
+
+
+@pytest.mark.parametrize("case", ["power", "log"])
+def test_certificate_layer_norms_match_block_norm_reference(case):
+    if case == "power":
+        tree, scheme, h = full_tree(2, 14), POWER, H_POWER
+    else:
+        tree = generate_hset_tree(H_LOG, m_star=1, depth=127, seed=2)
+        scheme, h = LOG, H_LOG
+    u, w = weights_for_tree(scheme, tree)
+    for n in (8, 10, 16):
+        cert = entropy_certificate(tree, scheme, h, n, p=2, q=4)
+        assert cert.meta["layers"]
+        for layer in cert.meta["layers"]:
+            assert layer["norm"] == _reference_block_norm_upper(
+                tree, u, w, 4.0, layer["lo"], layer["hi"])
+
+
 def test_block_norm_dominates_dense_kernel():
     tree = full_tree(3, 3)
     u, w = weights_for_tree(POWER, tree)
     lo, hi, q = 2, 4, 4.0
-    bound = _block_norm_upper(tree, u, w, q, lo, hi)
+    bound = _window_norm(tree, u, w, q, lo, hi)
     kernel = np.zeros((tree.n, tree.n))
     for i in range(tree.n):
         k = i

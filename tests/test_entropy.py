@@ -12,7 +12,7 @@ from entropy_lab.entropy import (
     BoundExpr,
     EntropyEstimate,
     _farthest_point_run,
-    _greedy_cover_radius,
+    _cover_radii,
     _lq_dist,
     combine_scale,
     combine_sum,
@@ -322,9 +322,36 @@ def test_cover_radius_dominates_packing_half_separation():
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((500, 3))
     for n_centers in (4, 16, 64):
-        cov = _greedy_cover_radius(pts, 2.0, n_centers)
+        k = n_centers.bit_length()  # 2^{k-1} = n_centers
+        cov = _cover_radii(pts, 2.0, [k])[k]
         _, radii, _ = _farthest_point_run(pts, 2.0, n_centers + 1, start=0)
         assert cov >= radii[-1] / 2.0 - 1e-12
+
+
+def _reference_greedy_cover_radius(points, q, n_centers):
+    """The former separate traversal behind net_upper: run n_centers
+    selections from the point nearest the centroid, return max(dist)."""
+    if n_centers >= points.shape[0]:
+        return 0.0
+    start = int(np.argmin(_reference_lq_dist(points, points.mean(axis=0), q)))
+    _, _, dist = _reference_farthest_point_run(points, q, n_centers, start)
+    return float(np.max(dist))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 80), m=st.integers(1, 5), distinct=st.integers(1, 80),
+       q=st.sampled_from([1.5, 2.0, 4.0, math.inf]),
+       ks=st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cover_radii_match_separate_traversals(n, m, distinct, q, ks, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((distinct, m))[rng.integers(0, distinct, n)]
+    ks = sorted(ks)
+    radii = _cover_radii(points, q, ks)
+    assert list(radii) == ks
+    for k in ks:
+        assert radii[k] == _reference_greedy_cover_radius(points, q,
+                                                          2 ** (k - 1))
 
 
 # -- packing lower bound ------------------------------------------------------
@@ -435,8 +462,8 @@ def test_greedy_decay_slope_matches_dimension():
 def test_greedy_dominates_packing_on_same_points():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((3, 3))
-    pts = sample_lp_ball(3, 2, 2048, seed=11) @ a.T
-    pk = packing_lower(a, 2, 2, 4, samples=2048, seed=11, _points=pts)
+    # the same samples and seed draw the same ball points for both
+    pk = packing_lower(a, 2, 2, 4, samples=2048, seed=11)
     greedy = greedy_cover_estimate(a, 2, 2, 4, samples=2048, seed=11)
     assert greedy.value >= pk.value - 1e-12
 
@@ -553,14 +580,11 @@ def test_combine_sum_property(k, l, a, b):
 # -- expression trees ---------------------------------------------------------
 
 
-def test_bound_expr_schuett_and_kuhn_leaves():
+def test_bound_expr_schuett_leaf():
     leaf = BoundExpr.schuett_leaf(16, 16, 1, 2)
     est = leaf.evaluate()
     assert est.k == 16 and est.value == pytest.approx(SQRT_LN2_OVER_16)
     assert est.kind == "certified_upper"
-    phi = lambda t: (1.0 + math.log(t)) ** 0.25
-    kuhn = BoundExpr.kuhn_leaf(0, 2, 4, phi).evaluate()
-    assert kuhn.k == 1 and kuhn.value == 1.0
 
 
 def test_bound_expr_composition():
@@ -613,14 +637,13 @@ def test_estimate_validation():
 
 def test_csv_export(tmp_path):
     ests = [
-        EntropyEstimate(1, 0.5, "certified_lower", "packing", seed=3,
-                        wall_time_ms=1.25),
+        EntropyEstimate(1, 0.5, "certified_lower", "packing", seed=3),
         EntropyEstimate(2, 1.0 / 3.0, "certified_upper", "net"),
     ]
     text = estimates_to_csv(ests)
     lines = text.strip().split("\n")
-    assert lines[0] == "method,k,value,kind,seed,wall_time_ms"
-    assert lines[1].startswith("packing,1,0.5,certified_lower,3,")
+    assert lines[0] == "method,k,value,kind,seed"
+    assert lines[1] == "packing,1,0.5,certified_lower,3"
     # seed column empty for deterministic methods, value reprs round-trip
     fields = lines[2].split(",")
     assert fields[4] == ""

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from entropy_lab.hset import (
     HProfile,
+    Schedule,
     TauFn,
     check_hset_census,
     generate_hset_tree,
     h_eval,
     h_level_target,
-    schedule,
     schedule_from_profile,
     slowly_varying_check,
     validate_critical,
@@ -156,19 +156,23 @@ class TestGenerate:
             assert t.descendants_at_distance(v, l).size == bfs_census(t, v, l)
 
 
+def flat_schedule(gamma_star):
+    return Schedule(gamma_star=gamma_star, psi_star=lambda lx: 0.0, c3=1.0)
+
+
 class TestSchedule:
     def test_doubling_example(self):
-        sch = schedule(1.0, lambda lx: 0.0, 1.0, 16)
-        assert sch.t_star_n == 2
-        assert sch.t_star_star_n == 4
+        sch = flat_schedule(1.0)
+        assert sch.t_star(16) == 2
+        assert sch.t_star_star(16) == 4
 
     def test_n2(self):
-        sch = schedule(1.0, lambda lx: 0.0, 1.0, 2)
-        assert sch.t_star_n == 0
-        assert sch.t_star_star_n == 1
+        sch = flat_schedule(1.0)
+        assert sch.t_star(2) == 0
+        assert sch.t_star_star(2) == 1
 
     def test_two_t_star_tracks_log(self):
-        sch = schedule(1.0, lambda lx: 0.0, 1.0, 4)
+        sch = flat_schedule(1.0)
         lo, hi = np.inf, 0.0
         for n in np.unique(np.logspace(math.log10(4), 6, 60).astype(int)):
             r = 2.0 ** sch.t_star(int(n)) / math.log2(n)
@@ -178,8 +182,8 @@ class TestSchedule:
     @given(st.floats(0.25, 4.0), st.integers(2, 10 ** 6))
     @settings(max_examples=50, deadline=None)
     def test_minimality(self, gs, n):
-        sch = schedule(gs, lambda lx: 0.0, 1.0, n)
-        t1, t2 = sch.t_star_n, sch.t_star_star_n
+        sch = flat_schedule(gs)
+        t1, t2 = sch.t_star(n), sch.t_star_star(n)
         assert sch.nu_bar_log2(t1) >= math.log2(n)
         if t1 > 0:
             assert sch.nu_bar_log2(t1 - 1) < math.log2(n)
@@ -187,12 +191,13 @@ class TestSchedule:
         if t2 > 0:
             assert sch.nu_bar_log2(t2 - 1) < n
 
-    def test_m_t(self):
-        sch = schedule(1.0, lambda lx: 0.0, 1.0, 16)
-        assert sch.m_t(3) == 8
+    def test_scan_cap_fires(self):
+        # nu_bar_t = c3 = 1 for every t: no layer reaches n
+        with pytest.raises(ValueError, match="too slowly"):
+            flat_schedule(0.0).t_star(4)
 
     def test_small_n_rejected(self):
-        sch = schedule(1.0, lambda lx: 0.0, 1.0, 16)
+        sch = flat_schedule(1.0)
         with pytest.raises(ValueError):
             sch.t_star(1)
 

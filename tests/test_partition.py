@@ -16,14 +16,13 @@ from entropy_lab.partition import (
 from entropy_lab.trees import (
     SubtreePartition,
     Tree,
-    build_tree,
     full_tree,
     path_tree,
 )
 
 
 def star_tree(leaves):
-    return build_tree([-1] + [0] * leaves)
+    return Tree([-1] + [0] * leaves)
 
 
 def bounded_random_tree(n, k, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tree_cases import trees, unsorted_bfs_tree
 
-from entropy_lab.hset import HProfile, TauFn
+from entropy_lab.hset import HProfile, TauFn, generate_hset_tree
 from entropy_lab.summation import (
     NormEstimate,
     WeightScheme,
@@ -345,12 +345,104 @@ def test_explicit_scheme():
         WeightScheme("mystery")
 
 
+def _reference_make_weights(scheme, depth):
+    """The former per-depth evaluator of make_weights (unanchored)."""
+    if scheme.kind == "explicit":
+        return (np.asarray(scheme.u[:depth + 1], dtype=float),
+                np.asarray(scheme.w[:depth + 1], dtype=float))
+    j = np.arange(depth + 1, dtype=float)
+    mj = scheme.m_star * j
+    expo = np.exp2(scheme.kappa * mj)
+    if scheme.kind == "power-critical":
+        u = expo * (mj + 1.0) ** (-scheme.alpha_u)
+        w = (mj + 1.0) ** (-scheme.alpha_w) / expo
+    else:
+        big_l = np.log(np.e + mj)
+        u = expo * (mj + 1.0) ** scheme.alpha * big_l ** (-scheme.lambda_u)
+        w = (mj + 1.0) ** (-scheme.alpha) * big_l ** (-scheme.lambda_w) / expo
+    return u, w
+
+
+def _reference_weights_for_tree(scheme, tree, start_depth=0):
+    """The former per-vertex evaluator of weights_for_tree (anchored at the
+    start depth), kept as the reference for the shared per-depth one."""
+    if scheme.kind == "explicit":
+        u_d, w_d = _reference_make_weights(scheme, start_depth + tree.height)
+        return u_d[start_depth + tree.depth], w_d[start_depth + tree.depth]
+    d = start_depth + tree.depth.astype(float)
+    mj = scheme.m_star * d
+    anchor = scheme.m_star * float(start_depth)
+    expo = np.exp2(scheme.kappa * (mj - anchor))
+    if scheme.kind == "power-critical":
+        u = expo * (mj + 1.0) ** (-scheme.alpha_u)
+        w = (mj + 1.0) ** (-scheme.alpha_w) / expo
+    else:
+        big_l = np.log(np.e + mj)
+        u = expo * (mj + 1.0) ** scheme.alpha * big_l ** (-scheme.lambda_u)
+        w = (mj + 1.0) ** (-scheme.alpha) * big_l ** (-scheme.lambda_w) / expo
+    return u, w
+
+
+@st.composite
+def weight_schemes(draw, length):
+    kind = draw(st.sampled_from(["power-critical", "log-critical",
+                                 "explicit"]))
+    if kind == "explicit":
+        vals = st.floats(0.01, 100.0)
+        return WeightScheme(kind, u=tuple(draw(st.lists(
+            vals, min_size=length, max_size=length))), w=tuple(draw(
+                st.lists(vals, min_size=length, max_size=length))))
+    common = dict(kappa=draw(st.floats(0.0, 2.0)),
+                  m_star=draw(st.integers(1, 3)))
+    if kind == "power-critical":
+        return WeightScheme(kind, alpha_u=draw(st.floats(-1.0, 1.0)),
+                            alpha_w=draw(st.floats(-1.0, 1.0)), **common)
+    return WeightScheme(kind, alpha=draw(st.floats(-1.0, 1.0)),
+                        lambda_u=draw(st.floats(-1.0, 1.0)),
+                        lambda_w=draw(st.floats(-1.0, 1.0)), **common)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), tree=trees(),
+       start_depth=st.one_of(st.integers(0, 16), st.integers(0, 1024)))
+def test_weights_match_per_vertex_reference(data, tree, start_depth):
+    scheme = data.draw(weight_schemes(start_depth + tree.height + 1))
+    u, w = weights_for_tree(scheme, tree, start_depth)
+    ref_u, ref_w = _reference_weights_for_tree(scheme, tree, start_depth)
+    assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
+    # unanchored, deep depths overflow: then make_weights must refuse
+    depth = start_depth + tree.height
+    with np.errstate(over="ignore"):
+        ref = _reference_make_weights(scheme, depth)
+    if all(np.all(np.isfinite(a)) and np.all(a > 0) for a in ref):
+        got = make_weights(scheme, depth)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    else:
+        with pytest.raises(ValueError, match="infinite"), \
+                np.errstate(over="ignore"):
+            make_weights(scheme, depth)
+
+
+@pytest.mark.parametrize("scheme,tree", [
+    (WeightScheme("power-critical", kappa=1.0, m_star=1, alpha_u=0.125,
+                  alpha_w=0.125), full_tree(2, 14)),
+    (WeightScheme("log-critical", kappa=1.0, m_star=1, alpha=0.5,
+                  lambda_u=0.125, lambda_w=0.125),
+     generate_hset_tree(HProfile(theta=0.0, gamma=-1.0), 1, 127, seed=2)),
+])
+def test_weights_match_reference_on_experiment_trees(scheme, tree):
+    for start_depth in (0, 16, 32, 64, 128, 256, 512, 1024):
+        got = weights_for_tree(scheme, tree, start_depth)
+        ref = _reference_weights_for_tree(scheme, tree, start_depth)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 def test_gauged_weights_keep_kernel_and_stay_finite():
     s = WeightScheme("power-critical", kappa=1.0, m_star=1,
                      alpha_u=0.125, alpha_w=0.125)
     t = path_tree(5)
     j0 = 600
-    u, w = weights_for_tree(s, t, start_depth=j0, gauge=True)
+    u, w = weights_for_tree(s, t, start_depth=j0)
     assert np.all(np.isfinite(u)) and np.all(np.isfinite(w))
     # kernel entry w(d_i) u(d_k) for absolute depths, computed analytically
     for i in (0, 2, 4):
