@@ -22,8 +22,10 @@ from .entropy import BoundExpr, EntropyEstimate
 from .hset import HProfile, schedule_from_profile
 from .summation import (
     WeightScheme,
+    _conj,
     _require_critical,
     _row_hoelder_upper,
+    apply,
     hardy_bound,
     weights_for_tree,
 )
@@ -85,6 +87,8 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
     lay = Layering(rule, m_star=scheme.m_star)
     j_tail = lay.depth_range(t_stop)[0]
     u, w = weights_for_tree(scheme, tree)
+    uq = u ** _conj(q)
+    ones = np.ones(tree.n)
     depth_counts = np.bincount(tree.depth, minlength=tree.height + 1)
 
     head_t = min(t_star, t_stop - 1)
@@ -119,7 +123,8 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
         # row-wise Hoelder l_q -> l_q bound of the kernel restricted to
         # input depths in [lo, hi_clip)
         in_block = (tree.depth >= lo) & (tree.depth < hi_clip)
-        norm_t = _row_hoelder_upper(tree, np.where(in_block, u, 0.0), w, q, q)
+        cum = apply(tree, np.where(in_block, uq, 0.0), ones, ones)
+        norm_t = _row_hoelder_upper(cum, w, q, q)
         leaves.append(BoundExpr.scaled(
             BoundExpr.norm(norm_t),
             BoundExpr.schuett_leaf(dim, k_block, p, q)))

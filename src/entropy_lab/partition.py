@@ -37,13 +37,6 @@ class VertexWeight:
     def uniform(cls, n: int) -> "VertexWeight":
         return cls(np.ones(n))
 
-    @classmethod
-    def from_map(cls, n: int, mapping: dict) -> "VertexWeight":
-        phi = np.zeros(n)
-        for v, val in mapping.items():
-            phi[int(v)] = val
-        return cls(phi)
-
     def total(self) -> float:
         return float(self.phi.sum())
 

@@ -214,13 +214,12 @@ def _lp_norm(x, p, axis=0):
     return np.sum(mag, axis=axis) ** (1.0 / p)
 
 
-def _row_hoelder_upper(tree: Tree, u, w, p: float, q: float) -> float:
-    """(sum_xi ||row_xi||_{p'}^q)^{1/q} without forming the matrix; u may
-    vanish (a kernel restricted to a depth window), and zero rows drop out."""
+def _row_hoelder_upper(cum, w, p: float, q: float) -> float:
+    """(sum_xi ||row_xi||_{p'}^q)^{1/q} from cum = apply(tree, u**p', 1, 1),
+    without forming the matrix; zero rows (u zeroed outside a depth window)
+    drop out."""
     pp = _conj(p)
-    ones = np.ones(tree.n)
-    cum = apply(tree, np.asarray(u, dtype=float) ** pp, ones, ones)
-    live = cum > 0
+    live = cum != 0
     return float(np.sum(np.asarray(w)[live] ** q * cum[live] ** (q / pp))
                  ** (1.0 / q))
 
@@ -320,7 +319,8 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     witness = f[:, best].copy()
     lower = float(_lp_norm(apply(tree, u, w, witness), q) / _lp_norm(witness, p))
 
-    upper = _row_hoelder_upper(tree, u, w, p, q)
+    ones = np.ones(tree.n)
+    upper = _row_hoelder_upper(apply(tree, u ** pp, ones, ones), w, p, q)
     if tree.n <= 12:
         upper = min(upper, _simplex_grid_upper(tree, u, w, p, q, upper))
     upper = max(upper, lower)

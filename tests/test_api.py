@@ -36,3 +36,19 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(entropy_lab, name), name
+
+
+
+def test_traced_functions_stay_imported_where_the_benchmark_wraps_them():
+    # the tracer rebinds every module-level reference to a traced function;
+    # these modules call it through their own import
+    users = {"summation.apply": ("certificate", "experiments"),
+             "entropy.traverse": ("experiments",)}
+    for span, mod, attr, _ in _tracing_targets():
+        if span not in users:
+            continue
+        func = getattr(importlib.import_module(f"entropy_lab.{mod}"), attr)
+        for user in users.pop(span):
+            module = importlib.import_module(f"entropy_lab.{user}")
+            assert func in vars(module).values(), f"{user} lost {span}"
+    assert not users

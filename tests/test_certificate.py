@@ -132,7 +132,10 @@ def _reference_block_norm_upper(tree, u, w, q, lo, hi):
 def _window_norm(tree, u, w, q, lo, hi):
     """What entropy_certificate computes for the block [lo, hi)."""
     in_block = (tree.depth >= lo) & (tree.depth < hi)
-    return _row_hoelder_upper(tree, np.where(in_block, u, 0.0), w, q, q)
+    ones = np.ones(tree.n)
+    cum = apply(tree, np.where(in_block, u ** (q / (q - 1.0)), 0.0), ones,
+                ones)
+    return _row_hoelder_upper(cum, w, q, q)
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,8 +57,7 @@ def test_vertex_weight_validation():
         VertexWeight(np.array([1.0, -0.1]))
     with pytest.raises(ValueError, match="finite"):
         VertexWeight(np.array([np.inf]))
-    w = VertexWeight.from_map(4, {1: 2.0, 3: 5.0})
-    np.testing.assert_allclose(w.phi, [0, 2, 0, 5])
+    w = VertexWeight(np.array([0.0, 2.0, 0.0, 5.0]))
     assert w.total() == 7.0
     assert len(VertexWeight.uniform(6)) == 6
 

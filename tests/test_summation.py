@@ -12,6 +12,7 @@ from entropy_lab.summation import (
     WeightScheme,
     _check_pq,
     _conj,
+    _row_hoelder_upper,
     _simplex_grid_upper,
     apply,
     apply_adjoint,
@@ -490,6 +491,18 @@ def test_norm_matches_svd_on_random_trees():
         est = norm_oracle(t, u, w, 2, 2, {"seed": seed})
         assert est.lower == pytest.approx(sigma, rel=1e-6)
         assert est.upper >= sigma * (1 - 1e-12)
+
+
+def test_hoelder_bound_drops_zero_rows_and_keeps_nan():
+    tree = path_tree(4)
+    ones = np.ones(tree.n)
+    u = np.array([0.0, 0.0, 2.0, 1.0])
+    cum = apply(tree, u ** 2, ones, ones)
+    assert _row_hoelder_upper(cum, ones, 2, 2) == pytest.approx(
+        math.sqrt(4.0 + 5.0))
+    u[1] = np.nan
+    cum = apply(tree, u ** 2, ones, ones)
+    assert math.isnan(_row_hoelder_upper(cum, ones, 2, 2))
 
 
 def test_norm_witness_certifies_lower():
