@@ -133,7 +133,7 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
 
     tail_value = 0.0
     if tree.height >= j_tail:
-        tail_value = hardy_bound(None, scheme, h, p, q, j_tail)
+        tail_value = hardy_bound(scheme, h, p, q, j_tail)
         leaves.append(BoundExpr.leaf(EntropyEstimate(
             1, tail_value, "certified_upper", f"hardy-tail(j={j_tail})")))
     expr = BoundExpr.sum_of(*leaves)

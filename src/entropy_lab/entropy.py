@@ -168,52 +168,63 @@ def volumetric_lower(nu: int, p: float, q: float, k: int,
 
 
 def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
-                     tag: int = 0x6c7073) -> np.ndarray:
+                     tag: int = 0x6c7073, *, out=None) -> np.ndarray:
     """Uniform (cone measure) samples on the l_p unit sphere.
 
     Coordinates are drawn from the generalized Gaussian density
     proportional to exp(-|x|^p) (gamma trick) and normalized; for p = inf
     the coordinates are uniform on [-1, 1].  Counter-based generator keyed
-    by (seed, tag) for reproducibility.  The draws are transformed in place
-    and the row norms taken in row blocks, so the only sample-sized arrays
-    are the result and the sign draw.
+    by (seed, tag) for reproducibility.  The samples are drawn straight
+    into `out` (an (n_samples, nu) C-contiguous float64 array, fresh if
+    omitted), which is returned; the signs, the row norms and the scaling
+    then go one row block at a time, so the only sample-sized array is the
+    result.
     """
+    if out is None:
+        out = np.empty((n_samples, nu))
+    elif (out.shape != (n_samples, nu) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{(n_samples, nu)}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
     if math.isinf(p):
-        x = rng.uniform(-1.0, 1.0, (n_samples, nu))
+        rng.random(out=out)
+        out *= 2.0
+        out -= 1.0
     else:
-        x = rng.gamma(1.0 / p, 1.0, (n_samples, nu))
-        x **= 1.0 / p
-        signs = rng.integers(0, 2, (n_samples, nu))
-        signs *= 2
-        signs -= 1
-        x *= signs
-    norms = np.empty(n_samples)
+        rng.standard_gamma(1.0 / p, out=out)
     rows = _block_rows(nu)
     buf = np.empty((min(rows, n_samples), nu))
+    norms = np.empty(min(rows, n_samples))
     for s in range(0, n_samples, rows):
         e = min(s + rows, n_samples)
-        block = np.abs(x[s:e], out=buf[:e - s])
+        x, block, norm = out[s:e], buf[:e - s], norms[:e - s]
         if math.isinf(p):
-            np.max(block, axis=1, out=norms[s:e])
+            np.max(np.abs(x, out=block), axis=1, out=norm)
         else:
+            x **= 1.0 / p
+            signs = rng.integers(0, 2, x.shape)
+            signs *= 2
+            signs -= 1
+            x *= signs
+            np.abs(x, out=block)
             block **= p
-            np.sum(block, axis=1, out=norms[s:e])
-    if not math.isinf(p):
-        norms **= 1.0 / p
-    norms[norms == 0] = 1.0
-    x /= norms[:, None]
-    return x
+            np.sum(block, axis=1, out=norm)
+            norm **= 1.0 / p
+        norm[norm == 0] = 1.0
+        x /= norm[:, None]
+    return out
 
 
 def sample_lp_ball(nu: int, p: float, n_samples: int, seed: int) -> np.ndarray:
     """Uniform samples in the l_p unit ball: cone-measure sphere points
-    scaled by U^{1/nu} radial factors."""
+    scaled in place by U^{1/nu} radial factors."""
     sphere = sample_lp_sphere(nu, p, n_samples, seed, tag=_BALL_TAG)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([seed, _BALL_TAG, 1])))
     radial = rng.uniform(0.0, 1.0, n_samples) ** (1.0 / nu)
-    return sphere * radial[:, None]
+    sphere *= radial[:, None]
+    return sphere
 
 
 def _block_rows(width: int) -> int:

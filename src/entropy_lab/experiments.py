@@ -18,6 +18,7 @@ import json
 import math
 import resource
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -291,7 +292,7 @@ def _run_hardy_consistency(params, seed, budget):
         est = norm_oracle(tree, u, w, p, q,
                           {"restarts": int(params["restarts"]),
                            "seed": seed + idx}, poll=budget.exceeded)
-        hb = hardy_bound(None, scheme, h, p, q, j)
+        hb = hardy_bound(scheme, h, p, q, j)
         # an oracle stopped by a cap still brackets the norm: keep its row
         rows.append(Row(j, lower=float(est.lower), upper=float(est.upper),
                         reference=float(hb), ratio=float(est.lower / hb)))
@@ -322,9 +323,13 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
     """Images of unit l_p vectors: stratified basis columns per depth level
     plus random sphere samples, so deep and shallow directions both appear.
 
-    apply maps each column on its own, so the pool is preallocated and
-    filled a block of columns at a time: no full-width basis or image is
-    ever built.
+    The pool is the only pool-sized array.  The sphere samples are drawn
+    straight into its last rows on the calling thread while one worker
+    thread fills its first rows with the basis columns' images (the serial
+    draw and apply's ufuncs release the GIL, and the rows are disjoint);
+    then the sample rows are mapped through apply in place.  Both fills go
+    a block of rows at a time, and apply maps each column on its own, so
+    no full-width basis or image is ever built.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
     per_level = []
@@ -335,17 +340,24 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
             ids = np.sort(rng.choice(ids, per_level_cap, replace=False))
         per_level.append(ids)
     cols = np.concatenate(per_level)
-    sph = sample_lp_sphere(tree.n, p, samples, seed) if samples > 0 else None
     pool = np.empty((cols.size + samples, tree.n))
+    basis_rows, sample_rows = pool[:cols.size], pool[cols.size:]
     step = _block_rows(tree.n)
-    for s in range(0, cols.size, step):
-        e = min(s + step, cols.size)
-        basis = np.zeros((tree.n, e - s))
-        basis[cols[s:e], np.arange(e - s)] = 1.0
-        pool[s:e] = apply(tree, u, w, basis).T
+
+    def fill_basis():
+        for s in range(0, cols.size, step):
+            e = min(s + step, cols.size)
+            basis = np.zeros((tree.n, e - s))
+            basis[cols[s:e], np.arange(e - s)] = 1.0
+            basis_rows[s:e] = apply(tree, u, w, basis).T
+
+    with ThreadPoolExecutor(1) as worker:
+        basis_filled = worker.submit(fill_basis)
+        sample_lp_sphere(tree.n, p, samples, seed, out=sample_rows)
+        basis_filled.result()
     for s in range(0, samples, step):
-        e = min(s + step, samples)
-        pool[cols.size + s:cols.size + e] = apply(tree, u, w, sph[s:e].T).T
+        rows = sample_rows[s:s + step]
+        rows[:] = apply(tree, u, w, rows.T).T
     return pool
 
 

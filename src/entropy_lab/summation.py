@@ -151,16 +151,19 @@ def _as_columns(f, n):
 
 
 def _scale_rows(vec, x, out=None):
+    """Row xi of x times vec[xi]; a vec shaped like x is taken as is."""
     vec = np.asarray(vec, dtype=float)
-    return np.multiply(vec[:, None] if x.ndim == 2 else vec, x, out=out)
+    return np.multiply(vec if vec.ndim == x.ndim else vec[:, None], x,
+                       out=out)
 
 
 def apply(tree: Tree, u, w, f):
     """g(xi) = w(xi) * prefix sum of u*f along the root path; O(|V|).
 
-    f may be a vector or a (|V|, r) block of columns processed together.
-    The prefix sums run one depth level at a time over the tree's cached
-    level plan.
+    f may be a vector or a (|V|, r) block of columns processed together;
+    u and w are per-vertex vectors, or blocks shaped like f that repeat them
+    across the columns.  The prefix sums run one depth level at a time over
+    the tree's cached level plan.
     """
     f = _as_columns(f, tree.n)
     acc = _scale_rows(u, f)
@@ -172,11 +175,12 @@ def apply(tree: Tree, u, w, f):
 def apply_adjoint(tree: Tree, u, w, g):
     """(S^T g)(xi') = u(xi') * sum over descendants xi >= xi' of w(xi) g(xi).
 
-    The descendant sums run one depth level at a time, deepest first, over
-    the tree's cached level plan: a level with sorted parent ids adds its
-    per-parent child sums (np.add.reduceat, or two strided slices when
-    every parent has two children) into the parents' rows, any other level
-    scatters through np.add.at.
+    g, u and w are shaped as in apply.  The descendant sums run one depth
+    level at a time, deepest first, over the tree's cached level plan: a
+    level with sorted parent ids adds its per-parent child sums
+    (np.add.reduceat, or two strided slices when every parent has two
+    children) into the parents' rows, any other level scatters through
+    np.add.at.
     """
     g = _as_columns(g, tree.n)
     acc = _scale_rows(w, g)
@@ -293,6 +297,10 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6f7261, r]))
         f0[:, r] = np.abs(rng.standard_normal(tree.n)) + 1e-12
     f = f0 / _lp_norm(f0, p, axis=0)
+    # the weights as (|V|, cols) blocks, so each iteration's four scalings
+    # multiply elementwise instead of broadcasting a column
+    ub = np.repeat(u[:, None], cols, axis=1)
+    wb = np.repeat(w[:, None], cols, axis=1)
 
     vals = np.zeros(cols)
     iterations = 0
@@ -303,7 +311,7 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
             if stopped is not None:
                 break
         iterations = it
-        g = apply(tree, u, w, f)
+        g = apply(tree, ub, wb, f)
         new_vals = _lp_norm(g, q, axis=0)
         done = np.all(np.abs(new_vals - vals)
                       <= _ORACLE_TOL * np.maximum(new_vals, 1e-300))
@@ -311,7 +319,7 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
         if done:
             break
         g **= q - 1.0
-        f = apply_adjoint(tree, u, w, g)
+        f = apply_adjoint(tree, ub, wb, g)
         f **= pp - 1.0
         f /= _lp_norm(f, p, axis=0)
 
@@ -333,8 +341,8 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
 # -- Hardy-type analytic bounds ---------------------------------------------
 
 
-def hardy_bound(depth_profile, scheme: WeightScheme, h: HProfile,
-                p: float, q: float, j: int) -> float:
+def hardy_bound(scheme: WeightScheme, h: HProfile, p: float, q: float,
+                j: int) -> float:
     """Explicit norm bound for the summation operator on a subtree rooted
     at depth j, under the critical-case hypotheses.
 
@@ -349,9 +357,6 @@ def hardy_bound(depth_profile, scheme: WeightScheme, h: HProfile,
     analytically); the tail series extends until the increment drops below
     1e-12 of the running value, capped at 1e6 terms.
 
-    depth_profile (layer cardinalities) only widens the sup scan window to
-    the profile's end; the series themselves are analytic in h.
-
     Raises ValueError naming the failing Assumption condition when the
     scheme is not a valid critical pack.
     """
@@ -361,8 +366,6 @@ def hardy_bound(depth_profile, scheme: WeightScheme, h: HProfile,
 
     m = scheme.m_star
     scan_hi = max(8 * j, j + 128)
-    if depth_profile is not None:
-        scan_hi = max(scan_hi, len(depth_profile))
 
     supercritical = (scheme.kind == "log-critical"
                      or scheme.kappa > h.theta / q + 1e-12)

@@ -197,14 +197,25 @@ def _reference_sphere(nu, p, n_samples, seed, tag=0x6c7073):
 
 @settings(max_examples=60, deadline=None)
 @given(nu=st.integers(1, 40), n_samples=st.integers(0, 60),
-       p=st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
+       p=st.sampled_from([0.7, 1.0, 1.5, 2.0, 4.0, math.inf]),
        seed=st.integers(0, 2 ** 32 - 1),
        block_bytes=st.integers(1, 4096))
 def test_sphere_sampler_matches_one_shot_reference(nu, n_samples, p, seed,
                                                    block_bytes):
+    ref = _reference_sphere(nu, p, n_samples, seed)
+    out = np.full((n_samples, nu), np.nan)
     with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes):
         got = sample_lp_sphere(nu, p, n_samples, seed)
-    assert np.array_equal(got, _reference_sphere(nu, p, n_samples, seed))
+        into = sample_lp_sphere(nu, p, n_samples, seed, out=out)
+    assert np.array_equal(got, ref)
+    assert into is out and np.array_equal(out, ref)
+
+
+def test_sphere_sampler_rejects_an_unfit_out():
+    for out in (np.empty((5, 4)), np.empty((6, 3)), np.empty((6, 4), np.float32),
+                np.empty((4, 6)).T):
+        with pytest.raises(ValueError, match="out must be"):
+            sample_lp_sphere(4, 2, 6, seed=1, out=out)
 
 
 def test_sampler_determinism():

@@ -1,4 +1,7 @@
 import json
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -389,6 +392,44 @@ def test_witness_pool_matches_one_shot_reference(n, branching, p, samples,
         got = _witness_pool(tree, u, w, p, samples, per_level_cap, seed)
     ref = _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed)
     assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_witness_pools_built_side_by_side_match_the_reference():
+    # more pool builds than cores, each with its own worker thread, under a
+    # short switch interval: a row written twice, or by a fill that had not
+    # finished, breaks equality with the one-shot pool
+    tree = random_tree(300, 3, seed=11)
+    rng = np.random.default_rng(11)
+    u, w = rng.uniform(0.1, 2.0, tree.n), rng.uniform(0.1, 2.0, tree.n)
+    ref = _reference_witness_pool(tree, u, w, 1.5, 20, 64, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(entropy, "_BLOCK_BYTES", 8 * tree.n * 3), \
+                ThreadPoolExecutor(4) as builders:
+            futures = [builders.submit(_witness_pool, tree, u, w, 1.5, 20, 64,
+                                       3) for _ in range(8)]
+            pools = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(pool, ref) for pool in pools)
+
+
+def test_witness_pool_peaks_near_its_own_size():
+    # numpy reports its buffers to tracemalloc: besides the pool itself,
+    # only block-sized scratch may be live, also while the worker thread
+    # fills the basis rows alongside the sphere draw
+    tree = random_tree(1500, 3, seed=4)
+    u, w = np.full(tree.n, 0.5), np.full(tree.n, 2.0)
+    tracemalloc.start()
+    try:
+        pool = _witness_pool(tree, u, w, 2.0, 1000, 64, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pool.shape[0] > 1000 and pool.shape[1] == tree.n
+    # each thread holds at most about two blocks at a time
+    assert peak - pool.nbytes <= 6 * entropy._BLOCK_BYTES
 
 
 def test_certificate_growth_small(tmp_path):

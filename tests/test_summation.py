@@ -636,19 +636,19 @@ BOUNDARY = WeightScheme("power-critical", kappa=0.25, m_star=1,
 
 
 def test_hardy_supercritical_normalized_to_one():
-    assert hardy_bound(None, SUPER, H_POWER, 2, 4, 1) == pytest.approx(1.0)
+    assert hardy_bound(SUPER, H_POWER, 2, 4, 1) == pytest.approx(1.0)
 
 
 def test_hardy_supercritical_doubling_slope():
-    b8 = hardy_bound(None, SUPER, H_POWER, 2, 4, 8)
-    b16 = hardy_bound(None, SUPER, H_POWER, 2, 4, 16)
+    b8 = hardy_bound(SUPER, H_POWER, 2, 4, 8)
+    b16 = hardy_bound(SUPER, H_POWER, 2, 4, 16)
     assert b16 / b8 == pytest.approx(2.0 ** -0.25, rel=1e-12)
     assert b8 == pytest.approx(8.0 ** -0.25, rel=1e-12)
 
 
 def test_hardy_boundary_ratio_settles():
     js = [2 ** e for e in range(9)]
-    ratios = [hardy_bound(None, BOUNDARY, H_POWER, 2, 4, j) * j ** 0.25
+    ratios = [hardy_bound(BOUNDARY, H_POWER, 2, 4, j) * j ** 0.25
               for j in js]
     assert all(np.isfinite(r) and r > 0 for r in ratios)
     assert max(ratios) / min(ratios) < 2.0
@@ -657,8 +657,8 @@ def test_hardy_boundary_ratio_settles():
 
 
 def test_hardy_boundary_doubling_slope():
-    b = hardy_bound(None, BOUNDARY, H_POWER, 2, 4, 64)
-    b2 = hardy_bound(None, BOUNDARY, H_POWER, 2, 4, 128)
+    b = hardy_bound(BOUNDARY, H_POWER, 2, 4, 64)
+    b2 = hardy_bound(BOUNDARY, H_POWER, 2, 4, 128)
     assert b2 / b == pytest.approx(2.0 ** -0.25, rel=0.1)
 
 
@@ -666,22 +666,22 @@ def test_hardy_boundary_tail_divergence_rejected():
     bad = WeightScheme("power-critical", kappa=0.25, m_star=1,
                        alpha_u=0.25, alpha_w=0.25)  # alpha_w = (1-gamma)/q
     with pytest.raises(ValueError, match="critical"):
-        hardy_bound(None, bad, H_POWER, 2, 4, 1)
+        hardy_bound(bad, H_POWER, 2, 4, 1)
 
 
 def test_hardy_rejects_bad_packs():
     off = WeightScheme("power-critical", kappa=1.0, m_star=1,
                        alpha_u=0.2, alpha_w=0.2)  # sum != 1/p - 1/q
     with pytest.raises(ValueError, match="critical"):
-        hardy_bound(None, off, H_POWER, 2, 4, 1)
+        hardy_bound(off, H_POWER, 2, 4, 1)
     sub = WeightScheme("power-critical", kappa=0.1, m_star=1,
                        alpha_u=0.125, alpha_w=0.125)  # kappa < theta/q
     with pytest.raises(ValueError, match="critical"):
-        hardy_bound(None, sub, H_POWER, 2, 4, 1)
+        hardy_bound(sub, H_POWER, 2, 4, 1)
     with pytest.raises(ValueError, match="j must be >= 1"):
-        hardy_bound(None, SUPER, H_POWER, 2, 4, 0)
+        hardy_bound(SUPER, H_POWER, 2, 4, 0)
     with pytest.raises(ValueError, match="1 < p <= q"):
-        hardy_bound(None, SUPER, H_POWER, 4, 2, 1)
+        hardy_bound(SUPER, H_POWER, 4, 2, 1)
 
 
 def test_hardy_log_scheme_explicit_form():
@@ -690,17 +690,9 @@ def test_hardy_log_scheme_explicit_form():
                      lambda_u=0.125, lambda_w=0.125)
     for j in (1, 4, 32):
         expect = math.log(math.e + j) ** -0.25
-        assert hardy_bound(None, s, h, 2, 4, j) == pytest.approx(expect,
-                                                                 rel=1e-12)
-    vals = [hardy_bound(None, s, h, 2, 4, j) for j in (1, 2, 4, 8)]
+        assert hardy_bound(s, h, 2, 4, j) == pytest.approx(expect, rel=1e-12)
+    vals = [hardy_bound(s, h, 2, 4, j) for j in (1, 2, 4, 8)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_hardy_depth_profile_only_widens_scan():
-    prof = [1] * 64
-    a = hardy_bound(None, SUPER, H_POWER, 2, 4, 4)
-    b = hardy_bound(prof, SUPER, H_POWER, 2, 4, 4)
-    assert a == b
 
 
 def test_hardy_dominates_oracle_on_binary_subtree():
@@ -708,6 +700,6 @@ def test_hardy_dominates_oracle_on_binary_subtree():
     t = full_tree(2, 6)
     u, w = weights_for_tree(SUPER, t, start_depth=4)
     est = norm_oracle(t, u, w, 2, 4, {"restarts": 4, "max_iter": 2000})
-    bound = hardy_bound(None, SUPER, H_POWER, 2, 4, 4)
+    bound = hardy_bound(SUPER, H_POWER, 2, 4, 4)
     assert est.lower <= 5.0 * bound
     assert est.lower > 0.05 * bound
