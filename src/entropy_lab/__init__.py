@@ -1,5 +1,7 @@
 """Summation operators on trees: norms, entropy numbers, certified scaling."""
 
+from inspect import ismodule as _ismodule
+
 from .certificate import Certificate, entropy_certificate
 from .entropy import (
     BoundExpr,
@@ -8,12 +10,10 @@ from .entropy import (
     combine_sum,
     cover_profile,
     estimates_to_csv,
-    greedy_cover_estimate,
     kuhn_value,
     lifshits_combine,
     matrix_norm_upper,
     net_upper,
-    packing_lower,
     packing_profile,
     sample_lp_ball,
     sample_lp_sphere,
@@ -45,7 +45,6 @@ from .summation import (
     apply,
     apply_adjoint,
     hardy_bound,
-    make_weights,
     norm_oracle,
     operator_matrix,
     weights_for_tree,
@@ -60,57 +59,8 @@ from .trees import (
     random_tree,
 )
 
-__all__ = [
-    "BoundExpr",
-    "Certificate",
-    "EntropyEstimate",
-    "HProfile",
-    "Layering",
-    "NormEstimate",
-    "PartitionFamily",
-    "Schedule",
-    "SubtreePartition",
-    "TAU_CONST",
-    "TauFn",
-    "Tree",
-    "VertexWeight",
-    "WeightScheme",
-    "apply",
-    "apply_adjoint",
-    "balanced_partition",
-    "check_hset_census",
-    "combine_scale",
-    "combine_sum",
-    "cover_profile",
-    "dyadic_family",
-    "entropy_certificate",
-    "estimates_to_csv",
-    "full_tree",
-    "generate_hset_tree",
-    "greedy_cover_estimate",
-    "h_eval",
-    "h_level_target",
-    "hardy_bound",
-    "kuhn_value",
-    "layer_components",
-    "lifshits_combine",
-    "make_weights",
-    "matrix_norm_upper",
-    "net_upper",
-    "norm_oracle",
-    "operator_matrix",
-    "packing_lower",
-    "packing_profile",
-    "path_tree",
-    "random_tree",
-    "sample_lp_ball",
-    "sample_lp_sphere",
-    "schedule_from_profile",
-    "schuett",
-    "slowly_varying_check",
-    "validate_critical",
-    "volumetric_lower",
-    "weights_for_tree",
-]
+# the names imported above, each named once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not _ismodule(value))
 
 __version__ = "0.1.0"

@@ -76,7 +76,7 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
         raise ValueError("eps must be positive")
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    sched = schedule_from_profile(h, m_star=scheme.m_star)
+    sched = schedule_from_profile(h)
     t_star = sched.t_star(n)
     t_stop = sched.t_star_star(n)
     if t_stop < 1:

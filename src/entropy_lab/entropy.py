@@ -89,7 +89,7 @@ def schuett(nu: int, k: int, p: float, q: float) -> float:
     _check_pq_wide(p, q)
     if nu < 1 or k < 1:
         raise ValueError("nu and k must be >= 1")
-    alpha = 1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)
+    alpha = 1.0 / p - 1.0 / q
 
     def middle(kk: float) -> float:
         return (math.log(1.0 + nu / kk) / kk) ** alpha
@@ -115,7 +115,7 @@ def kuhn_value(n: int, p: float, q: float, phi) -> float:
         raise ValueError("p = q degenerates the growth exponent")
     if n < 0:
         raise ValueError("index n must be >= 0")
-    alpha = 1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)
+    alpha = 1.0 / p - 1.0 / q
     hi = max(6.0, (n + 1) * math.log10(2.0))
     ts = np.logspace(0.0, hi, 30)
     vals = np.array([float(phi(t)) for t in ts])
@@ -155,7 +155,7 @@ def volumetric_lower(nu: int, p: float, q: float, k: int,
         log_det = 0.0
 
     def log_vol(r: float) -> float:
-        inv = 0.0 if math.isinf(r) else 1.0 / r
+        inv = 1.0 / r
         return nu * (math.log(2.0) + gammaln(1.0 + inv)) - gammaln(1.0 + nu * inv)
 
     log_val = (log_det + log_vol(p) - log_vol(q)) / nu \
@@ -389,28 +389,19 @@ def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None) -> dict:
     return values
 
 
-def packing_lower(matrix, p: float, q: float, k: int,
-                  samples: int = _DEFAULT_SAMPLES,
-                  seed: int = 0) -> EntropyEstimate:
-    """Certified lower bound for e_k from a farthest-point packing.
+def packing_profile(matrix, p: float, q: float, ks,
+                    samples: int = _DEFAULT_SAMPLES,
+                    seed: int = 0) -> list:
+    """Certified lower bounds for e_k, for every k in ks, from one
+    farthest-point packing.
 
     Images of l_p-ball samples are packed greedily; M = 2^{k-1} + 1
     points pairwise >= delta apart force every covering by 2^{k-1} balls
     to use radius >= delta/2, so delta/2 is certified.  Ball rather than
     sphere samples: any image point is a valid packing witness, and in
     low dimension the interior carries separations the sphere cannot
-    (dimension 1 has a two-point sphere).
-    """
-    return packing_profile(matrix, p, q, [k], samples, seed)[0]
-
-
-def packing_profile(matrix, p: float, q: float, ks,
-                    samples: int = _DEFAULT_SAMPLES,
-                    seed: int = 0) -> list:
-    """packing_lower over many k from one farthest-point run.
-
-    The traversal is identical for every k (it only gets truncated), so
-    one run serves every requested k.
+    (dimension 1 has a two-point sphere).  The traversal is identical for
+    every k (it only gets truncated), so one run serves every requested k.
     """
     ks, points = _sampled_images(matrix, p, ks, samples, seed)
     method = f"packing(samples={samples})"
@@ -474,26 +465,17 @@ def net_upper(matrix, p: float, q: float, k: int,
     return EntropyEstimate(k, value, "certified_upper", f"net(eta={eta:g})")
 
 
-def greedy_cover_estimate(matrix, p: float, q: float, k: int,
-                          samples: int = _DEFAULT_SAMPLES,
-                          seed: int = 0) -> EntropyEstimate:
-    """Heuristic: greedy 2^{k-1}-center covering radius of the image of
-    sampled ball points.
-
-    Estimates the covering radius restricted to the sample, hence labeled
-    heuristic; it always dominates the packing half-separation computed
-    from the same sample set.
-    """
-    return cover_profile(matrix, p, q, [k], samples, seed)[0]
-
-
 def cover_profile(matrix, p: float, q: float, ks,
                   samples: int = _DEFAULT_SAMPLES, seed: int = 0, *,
                   poll=None) -> list:
-    """greedy_cover_estimate over many k from one farthest-point run.
+    """Heuristic: greedy 2^{k-1}-center covering radius of the image of
+    sampled ball points, for every k in ks, from one farthest-point run.
 
-    The greedy center sequence is nested, so the covering radius with
-    2^{k-1} centers for every requested k falls out of a single traversal.
+    Estimates the covering radius restricted to the sample, hence labeled
+    heuristic; it always dominates the packing half-separation computed
+    from the same sample set.  The greedy center sequence is nested, so the
+    covering radius with 2^{k-1} centers for every requested k falls out of
+    a single traversal.
     poll is passed to the traversal (called once per center after the
     first); when it stops the run, only the k whose 2^{k-1} centers were
     reached are reported.

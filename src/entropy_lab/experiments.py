@@ -20,6 +20,7 @@ import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -334,8 +335,7 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
     per_level = []
     for d in range(tree.height + 1):
-        sl = tree.level_slice(d)
-        ids = np.arange(sl.start, sl.stop)
+        ids = tree.level(d)
         if ids.size > per_level_cap:
             ids = np.sort(rng.choice(ids, per_level_cap, replace=False))
         per_level.append(ids)
@@ -361,9 +361,35 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
     return pool
 
 
+def _certificate_sweep(tree, scheme, h, ns, p, q, eps, poll, cap):
+    """({n: B(n)}, extra, checks, cap) of the certificates for ns in turn.
+
+    cap is what the caller's last poll returned; poll runs only between two
+    certificates, and the sweep stops once a cap has tripped.
+    """
+    uppers = {}
+    budget_constants = []
+    c_guarantee = None
+    for n in ns:
+        if uppers:
+            cap = poll()
+        if cap is not None:
+            break
+        cert = entropy_certificate(tree, scheme, h, n, p, q, eps=eps)
+        uppers[n] = float(cert.bound.value)
+        budget_constants.append(cert.c_budget)
+        c_guarantee = cert.c_guarantee
+    extra = {"budget_constants": budget_constants}
+    checks = {}
+    if budget_constants:
+        extra["c_guarantee"] = c_guarantee
+        extra["max_c_budget"] = max(budget_constants)
+        checks["budgets_linear_in_n"] = extra["max_c_budget"] <= c_guarantee
+    return uppers, extra, checks, cap
+
+
 def _run_critical_scaling(kind, params, seed, budget):
     p, q = float(params["p"]), float(params["q"])
-    eps = float(params["eps"])
     h, scheme = _critical_pack(kind, params)
     if kind == "power":
         tree = full_tree(int(params["arity"]), int(params["depth"]))
@@ -392,25 +418,20 @@ def _run_critical_scaling(kind, params, seed, budget):
                 if 2 ** (n - 1) <= len(radii)}
         cap = budget.exceeded()
 
+    # once a cap has tripped, packing rows are flushed uncertified
+    uppers, extra, checks, cap = _certificate_sweep(
+        tree, scheme, h, sorted(lows), p, q, float(params["eps"]),
+        budget.exceeded, cap)
+    if uppers and cap is None:
+        cap = budget.exceeded()
     rows = []
-    budget_constants = []
-    c_guarantee = None
     for n in sorted(lows):
-        # once a cap has tripped, packing rows are flushed uncertified
-        upper = None
-        if cap is None:
-            cert = entropy_certificate(tree, scheme, h, n, p, q, eps=eps)
-            upper = float(cert.bound.value)
-            budget_constants.append(cert.c_budget)
-            c_guarantee = cert.c_guarantee
-            cap = budget.exceeded()
         ref = float(n ** expo)
-        rows.append(Row(n, lower=float(lows[n]), upper=upper,
+        rows.append(Row(n, lower=float(lows[n]), upper=uppers.get(n),
                         reference=ref, ratio=float(lows[n] / ref)))
 
-    extra = {"p": p, "q": q, "slope_target": expo, "tree_vertices": tree.n,
-             "budget_constants": budget_constants}
-    checks = {}
+    extra.update({"p": p, "q": q, "slope_target": expo,
+                  "tree_vertices": tree.n})
     if len(rows) >= 3:
         slope, _, r2 = fit_slope([r.n_or_k for r in rows],
                                  [r.lower for r in rows])
@@ -422,20 +443,8 @@ def _run_critical_scaling(kind, params, seed, budget):
         normalized = [r.upper * r.n_or_k ** (-expo) for r in certified]
         extra["certificate_band"] = max(normalized) / min(normalized)
         checks["certificate_band_within_10"] = extra["certificate_band"] <= 10.0
-    if budget_constants:
-        extra["c_guarantee"] = c_guarantee
-        extra["max_c_budget"] = max(budget_constants)
-        checks["budgets_linear_in_n"] = extra["max_c_budget"] <= c_guarantee
     extra["checks"] = checks
     return rows, extra, cap
-
-
-def _run_critical_scaling_power(params, seed, budget):
-    return _run_critical_scaling("power", params, seed, budget)
-
-
-def _run_critical_scaling_log(params, seed, budget):
-    return _run_critical_scaling("log", params, seed, budget)
 
 
 def _run_certificate_growth(params, seed, budget):
@@ -444,25 +453,16 @@ def _run_certificate_growth(params, seed, budget):
     tree = full_tree(int(params["arity"]), int(params["depth"]))
     expo = 1.0 / q - 1.0 / p
 
+    uppers, extra, checks, cap = _certificate_sweep(
+        tree, scheme, h, [int(n) for n in params["n_values"]], p, q,
+        float(params["eps"]), budget.exceeded, budget.exceeded())
     rows = []
-    budget_constants = []
-    c_guarantee = None
-    cap = None
-    for n in [int(n) for n in params["n_values"]]:
-        cap = budget.exceeded()
-        if cap is not None:
-            break
-        cert = entropy_certificate(tree, scheme, h, n, p, q,
-                                   eps=float(params["eps"]))
+    for n, upper in uppers.items():
         ref = float(n ** expo)
-        rows.append(Row(n, upper=float(cert.bound.value), reference=ref,
-                        ratio=float(cert.bound.value / ref)))
-        budget_constants.append(cert.c_budget)
-        c_guarantee = cert.c_guarantee
+        rows.append(Row(n, upper=upper, reference=ref,
+                        ratio=float(upper / ref)))
 
-    extra = {"p": p, "q": q, "slope_target": expo,
-             "budget_constants": budget_constants}
-    checks = {}
+    extra.update({"p": p, "q": q, "slope_target": expo})
     if len(rows) >= 3:
         slope, _, r2 = fit_slope([r.n_or_k for r in rows],
                                  [r.upper for r in rows])
@@ -471,10 +471,6 @@ def _run_certificate_growth(params, seed, budget):
         band = [r.ratio for r in rows]
         extra["normalized_band"] = max(band) / min(band)
         checks["normalized_band_within_10"] = extra["normalized_band"] <= 10.0
-    if budget_constants:
-        extra["c_guarantee"] = c_guarantee
-        extra["max_c_budget"] = max(budget_constants)
-        checks["budgets_linear_in_n"] = extra["max_c_budget"] <= c_guarantee
     extra["checks"] = checks
     return rows, extra, cap
 
@@ -514,12 +510,12 @@ _EXPERIMENTS = {
         "j_values": [16, 32, 64, 128, 256, 512], "height": 10,
         "p": 2.0, "q": 4.0, "m_star": 1, "theta": 1.0, "kappa": 1.0,
         "alpha_u": 0.125, "alpha_w": 0.125, "restarts": 8}),
-    "critical_scaling_power": (_run_critical_scaling_power, {
+    "critical_scaling_power": (partial(_run_critical_scaling, "power"), {
         "depth": 11, "arity": 2, "per_level_cap": 256, "samples": 2048,
         "n_min": 3, "n_max": 10, "p": 2.0, "q": 4.0, "eps": 0.1,
         "m_star": 1, "theta": 1.0, "c3": 2.0, "kappa": 1.0,
         "alpha_u": 0.125, "alpha_w": 0.125}),
-    "critical_scaling_log": (_run_critical_scaling_log, {
+    "critical_scaling_log": (partial(_run_critical_scaling, "log"), {
         "depth": 127, "tree_seed": 2, "per_level_cap": 256, "samples": 2048,
         "n_min": 3, "n_max": 10, "p": 2.0, "q": 4.0, "eps": 0.1,
         "m_star": 1, "gamma": -1.0, "c3": 1.0, "kappa": 1.0,

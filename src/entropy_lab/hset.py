@@ -230,7 +230,7 @@ class Schedule:
         return self._min_t_with(float(n))
 
 
-def schedule_from_profile(h: HProfile, m_star: int = 1, c3: float | None = None) -> Schedule:
+def schedule_from_profile(h: HProfile) -> Schedule:
     """Schedule matching the layering a profile induces.
 
     Power-type (theta > 0, linear layering): layer t holds depths with
@@ -239,8 +239,6 @@ def schedule_from_profile(h: HProfile, m_star: int = 1, c3: float | None = None)
     holds m_* j in [2^{2^{t-1}}, 2^{2^t}), so card ~ 2^{(1-gamma) 2^t} /
     tau(2^{2^t}).
     """
-    if c3 is None:
-        c3 = h.c3
     if h.theta > 0:
         gamma_star = h.theta
 
@@ -256,7 +254,7 @@ def schedule_from_profile(h: HProfile, m_star: int = 1, c3: float | None = None)
         def psi_star(lx, _h=h):
             # lx = 2^t; psi = 1 / tau(2^{2^t}) up to constants
             return -_h.tau.log2_at_log2_arg(lx)
-    return Schedule(gamma_star=gamma_star, psi_star=psi_star, c3=c3)
+    return Schedule(gamma_star=gamma_star, psi_star=psi_star, c3=h.c3)
 
 
 # -- validators ------------------------------------------------------------

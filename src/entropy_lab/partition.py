@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trees import SubtreePartition, Tree
+from .trees import SubtreePartition, Tree, _hanging_parts
 
 
 @dataclass(frozen=True)
@@ -109,19 +109,9 @@ def balanced_partition(tree: Tree, weights: VertexWeight, n: int,
     marked[0] = True  # the leftover bundle at the root is the final part
 
     # every vertex belongs to the part closed at its nearest marked ancestor
-    top = np.zeros(tree.n, dtype=np.int64)
-    for level in levels[1:]:
-        top[level.ids] = np.where(marked[level.ids],
-                                  np.arange(level.ids.start, level.ids.stop),
-                                  top[level.parent])
-
-    roots = np.flatnonzero(marked)
-    # a stable sort keeps each part's ids increasing
-    order = np.argsort(top, kind="stable")
-    parts = np.split(order, np.searchsorted(top[order], roots[1:]))
-    part = SubtreePartition(roots, parts, np.arange(tree.n, dtype=np.int64),
-                            {"C": float(k + 2), "threshold": tau,
-                             "n": int(n), "k": int(k)})
+    part = _hanging_parts(tree, marked, 0, len(levels))
+    part.meta.update({"C": float(k + 2), "threshold": tau, "n": int(n),
+                      "k": int(k)})
     return part
 
 
@@ -190,13 +180,8 @@ def _coarsen_once(tree: Tree, prev: SubtreePartition, cap: int):
     largest group size).
     """
     n_parts = prev.n_parts()
-    part_of = np.full(tree.n, -1, dtype=np.int64)
-    for i, p in enumerate(prev.parts):
-        part_of[p] = i
-    q_parent = np.full(n_parts, -1, dtype=np.int64)
-    for i, r in enumerate(prev.roots):
-        if int(r) != 0:
-            q_parent[i] = part_of[tree.parent[int(r)]]
+    # the root's parent id -1 reads label -1: the top part has no parent
+    q_parent = prev.labels(tree.n)[tree.parent[prev.roots]]
     q_children = [[] for _ in range(n_parts)]
     for i, qp in enumerate(q_parent):
         if qp >= 0:

@@ -126,13 +126,6 @@ def _depth_weights(scheme: WeightScheme, first: int, count: int):
     return u, w
 
 
-def make_weights(scheme: WeightScheme, depth: int):
-    """Per-depth weight arrays (u_0..u_depth, w_0..w_depth)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return _depth_weights(scheme, 0, depth + 1)
-
-
 def weights_for_tree(scheme: WeightScheme, tree: Tree, start_depth: int = 0):
     """Per-vertex weights for a subtree rooted at absolute depth start_depth,
     with the exponential factor anchored at start_depth."""

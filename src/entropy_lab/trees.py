@@ -72,14 +72,15 @@ class Tree:
     height : int
         Maximum depth.
 
-    The level plan that the level-at-a-time sweeps of ``summation`` and
-    ``partition`` run on (``levels`` and ``segments``) is computed on first
-    use and cached on the tree.  Two threads may both compute it on first
-    use; either result is correct and immutable, so the race is benign.
+    The level plan (``levels`` and ``segments``), the tree's only index of
+    its structure, serves every walk and level-at-a-time sweep.  It is
+    computed on first use and cached on the tree.  Two threads may both
+    compute it on first use; either result is correct and immutable, so
+    the race is benign.
     """
 
     __slots__ = ("parent", "depth", "height", "n", "_level_start",
-                 "_child_ptr", "_child_ids", "_levels", "_segments")
+                 "_levels", "_segments")
 
     def __init__(self, parent, max_vertices: int = MAX_VERTICES_DEFAULT):
         parent = np.asarray(parent, dtype=np.int64)
@@ -117,12 +118,6 @@ class Tree:
         counts = np.bincount(depth, minlength=self.height + 1)
         self._level_start = np.concatenate(([0], np.cumsum(counts)))
 
-        # children in CSR form, sorted by id within each parent
-        order = np.argsort(parent[1:], kind="stable") + 1 if n > 1 else np.array([], dtype=np.int64)
-        self._child_ids = order.astype(np.int64)
-        cc = np.bincount(parent[1:], minlength=n) if n > 1 else np.zeros(n, dtype=np.int64)
-        self._child_ptr = np.concatenate(([0], np.cumsum(cc)))
-
         parent.setflags(write=False)
         depth.setflags(write=False)
         self._levels = None
@@ -131,10 +126,10 @@ class Tree:
     # -- basic structure ------------------------------------------------
 
     def children(self, v: int) -> np.ndarray:
-        return self._child_ids[self._child_ptr[v]:self._child_ptr[v + 1]]
+        return self.descendants_at_distance(v, 1)
 
     def n_children(self) -> np.ndarray:
-        return np.diff(self._child_ptr)
+        return np.bincount(self.parent[1:], minlength=self.n)
 
     def branching(self) -> int:
         """max_v card V_1(v), the branching bound k."""
@@ -167,30 +162,30 @@ class Tree:
         s = self.level_slice(d)
         return np.arange(s.start, s.stop, dtype=np.int64)
 
+    def _walk(self, v: int, l: int) -> list:
+        """Descendants of v at distances 0..l, one id array each, from a
+        level mask carried down the level plan; stops at the last level."""
+        levels = self.levels()
+        d = int(self.depth[v])
+        ids = levels[d].ids
+        mask = np.arange(ids.start, ids.stop) == v
+        found = [ids.start + np.flatnonzero(mask)]
+        for level in levels[d + 1:d + l + 1]:
+            mask = mask[level.parent - ids.start]
+            ids = level.ids
+            found.append(ids.start + np.flatnonzero(mask))
+        return found
+
     def descendants_at_distance(self, v: int, l: int) -> np.ndarray:
         """The set V_l(v): descendants of v at edge distance exactly l."""
         if l < 0:
             raise ValueError("distance must be >= 0")
-        frontier = np.array([v], dtype=np.int64)
-        for _ in range(l):
-            if frontier.size == 0:
-                break
-            pieces = [self._child_ids[self._child_ptr[u]:self._child_ptr[u + 1]]
-                      for u in frontier]
-            frontier = np.concatenate(pieces) if pieces else np.array([], dtype=np.int64)
-        return np.sort(frontier)
+        found = self._walk(v, l)
+        return found[l] if l < len(found) else np.array([], dtype=np.int64)
 
     def subtree(self, v: int) -> np.ndarray:
         """All descendants of v, v included, in increasing id order."""
-        out = [np.array([v], dtype=np.int64)]
-        frontier = out[0]
-        while frontier.size:
-            pieces = [self._child_ids[self._child_ptr[u]:self._child_ptr[u + 1]]
-                      for u in frontier]
-            frontier = np.concatenate(pieces) if pieces else np.array([], dtype=np.int64)
-            if frontier.size:
-                out.append(frontier)
-        return np.sort(np.concatenate(out))
+        return np.concatenate(self._walk(v, self.height))
 
     # -- serialization ---------------------------------------------------
 
@@ -285,7 +280,6 @@ class Layering:
 
     rule: str
     m_star: int = 1
-    t0: int = 0
 
     def __post_init__(self):
         if self.rule not in ("linear", "doubly-exponential"):
@@ -305,12 +299,12 @@ class Layering:
             lg = np.zeros_like(mj, dtype=float)
             lg[big] = np.log2(mj[big].astype(float))
             t[big] = np.floor(np.log2(lg[big])).astype(np.int64) + 1
-        return np.maximum(t, self.t0)
+        return t
 
     def depth_range(self, t: int) -> tuple[int, int]:
         """Half-open depth interval [j_lo, j_hi) forming layer t."""
-        if t < self.t0:
-            raise ValueError(f"layer {t} below t0={self.t0}")
+        if t < 0:
+            raise ValueError(f"layer {t} below t0=0")
         if self.rule == "linear":
             lo_m = 0 if t == 0 else 2 ** (t - 1)
             hi_m = 2 ** t
@@ -381,35 +375,36 @@ class SubtreePartition:
         ])
 
 
+def _hanging_parts(tree: Tree, marked: np.ndarray, first: int,
+                   stop: int) -> SubtreePartition:
+    """Depth levels first .. stop - 1 split into the subtrees hanging from
+    the marked vertices (all of level first among them): each vertex joins
+    the part of its nearest marked ancestor."""
+    levels = tree.levels()[first:stop]
+    lo, hi = levels[0].ids.start, levels[-1].ids.stop
+    top = np.arange(tree.n)
+    for level in levels[1:]:
+        top[level.ids] = np.where(marked[level.ids], top[level.ids],
+                                  top[level.parent])
+    roots = lo + np.flatnonzero(marked[lo:hi])
+    # a stable sort keeps each part's ids increasing
+    order = lo + np.argsort(top[lo:hi], kind="stable")
+    parts = np.split(order, np.searchsorted(top[order], roots[1:]))
+    return SubtreePartition(roots, parts, np.arange(lo, hi, dtype=np.int64))
+
+
 def layer_components(tree: Tree, layering: Layering, t: int) -> SubtreePartition:
     """Connected components of a layer, each rooted in V_min(Gamma_t).
 
     The components of layer t are the maximal connected subtrees of the
-    induced forest; their roots are exactly the layer vertices whose parent
-    lies outside the layer.
+    induced forest; their roots are exactly the vertices of the layer's
+    first depth level, whose parents lie outside the layer.
     """
-    if t < layering.t0:
-        raise ValueError(f"layer {t} below t0={layering.t0}")
     lo, hi = layering.depth_range(t)
-    lo_s = tree.level_slice(min(lo, tree.height + 1)).start if lo <= tree.height else tree.n
-    hi_s = tree.level_slice(hi - 1).stop if hi - 1 <= tree.height else tree.n
-    universe = np.arange(lo_s, hi_s, dtype=np.int64)
-    if universe.size == 0:
-        return SubtreePartition(np.array([], dtype=np.int64), [], universe)
-
-    comp = np.full(tree.n, -1, dtype=np.int64)
-    roots = []
-    groups: list[list[int]] = []
-    for v in universe:
-        p = int(tree.parent[v])
-        if v != 0 and p >= lo_s and comp[p] >= 0:
-            c = comp[p]
-        else:
-            c = len(roots)
-            roots.append(int(v))
-        comp[v] = c
-        if c == len(groups):
-            groups.append([])
-        groups[c].append(int(v))
-    parts = [np.asarray(g, dtype=np.int64) for g in groups]
-    return SubtreePartition(np.asarray(roots, dtype=np.int64), parts, universe)
+    stop = min(hi, tree.height + 1)
+    if lo >= stop:
+        empty = np.array([], dtype=np.int64)
+        return SubtreePartition(empty, [], empty)
+    marked = np.zeros(tree.n, dtype=bool)
+    marked[tree.level_slice(lo)] = True
+    return _hanging_parts(tree, marked, lo, stop)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from entropy_lab.certificate import entropy_certificate
-from entropy_lab.entropy import net_upper, packing_lower
+from entropy_lab.entropy import net_upper, packing_profile
 from entropy_lab.experiments import ExperimentConfig, run
 from entropy_lab.hset import HProfile, generate_hset_tree
 from entropy_lab.summation import WeightScheme, norm_oracle, operator_matrix
@@ -69,7 +69,7 @@ def test_criterion_2_bracketing():
         p, q = combos[i % len(combos)]
         k = int(rng.integers(1, 5))
         eta = 0.05 if d <= 2 else (0.08 if d == 3 else 0.12)
-        lo = packing_lower(a, p, q, k, samples=4096, seed=i).value
+        lo = packing_profile(a, p, q, [k], samples=4096, seed=i)[0].value
         up = net_upper(a, p, q, k, eta=eta).value
         if lo > up:
             order_violations += 1

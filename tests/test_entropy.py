@@ -18,12 +18,10 @@ from entropy_lab.entropy import (
     combine_sum,
     cover_profile,
     estimates_to_csv,
-    greedy_cover_estimate,
     kuhn_value,
     lifshits_combine,
     matrix_norm_upper,
     net_upper,
-    packing_lower,
     packing_profile,
     sample_lp_ball,
     sample_lp_sphere,
@@ -369,7 +367,7 @@ def test_cover_radii_match_separate_traversals(n, m, distinct, q, ks, seed):
 
 
 def test_packing_identity_circle_k1():
-    est = packing_lower(np.eye(2), 2, 2, 1, samples=4096, seed=1)
+    est = packing_profile(np.eye(2), 2, 2, [1], samples=4096, seed=1)[0]
     assert est.kind == "certified_lower" and est.k == 1
     assert 0.9 <= est.value <= 1.0 + 1e-12
     # k=1 value is half the greedy separation, at least a quarter of the
@@ -382,22 +380,23 @@ def test_packing_identity_circle_k1():
 
 
 def test_packing_zero_matrix_and_insufficient_samples():
-    assert packing_lower(np.zeros((3, 3)), 2, 2, 2, samples=64, seed=0).value == 0.0
-    est = packing_lower(np.eye(3), 2, 2, 10, samples=100, seed=0)
+    zero = packing_profile(np.zeros((3, 3)), 2, 2, [2], samples=64, seed=0)
+    assert zero[0].value == 0.0
+    est = packing_profile(np.eye(3), 2, 2, [10], samples=100, seed=0)[0]
     assert est.value == 0.0 and "insufficient" in est.method
     with pytest.raises(ValueError):
-        packing_lower(np.eye(3), 2, 2, 25)
+        packing_profile(np.eye(3), 2, 2, [25])[0]
 
 
 def test_packing_homogeneity_and_determinism():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((4, 3))
-    v = packing_lower(a, 1.5, 3, 3, samples=512, seed=2).value
-    v_scaled = packing_lower(3.7 * a, 1.5, 3, 3, samples=512, seed=2).value
+    v = packing_profile(a, 1.5, 3, [3], samples=512, seed=2)[0].value
+    v_scaled = packing_profile(3.7 * a, 1.5, 3, [3], samples=512, seed=2)[0].value
     assert v_scaled == pytest.approx(3.7 * v, rel=1e-12)
-    again = packing_lower(a, 1.5, 3, 3, samples=512, seed=2).value
+    again = packing_profile(a, 1.5, 3, [3], samples=512, seed=2)[0].value
     assert again == v
-    other = packing_lower(a, 1.5, 3, 3, samples=512, seed=3).value
+    other = packing_profile(a, 1.5, 3, [3], samples=512, seed=3)[0].value
     assert other != v
 
 
@@ -406,7 +405,7 @@ def test_packing_profile_matches_single_calls_and_is_monotone():
     a = rng.standard_normal((6, 4))
     ks = range(1, 9)
     profile = packing_profile(a, 1.5, 3, ks, samples=2048, seed=5)
-    singles = [packing_lower(a, 1.5, 3, k, samples=2048, seed=5) for k in ks]
+    singles = [packing_profile(a, 1.5, 3, [k], samples=2048, seed=5)[0] for k in ks]
     assert [e.value for e in profile] == [e.value for e in singles]
     vals = [e.value for e in profile]
     assert all(y <= x + 1e-15 for x, y in zip(vals, vals[1:]))
@@ -446,7 +445,7 @@ def test_net_upper_homogeneity():
 
 def test_bracketing_on_diagonal_operator():
     a = np.diag([1.0, 0.5])
-    lower = packing_lower(a, 2, 2, 2, samples=4096, seed=7).value
+    lower = packing_profile(a, 2, 2, [2], samples=4096, seed=7)[0].value
     vol = volumetric_lower(2, 2, 2, 2, diag=[1.0, 0.5]).value
     upper = net_upper(a, 2, 2, 2, eta=0.08).value
     assert lower <= upper + 1e-12
@@ -458,13 +457,13 @@ def test_bracketing_on_diagonal_operator():
 
 
 def test_greedy_single_sample_gives_zero():
-    est = greedy_cover_estimate(np.eye(3), 2, 2, 4, samples=1, seed=0)
+    est = cover_profile(np.eye(3), 2, 2, [4], samples=1, seed=0)[0]
     assert est.value == 0.0 and est.kind == "heuristic"
 
 
 def test_greedy_decay_slope_matches_dimension():
-    v9 = greedy_cover_estimate(np.eye(2), 2, 2, 9, samples=2 ** 15, seed=3).value
-    v11 = greedy_cover_estimate(np.eye(2), 2, 2, 11, samples=2 ** 15, seed=3).value
+    v9 = cover_profile(np.eye(2), 2, 2, [9], samples=2 ** 15, seed=3)[0].value
+    v11 = cover_profile(np.eye(2), 2, 2, [11], samples=2 ** 15, seed=3)[0].value
     assert v11 > 0
     # doubling k by 2 should halve the radius in dimension 2 (rate 2^{-k/2})
     assert 1.4 <= v9 / v11 <= 3.2
@@ -474,21 +473,21 @@ def test_greedy_dominates_packing_on_same_points():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((3, 3))
     # the same samples and seed draw the same ball points for both
-    pk = packing_lower(a, 2, 2, 4, samples=2048, seed=11)
-    greedy = greedy_cover_estimate(a, 2, 2, 4, samples=2048, seed=11)
+    pk = packing_profile(a, 2, 2, [4], samples=2048, seed=11)[0]
+    greedy = cover_profile(a, 2, 2, [4], samples=2048, seed=11)[0]
     assert greedy.value >= pk.value - 1e-12
 
 
 def test_greedy_monotone_homogeneous_deterministic():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((4, 3))
-    vals = [greedy_cover_estimate(a, 1.5, 3, k, samples=1024, seed=4).value
+    vals = [cover_profile(a, 1.5, 3, [k], samples=1024, seed=4)[0].value
             for k in range(1, 9)]
     assert all(y <= x + 1e-15 for x, y in zip(vals, vals[1:]))
-    v = greedy_cover_estimate(a, 1.5, 3, 3, samples=1024, seed=4).value
-    v_scaled = greedy_cover_estimate(3.7 * a, 1.5, 3, 3, samples=1024, seed=4).value
+    v = cover_profile(a, 1.5, 3, [3], samples=1024, seed=4)[0].value
+    v_scaled = cover_profile(3.7 * a, 1.5, 3, [3], samples=1024, seed=4)[0].value
     assert v_scaled == pytest.approx(3.7 * v, rel=1e-12)
-    assert greedy_cover_estimate(a, 1.5, 3, 3, samples=1024, seed=4).value == v
+    assert cover_profile(a, 1.5, 3, [3], samples=1024, seed=4)[0].value == v
 
 
 def test_cover_profile_matches_single_calls_bitwise():
@@ -498,7 +497,7 @@ def test_cover_profile_matches_single_calls_bitwise():
     prof = cover_profile(a, 2, 4, ks, samples=1024, seed=7)
     assert [e.k for e in prof] == ks
     for est in prof:
-        single = greedy_cover_estimate(a, 2, 4, est.k, samples=1024, seed=7)
+        single = cover_profile(a, 2, 4, [est.k], samples=1024, seed=7)[0]
         assert est.value == single.value
         assert est.kind == "heuristic" and est.method == single.method
 

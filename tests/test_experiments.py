@@ -443,6 +443,47 @@ def test_certificate_growth_small(tmp_path):
     assert all(r.upper is not None for r in res.rows)
 
 
+def test_certificate_growth_polls_before_each_certificate(tmp_path,
+                                                         monkeypatch):
+    params = {"depth": 8, "n_values": [4, 8, 16]}
+    polls = _trip_on_poll(monkeypatch, 99)
+    full = run(ExperimentConfig("certificate_growth", params=params,
+                                seed=0, output_dir=str(tmp_path / "full")))
+    assert len(polls) == 3 and full.cap_hit is None
+    # the third poll comes before n = 16: the first two rows stand
+    polls = _trip_on_poll(monkeypatch, 3)
+    res = run(ExperimentConfig("certificate_growth", params=params,
+                               seed=0, output_dir=str(tmp_path / "cut")))
+    assert len(polls) == 3 and res.cap_hit == "wall_clock"
+    assert res.rows == full.rows[:2]
+    assert res.summary["budget_constants"] == \
+        full.summary["budget_constants"][:2]
+
+
+def test_critical_scaling_polls_after_each_certificate(tmp_path,
+                                                       monkeypatch):
+    params = {"depth": 7, "per_level_cap": 32, "samples": 256,
+              "n_min": 3, "n_max": 6}
+    polls = _trip_on_poll(monkeypatch, 10 ** 6)
+    full = run(ExperimentConfig("critical_scaling_power", params=params,
+                                seed=0, output_dir=str(tmp_path / "full")))
+    total = len(polls)
+    # the last four polls follow the certificates of n = 3, 4, 5 and 6:
+    # tripping the one after n = 4 leaves n = 5 and n = 6 uncertified
+    polls = _trip_on_poll(monkeypatch, total - 2)
+    res = run(ExperimentConfig("critical_scaling_power", params=params,
+                               seed=0, output_dir=str(tmp_path / "cut")))
+    assert len(polls) == total - 2 and res.cap_hit == "wall_clock"
+    assert [r.upper for r in res.rows] == \
+        [r.upper for r in full.rows[:2]] + [None, None]
+    assert [r.lower for r in res.rows] == [r.lower for r in full.rows]
+    # a trip at the last poll keeps every row certified but still reports
+    polls = _trip_on_poll(monkeypatch, total)
+    res = run(ExperimentConfig("critical_scaling_power", params=params,
+                               seed=0, output_dir=str(tmp_path / "last")))
+    assert res.cap_hit == "wall_clock" and res.rows == full.rows
+
+
 def test_kuhn_consistency_pass(tmp_path):
     cfg = ExperimentConfig("kuhn_consistency", seed=0,
                            output_dir=str(tmp_path))

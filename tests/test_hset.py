@@ -202,11 +202,12 @@ class TestSchedule:
             sch.t_star(1)
 
     def test_from_profile_power(self):
-        sch = schedule_from_profile(HProfile(theta=1.0), c3=1.0)
+        sch = schedule_from_profile(HProfile(theta=1.0, c3=1.0))
         assert sch.t_star(16) == 2 and sch.t_star_star(16) == 4
 
     def test_from_profile_log(self):
-        sch = schedule_from_profile(HProfile(theta=0.0, gamma=-1.0), c3=1.0)
+        sch = schedule_from_profile(
+            HProfile(theta=0.0, gamma=-1.0, c3=1.0))
         # nu_bar_log2(t) = 2 * 2^t
         assert sch.t_star_star(10) == 3
 

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import trees
+from tree_cases import CsrReference, trees
 
 from entropy_lab.partition import (
     PartitionFamily,
     VertexWeight,
     _check_inputs,
+    _coarsen_once,
+    _merge_level,
     balanced_partition,
     dyadic_family,
 )
 from entropy_lab.trees import (
     SubtreePartition,
     Tree,
+    _hanging_parts,
     full_tree,
     path_tree,
 )
@@ -228,10 +231,11 @@ def _ref_balanced_partition(tree, weights, n, k):
     tau = weights.total() / n
     if n == 1:
         return np.array([0]), [np.arange(tree.n)]
+    csr = CsrReference(tree)
     marked = np.zeros(tree.n, dtype=bool)
     res = np.zeros(tree.n)
     for v in range(tree.n - 1, -1, -1):
-        pend = [c for c in tree.children(v) if not marked[c]]
+        pend = [c for c in csr.children(v) if not marked[c]]
         mass = phi[v] + sum(res[c] for c in pend)
         if mass >= tau:
             marked[v] = True
@@ -250,6 +254,56 @@ def _ref_balanced_partition(tree, weights, n, k):
     parts = [np.sort(order[a:b]) for a, b in
              zip(bounds, np.append(bounds[1:], tree.n))]
     return roots, parts
+
+
+def _ref_hanging_parts(tree, marked):
+    """The nearest-marked-ancestor tail of the level-sweep balanced_partition
+    before the subtree-partition builder took it over."""
+    levels = tree.levels()
+    top = np.zeros(tree.n, dtype=np.int64)
+    for level in levels[1:]:
+        top[level.ids] = np.where(marked[level.ids],
+                                  np.arange(level.ids.start, level.ids.stop),
+                                  top[level.parent])
+    roots = np.flatnonzero(marked)
+    order = np.argsort(top, kind="stable")
+    parts = np.split(order, np.searchsorted(top[order], roots[1:]))
+    return roots, parts
+
+
+def _ref_coarsen_once(tree, prev, cap):
+    """_coarsen_once with its part map and quotient parents built by
+    per-part Python loops, as before they were read off prev.labels."""
+    n_parts = prev.n_parts()
+    part_of = np.full(tree.n, -1, dtype=np.int64)
+    for i, p in enumerate(prev.parts):
+        part_of[p] = i
+    q_parent = np.full(n_parts, -1, dtype=np.int64)
+    for i, r in enumerate(prev.roots):
+        if int(r) != 0:
+            q_parent[i] = part_of[tree.parent[int(r)]]
+    q_children = [[] for _ in range(n_parts)]
+    for i, qp in enumerate(q_parent):
+        if qp >= 0:
+            q_children[qp].append(i)
+    root_depth = tree.depth[prev.roots]
+    order = np.argsort(-root_depth, kind="stable")
+    group_of = np.full(n_parts, -1, dtype=np.int64)
+    groups = []
+    for i in order:
+        pend = [c for c in q_children[i] if group_of[c] < 0]
+        if not pend:
+            continue
+        take = pend[:cap - 1]
+        gid = len(groups)
+        groups.append([int(i)] + [int(c) for c in take])
+        group_of[i] = gid
+        for c in take:
+            group_of[c] = gid
+    for i in range(n_parts):
+        if group_of[i] < 0:
+            groups.append([i])
+    return groups, max(len(g) for g in groups)
 
 
 def _ref_part_validate(part, tree):
@@ -328,6 +382,39 @@ def test_level_sweep_partition_matches_reference_exactly(tree, style, n, seed):
     assert all(np.array_equal(a, b) for a, b in zip(part.parts, parts))
     part.validate(tree)
     _ref_part_validate(part, tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=trees(), density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hanging_parts_match_the_former_tail_exactly(tree, density, seed):
+    marked = np.random.default_rng(seed).random(tree.n) < density
+    marked[0] = True
+    part = _hanging_parts(tree, marked, 0, tree.height + 1)
+    roots, parts = _ref_hanging_parts(tree, marked)
+    assert np.array_equal(part.roots, roots)
+    assert len(part.parts) == len(parts)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(part.parts, parts))
+    assert np.array_equal(part.universe, np.arange(tree.n))
+    part.validate(tree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=trees(), style=st.sampled_from(WEIGHT_STYLES),
+       n=st.integers(1, 64), cap=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_coarsening_matches_the_per_part_loops_exactly(tree, style, n, cap,
+                                                       seed):
+    wts = _weights(style, tree.n, np.random.default_rng(seed))
+    prev = balanced_partition(tree, wts, n, max(1, tree.branching()))
+    # every coarser level on the way to a single part
+    while True:
+        groups, gmax = _coarsen_once(tree, prev, cap)
+        assert (groups, gmax) == _ref_coarsen_once(tree, prev, cap)
+        if len(groups) == 1:
+            break
+        prev = _merge_level(tree, prev, groups)
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,12 +12,12 @@ from entropy_lab.summation import (
     WeightScheme,
     _check_pq,
     _conj,
+    _depth_weights,
     _row_hoelder_upper,
     _simplex_grid_upper,
     apply,
     apply_adjoint,
     hardy_bound,
-    make_weights,
     norm_oracle,
     operator_matrix,
     weights_for_tree,
@@ -306,7 +306,7 @@ def test_level_plan_is_cached_on_the_tree():
 def test_power_weights_example():
     s = WeightScheme("power-critical", kappa=1.0, m_star=1,
                      alpha_u=0.0, alpha_w=0.0)
-    u, w = make_weights(s, 3)
+    u, w = _depth_weights(s, 0, 4)
     np.testing.assert_allclose(u, [1, 2, 4, 8])
     np.testing.assert_allclose(w, [1, 0.5, 0.25, 0.125])
 
@@ -316,8 +316,8 @@ def test_weight_product_independent_of_kappa():
                      alpha_u=0.2, alpha_w=0.55)
     b = WeightScheme("power-critical", kappa=1.7, m_star=2,
                      alpha_u=0.2, alpha_w=0.55)
-    ua, wa = make_weights(a, 60)
-    ub, wb = make_weights(b, 60)
+    ua, wa = _depth_weights(a, 0, 61)
+    ub, wb = _depth_weights(b, 0, 61)
     j = np.arange(61.0)
     np.testing.assert_allclose(ua * wa, (2 * j + 1.0) ** (-0.75), rtol=1e-12)
     np.testing.assert_allclose(ua * wa, ub * wb, rtol=1e-12)
@@ -326,7 +326,7 @@ def test_weight_product_independent_of_kappa():
 def test_log_weights_identity_and_no_singularity():
     s = WeightScheme("log-critical", kappa=0.8, m_star=1, alpha=0.4,
                      lambda_u=0.1, lambda_w=0.15)
-    u, w = make_weights(s, 100)
+    u, w = _depth_weights(s, 0, 101)
     j = np.arange(101.0)
     big_l = np.log(np.e + j)
     np.testing.assert_allclose(u * w * big_l ** 0.25, 1.0, rtol=1e-12)
@@ -336,18 +336,19 @@ def test_log_weights_identity_and_no_singularity():
 
 def test_explicit_scheme():
     s = WeightScheme("explicit", u=(1.0, 2.0, 3.0), w=(0.5, 0.5, 0.5))
-    u, w = make_weights(s, 2)
+    u, w = _depth_weights(s, 0, 3)
     np.testing.assert_allclose(u, [1, 2, 3])
     with pytest.raises(ValueError, match="shorter"):
-        make_weights(s, 3)
+        _depth_weights(s, 0, 4)
     with pytest.raises(ValueError, match="positive"):
         WeightScheme("explicit", u=(1.0, -2.0), w=(0.5, 0.5))
     with pytest.raises(ValueError, match="kind"):
         WeightScheme("mystery")
 
 
-def _reference_make_weights(scheme, depth):
-    """The former per-depth evaluator of make_weights (unanchored)."""
+def _reference_depth_weights(scheme, depth):
+    """The former per-depth evaluator of weights at depths 0..depth
+    (unanchored)."""
     if scheme.kind == "explicit":
         return (np.asarray(scheme.u[:depth + 1], dtype=float),
                 np.asarray(scheme.w[:depth + 1], dtype=float))
@@ -368,7 +369,7 @@ def _reference_weights_for_tree(scheme, tree, start_depth=0):
     """The former per-vertex evaluator of weights_for_tree (anchored at the
     start depth), kept as the reference for the shared per-depth one."""
     if scheme.kind == "explicit":
-        u_d, w_d = _reference_make_weights(scheme, start_depth + tree.height)
+        u_d, w_d = _reference_depth_weights(scheme, start_depth + tree.height)
         return u_d[start_depth + tree.depth], w_d[start_depth + tree.depth]
     d = start_depth + tree.depth.astype(float)
     mj = scheme.m_star * d
@@ -411,17 +412,17 @@ def test_weights_match_per_vertex_reference(data, tree, start_depth):
     u, w = weights_for_tree(scheme, tree, start_depth)
     ref_u, ref_w = _reference_weights_for_tree(scheme, tree, start_depth)
     assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
-    # unanchored, deep depths overflow: then make_weights must refuse
+    # unanchored, deep depths overflow: then _depth_weights must refuse
     depth = start_depth + tree.height
     with np.errstate(over="ignore"):
-        ref = _reference_make_weights(scheme, depth)
+        ref = _reference_depth_weights(scheme, depth)
     if all(np.all(np.isfinite(a)) and np.all(a > 0) for a in ref):
-        got = make_weights(scheme, depth)
+        got = _depth_weights(scheme, 0, depth + 1)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     else:
         with pytest.raises(ValueError, match="infinite"), \
                 np.errstate(over="ignore"):
-            make_weights(scheme, depth)
+            _depth_weights(scheme, 0, depth + 1)
 
 
 @pytest.mark.parametrize("scheme,tree", [

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_cases import CsrReference, trees
 
 from entropy_lab import Layering, Tree, full_tree, layer_components, path_tree, random_tree
+from entropy_lab.trees import SubtreePartition
 
 
 def random_parent(n, branching, rng):
@@ -188,9 +190,9 @@ class TestLayerComponents:
 
     def test_below_t0_raises(self):
         t = path_tree(4)
-        lay = Layering("linear", m_star=1, t0=1)
-        with pytest.raises(ValueError):
-            layer_components(t, lay, 0)
+        lay = Layering("linear", m_star=1)
+        with pytest.raises(ValueError, match="below t0=0"):
+            layer_components(t, lay, -1)
 
     def test_empty_layer_empty_partition(self):
         t = path_tree(3)  # height 2
@@ -211,6 +213,71 @@ class TestLayerComponents:
             lo, hi = lay.depth_range(tt)
             size = sum(t.level(d).size for d in range(lo, min(hi, t.height + 1)))
             assert part.universe.size == size
+
+
+# -- the level walks against the CSR walks and per-vertex loop they replaced --
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=trees())
+def test_level_walks_match_the_csr_walks_exactly(tree):
+    ref = CsrReference(tree)
+    assert _same(tree.n_children(), ref.n_children())
+    for v in range(tree.n):
+        assert _same(tree.children(v), ref.children(v))
+        assert _same(tree.subtree(v), ref.subtree(v))
+        # one distance past the last level reads empty
+        for l in range(tree.height - int(tree.depth[v]) + 2):
+            assert _same(tree.descendants_at_distance(v, l),
+                         ref.descendants_at_distance(v, l))
+
+
+def _ref_layer_components(tree, layering, t):
+    """The per-vertex layer_components loop, kept as the reference."""
+    lo, hi = layering.depth_range(t)
+    lo_s = tree.level_slice(lo).start if lo <= tree.height else tree.n
+    hi_s = tree.level_slice(hi - 1).stop if hi - 1 <= tree.height else tree.n
+    universe = np.arange(lo_s, hi_s, dtype=np.int64)
+    if universe.size == 0:
+        return SubtreePartition(np.array([], dtype=np.int64), [], universe)
+    comp = np.full(tree.n, -1, dtype=np.int64)
+    roots = []
+    groups = []
+    for v in universe:
+        p = int(tree.parent[v])
+        if v != 0 and p >= lo_s and comp[p] >= 0:
+            c = comp[p]
+        else:
+            c = len(roots)
+            roots.append(int(v))
+        comp[v] = c
+        if c == len(groups):
+            groups.append([])
+        groups[c].append(int(v))
+    parts = [np.asarray(g, dtype=np.int64) for g in groups]
+    return SubtreePartition(np.asarray(roots, dtype=np.int64), parts, universe)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=trees(), rule=st.sampled_from(["linear", "doubly-exponential"]),
+       m_star=st.integers(1, 3))
+def test_layer_components_match_the_per_vertex_loop_exactly(tree, rule,
+                                                           m_star):
+    lay = Layering(rule, m_star=m_star)
+    # every layer the tree reaches, and the first one past it
+    for t in range(int(lay.layer_of_depth(tree.height)) + 2):
+        got = layer_components(tree, lay, t)
+        ref = _ref_layer_components(tree, lay, t)
+        assert _same(got.roots, ref.roots)
+        assert _same(got.universe, ref.universe)
+        assert len(got.parts) == len(ref.parts)
+        assert all(_same(a, b) for a, b in zip(got.parts, ref.parts))
+        if got.parts:
+            got.validate(tree)
 
 
 class TestRandomTree:

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for trees that cover every branch of the level sweeps.
+"""Hypothesis strategies for trees that cover every branch of the level sweeps,
+and the CSR walks the level walks are checked against.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -48,3 +49,46 @@ def trees(draw, max_n: int = 64) -> Tree:
     n = draw(st.integers(1, max_n))
     return random_tree(n, draw(st.integers(1, 4) if kind == "random"
                                else st.integers(9, 16)), seed=seed)
+
+
+class CsrReference:
+    """The CSR child index and per-vertex frontier walks that Tree kept
+    before its level plan became its only structural index; the tests hold
+    the level walks to them."""
+
+    def __init__(self, tree: Tree):
+        parent, n = tree.parent, tree.n
+        order = (np.argsort(parent[1:], kind="stable") + 1 if n > 1
+                 else np.array([], dtype=np.int64))
+        self.child_ids = order.astype(np.int64)
+        cc = (np.bincount(parent[1:], minlength=n) if n > 1
+              else np.zeros(n, dtype=np.int64))
+        self.child_ptr = np.concatenate(([0], np.cumsum(cc)))
+
+    def children(self, v: int) -> np.ndarray:
+        return self.child_ids[self.child_ptr[v]:self.child_ptr[v + 1]]
+
+    def n_children(self) -> np.ndarray:
+        return np.diff(self.child_ptr)
+
+    def _step(self, frontier):
+        pieces = [self.children(u) for u in frontier]
+        return (np.concatenate(pieces) if pieces
+                else np.array([], dtype=np.int64))
+
+    def descendants_at_distance(self, v: int, l: int) -> np.ndarray:
+        frontier = np.array([v], dtype=np.int64)
+        for _ in range(l):
+            if frontier.size == 0:
+                break
+            frontier = self._step(frontier)
+        return np.sort(frontier)
+
+    def subtree(self, v: int) -> np.ndarray:
+        out = [np.array([v], dtype=np.int64)]
+        frontier = out[0]
+        while frontier.size:
+            frontier = self._step(frontier)
+            if frontier.size:
+                out.append(frontier)
+        return np.sort(np.concatenate(out))
