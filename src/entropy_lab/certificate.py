@@ -126,8 +126,7 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
         cum = apply(tree, np.where(in_block, uq, 0.0), ones, ones)
         norm_t = _row_hoelder_upper(cum, w, q, q)
         leaves.append(BoundExpr.scaled(
-            BoundExpr.norm(norm_t),
-            BoundExpr.schuett_leaf(dim, k_block, p, q)))
+            norm_t, BoundExpr.schuett_leaf(dim, k_block, p, q)))
         layer_meta.append({"t": t, "lo": lo, "hi": hi_clip, "dim": dim,
                            "k_budget": k_block, "norm": norm_t})
 

@@ -244,15 +244,15 @@ class _LqPasses:
 
     A pass walks the pool in row blocks of about _BLOCK_BYTES: each block's
     |x - c| goes into a reused scratch buffer, is reduced per row, and is
-    written (or min-folded) straight into the caller's `dist`, so no pass
-    allocates anything pool-sized.  The blocks are split into contiguous
-    chunks, one per CPU and never more than there are blocks; the calling
-    thread runs the first chunk and a thread pool the others, in parallel
-    because numpy's ufuncs and einsum release the GIL.  Per row the
-    arithmetic is the one-shot expression's (same ufuncs, same reduction,
-    same final power), so every distance is bit-identical to it and none
-    depends on the thread count.  Use as a context manager: the threads
-    live until exit.
+    min-folded straight into the caller's `dist` (a first pass folds into
+    +inf), so no pass allocates anything pool-sized.  The blocks are split
+    into contiguous chunks, one per CPU and never more than there are
+    blocks; the calling thread runs the first chunk and a thread pool the
+    others, in parallel because numpy's ufuncs and einsum release the GIL.
+    Per row the arithmetic is the one-shot expression's (same ufuncs, same
+    reduction, same final power), so every distance is bit-identical to it
+    and none depends on the thread count.  Use as a context manager: the
+    threads live until exit.
     """
 
     def __init__(self, points: np.ndarray, q: float):
@@ -282,15 +282,15 @@ class _LqPasses:
         if self.executor is not None:
             self.executor.shutdown()
 
-    def __call__(self, center: np.ndarray, dist: np.ndarray, fold: bool):
-        """dist = distances to `center`, or with fold, min(dist, them)."""
-        futures = [self.executor.submit(self._chunk, i, center, dist, fold)
+    def __call__(self, center: np.ndarray, dist: np.ndarray):
+        """dist = min(dist, distances to `center`)."""
+        futures = [self.executor.submit(self._chunk, i, center, dist)
                    for i in range(1, len(self.chunks))]
-        self._chunk(0, center, dist, fold)
+        self._chunk(0, center, dist)
         for f in futures:
             f.result()
 
-    def _chunk(self, i, center, dist, fold):
+    def _chunk(self, i, center, dist):
         q = self.q
         buf, red = self.scratch[i]
         lo, hi = self.chunks[i]
@@ -314,17 +314,14 @@ class _LqPasses:
                 diff **= q
                 np.sum(wide, axis=1, out=out)
                 out **= 1.0 / q
-            if fold:
-                np.minimum(dist[s:e], out[:e - s], out=dist[s:e])
-            else:
-                dist[s:e] = out[:e - s]
+            np.minimum(dist[s:e], out[:e - s], out=dist[s:e])
 
 
 def _lq_dist(points: np.ndarray, center: np.ndarray, q: float) -> np.ndarray:
     """l_q distance of every row of `points` to `center`."""
-    dist = np.empty(points.shape[0])
+    dist = np.full(points.shape[0], np.inf)
     with _LqPasses(points, q) as lq_pass:
-        lq_pass(center, dist, fold=False)
+        lq_pass(center, dist)
     return dist
 
 
@@ -340,18 +337,18 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     the first; when it returns a cap name the run stops and returns what
     it has selected so far.
     """
-    dist = np.empty(points.shape[0])
+    dist = np.full(points.shape[0], np.inf)
     selected = [start]
     radii = []
     with _LqPasses(points, q) as lq_pass:
-        lq_pass(points[start], dist, fold=False)
+        lq_pass(points[start], dist)
         for _ in range(1, n_select):
             if poll is not None and poll() is not None:
                 break
             c = int(np.argmax(dist))
             radii.append(float(dist[c]))
             selected.append(c)
-            lq_pass(points[c], dist, fold=True)
+            lq_pass(points[c], dist)
     return selected, radii, dist
 
 
@@ -543,10 +540,10 @@ def lifshits_combine(n: int, family_size: int, per_member,
 class BoundExpr:
     """Expression tree over entropy estimates and norm constants.
 
-    ops: "leaf" (estimate), "norm" (scalar), "schuett" (reference leaf,
-    value precomputed), "sum", "scale", "lifshits".  evaluate() is
-    deterministic and routes every combination through the calculus
-    functions, so index bookkeeping is exact by construction.
+    ops: "leaf" (estimate), "sum", "scale" (the payload's norm constant
+    times the child), "lifshits".  evaluate() is deterministic and routes
+    every combination through the calculus functions, so index bookkeeping
+    is exact by construction.
     """
 
     op: str
@@ -558,16 +555,10 @@ class BoundExpr:
         return BoundExpr("leaf", payload={"estimate": est})
 
     @staticmethod
-    def norm(value: float) -> "BoundExpr":
-        if not (value >= 0):
-            raise ValueError("norm constant must be nonnegative")
-        return BoundExpr("norm", payload={"value": float(value)})
-
-    @staticmethod
     def schuett_leaf(nu: int, k: int, p: float, q: float) -> "BoundExpr":
-        return BoundExpr("schuett", payload={
-            "nu": int(nu), "k": int(k), "p": p, "q": q,
-            "value": schuett(nu, k, p, q)})
+        return BoundExpr.leaf(EntropyEstimate(
+            int(k), schuett(nu, k, p, q), "certified_upper",
+            f"schuett(nu={int(nu)},stitched)"))
 
     @staticmethod
     def sum_of(*exprs: "BoundExpr") -> "BoundExpr":
@@ -579,10 +570,10 @@ class BoundExpr:
         return out
 
     @staticmethod
-    def scaled(norm_expr: "BoundExpr", entropy_expr: "BoundExpr") -> "BoundExpr":
-        if norm_expr.op != "norm":
-            raise ValueError("first child of scale must be a norm constant")
-        return BoundExpr("scale", (norm_expr, entropy_expr))
+    def scaled(norm: float, entropy_expr: "BoundExpr") -> "BoundExpr":
+        if not (norm >= 0):
+            raise ValueError("norm constant must be nonnegative")
+        return BoundExpr("scale", (entropy_expr,), {"norm": float(norm)})
 
     @staticmethod
     def lifshits(n: int, family_size: int, per_member: "BoundExpr",
@@ -594,18 +585,12 @@ class BoundExpr:
     def evaluate(self) -> EntropyEstimate:
         if self.op == "leaf":
             return self.payload["estimate"]
-        if self.op == "norm":
-            raise ValueError("a bare norm constant is not an entropy bound")
-        if self.op == "schuett":
-            pl = self.payload
-            return EntropyEstimate(pl["k"], pl["value"], "certified_upper",
-                                   f"schuett(nu={pl['nu']},stitched)")
         if self.op == "sum":
             a, b = self.children
             return combine_sum(a.evaluate(), b.evaluate())
         if self.op == "scale":
-            norm_node, child = self.children
-            return combine_scale(norm_node.payload["value"], child.evaluate())
+            (child,) = self.children
+            return combine_scale(self.payload["norm"], child.evaluate())
         if self.op == "lifshits":
             (child,) = self.children
             pl = self.payload

@@ -9,7 +9,10 @@ with the same seed; wall-clock timestamps go only into the manifest.
 A run enforces two resource caps (wall clock and peak RSS), polled
 between work items, once per selected center inside the farthest-point
 traversals (the critical-scaling packing and the cover profile) and once
-per norm-oracle iteration: when a cap trips, the rows produced so far are
+per norm-oracle iteration: when a cap trips, the runner stops and returns
+the rows produced so far.  Runners never report a cap; run() polls once
+more after the runner returns and reports what that poll finds, so a cap
+crossed during a run's last work item is reported too.  The rows are
 flushed and the summary reports the partial status instead of failing
 silently or dying on a hard limit.
 """
@@ -61,7 +64,10 @@ class ResourceBudget:
     profile) and once per norm-oracle iteration.
 
     Polling keeps the enforcement cooperative: a work item never gets
-    interrupted halfway, it just becomes the last one.  ru_maxrss is in
+    interrupted halfway, it just becomes the last one.  exceeded() is
+    monotone, because elapsed time and ru_maxrss only grow: once a poll
+    has tripped, every later poll trips too, so the poll run() makes after
+    the runner returns reports any cap that stopped it.  ru_maxrss is in
     KiB on Linux.
     """
 
@@ -128,9 +134,10 @@ def fit_slope(xs, ys):
 
 # -- experiment runners --------------------------------------------------------
 #
-# Every runner has the signature (params, seed, budget) -> (rows, extra, cap)
+# Every runner has the signature (params, seed, budget) -> (rows, extra)
 # where extra is a JSON-safe dict that must include a "checks" map of named
-# booleans, and cap is None or the name of the resource cap that tripped.
+# booleans.  A runner polls budget.exceeded() and stops when it trips, but
+# does not report the cap: run() polls again afterwards and reports it.
 
 
 def _critical_pack(kind, params):
@@ -148,6 +155,17 @@ def _critical_pack(kind, params):
     return h, scheme
 
 
+def _slope(extra, checks, name, xs, ys, target=None, tol=None):
+    """Record the log-log slope of ys against xs as <name>_slope and
+    <name>_r2 in extra; with a tol, also check it lies within tol of
+    target as checks[<name>_slope_in_band]."""
+    slope, _, r2 = fit_slope(xs, ys)
+    extra[f"{name}_slope"] = slope
+    extra[f"{name}_r2"] = r2
+    if tol is not None:
+        checks[f"{name}_slope_in_band"] = abs(slope - target) <= tol
+
+
 def _run_schuett_regimes(params, seed, budget):
     nu = int(params["nu"])
     p, q = float(params["p"]), float(params["q"])
@@ -155,14 +173,12 @@ def _run_schuett_regimes(params, seed, budget):
     k_feas_max = min(nu, int(params["cover_k_cap"]),
                      int(math.log2(samples)) + 1)
 
-    cap = budget.exceeded()
     heur = {}
-    if cap is None:
+    if budget.exceeded() is None:
         # a cap stops the traversal early; only the k it got through report
         prof = cover_profile(np.eye(nu), p, q, range(1, k_feas_max + 1),
                              samples=samples, seed=seed, poll=budget.exceeded)
         heur = {e.k: e.value for e in prof}
-        cap = budget.exceeded()
 
     ks = list(range(1, 2 * nu + 1)) + list(range(3 * nu, 10 * nu + 1, nu))
     rows = []
@@ -180,11 +196,8 @@ def _run_schuett_regimes(params, seed, budget):
     mid = [(k, heur[k]) for k in range(k_lo, k_feas_max + 1)
            if heur.get(k, 0.0) > 0.0]
     if len(mid) >= 3:
-        slope, _, r2 = fit_slope([k for k, _ in mid], [v for _, v in mid])
-        extra["middle_slope"] = slope
-        extra["middle_r2"] = r2
-        checks["middle_slope_in_band"] = \
-            abs(slope - extra["middle_target"]) <= 0.20
+        _slope(extra, checks, "middle", [k for k, _ in mid],
+               [v for _, v in mid], extra["middle_target"], 0.20)
     # exponential regime: certified lower halves per step of nu in k
     lows = {r.n_or_k: r.lower for r in rows}
     steps = [math.log2(lows[(m + 1) * nu] / lows[m * nu])
@@ -194,7 +207,7 @@ def _run_schuett_regimes(params, seed, budget):
         extra["max_decay_deviation"] = max(abs(s + 1.0) for s in steps)
         checks["decay_within_band"] = extra["max_decay_deviation"] <= 0.15
     extra["checks"] = checks
-    return rows, extra, cap
+    return rows, extra
 
 
 def _run_partition_stress(params, seed, budget):
@@ -204,13 +217,11 @@ def _run_partition_stress(params, seed, budget):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x70617274]))
 
     rows = []
-    cap = None
     relaxed = 0
     violations = 0
     worst = {"mass": 0.0, "count": 0.0, "cross": 0.0}
     for i in range(n_trees):
-        cap = budget.exceeded()
-        if cap is not None:
+        if budget.exceeded() is not None:
             break
         # tree 0 hits the vertex cap exactly; the rest draw log-uniform sizes
         if i == 0:
@@ -267,7 +278,7 @@ def _run_partition_stress(params, seed, budget):
         "checks": {"zero_violations": violations == 0,
                    "all_trees_done": len(rows) == n_trees},
     }
-    return rows, extra, cap
+    return rows, extra
 
 
 def _run_hardy_consistency(params, seed, budget):
@@ -282,10 +293,8 @@ def _run_hardy_consistency(params, seed, budget):
     # column and the certified upper for the row invariant is the
     # oracle's own row-wise Hoelder bound
     rows = []
-    cap = None
     for idx, j in enumerate(js):
-        cap = budget.exceeded()
-        if cap is not None:
+        if budget.exceeded() is not None:
             break
         tree = generate_hset_tree(h, m, height, seed=seed + idx,
                                   start_depth=j)
@@ -294,30 +303,24 @@ def _run_hardy_consistency(params, seed, budget):
                           {"restarts": int(params["restarts"]),
                            "seed": seed + idx}, poll=budget.exceeded)
         hb = hardy_bound(scheme, h, p, q, j)
-        # an oracle stopped by a cap still brackets the norm: keep its row
+        # an oracle stopped by a cap still brackets the norm: keep its row;
+        # the next poll trips too, since polls are monotone
         rows.append(Row(j, lower=float(est.lower), upper=float(est.upper),
                         reference=float(hb), ratio=float(est.lower / hb)))
-        cap = est.meta.get("stopped")
-        if cap is not None:
-            break
 
     extra = {"p": p, "q": q, "m_star": m,
              "envelope_target": 1.0 / q - 1.0 / p}
     checks = {}
     if len(rows) >= 3:
-        slope, _, r2 = fit_slope([m * r.n_or_k for r in rows],
-                                 [r.reference for r in rows])
-        extra["envelope_slope"] = slope
-        extra["envelope_r2"] = r2
-        checks["envelope_slope_in_band"] = \
-            abs(slope - extra["envelope_target"]) <= 0.10
+        _slope(extra, checks, "envelope", [m * r.n_or_k for r in rows],
+               [r.reference for r in rows], extra["envelope_target"], 0.10)
         ratios = [r.ratio for r in rows]
         extra["envelope_constant"] = max(ratios)
         extra["envelope_ratio_drift"] = max(ratios) / min(ratios)
         checks["envelope_constant_bounded"] = extra["envelope_constant"] <= 4.0
         checks["envelope_ratio_stable"] = extra["envelope_ratio_drift"] <= 2.0
     extra["checks"] = checks
-    return rows, extra, cap
+    return rows, extra
 
 
 def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
@@ -361,19 +364,17 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
     return pool
 
 
-def _certificate_sweep(tree, scheme, h, ns, p, q, eps, poll, cap):
-    """({n: B(n)}, extra, checks, cap) of the certificates for ns in turn.
+def _certificate_sweep(tree, scheme, h, ns, p, q, eps, budget):
+    """({n: B(n)}, extra, checks) of the certificates for ns in turn.
 
-    cap is what the caller's last poll returned; poll runs only between two
-    certificates, and the sweep stops once a cap has tripped.
+    The budget is polled before each certificate, and the sweep stops at
+    the first poll that trips.
     """
     uppers = {}
     budget_constants = []
     c_guarantee = None
     for n in ns:
-        if uppers:
-            cap = poll()
-        if cap is not None:
+        if budget.exceeded() is not None:
             break
         cert = entropy_certificate(tree, scheme, h, n, p, q, eps=eps)
         uppers[n] = float(cert.bound.value)
@@ -385,7 +386,7 @@ def _certificate_sweep(tree, scheme, h, ns, p, q, eps, poll, cap):
         extra["c_guarantee"] = c_guarantee
         extra["max_c_budget"] = max(budget_constants)
         checks["budgets_linear_in_n"] = extra["max_c_budget"] <= c_guarantee
-    return uppers, extra, checks, cap
+    return uppers, extra, checks
 
 
 def _run_critical_scaling(kind, params, seed, budget):
@@ -400,9 +401,8 @@ def _run_critical_scaling(kind, params, seed, budget):
     n_min, n_max = int(params["n_min"]), int(params["n_max"])
     expo = 1.0 / q - 1.0 / p
 
-    cap = budget.exceeded()
     lows = {}
-    if cap is None:
+    if budget.exceeded() is None:
         pool = _witness_pool(tree, u, w, p, int(params["samples"]),
                              int(params["per_level_cap"]), seed)
         n_sel = 2 ** (n_max - 1) + 1
@@ -416,14 +416,10 @@ def _run_critical_scaling(kind, params, seed, budget):
         lows = {n: radii[2 ** (n - 1) - 1] / 2.0
                 for n in range(n_min, n_max + 1)
                 if 2 ** (n - 1) <= len(radii)}
-        cap = budget.exceeded()
 
     # once a cap has tripped, packing rows are flushed uncertified
-    uppers, extra, checks, cap = _certificate_sweep(
-        tree, scheme, h, sorted(lows), p, q, float(params["eps"]),
-        budget.exceeded, cap)
-    if uppers and cap is None:
-        cap = budget.exceeded()
+    uppers, extra, checks = _certificate_sweep(
+        tree, scheme, h, sorted(lows), p, q, float(params["eps"]), budget)
     rows = []
     for n in sorted(lows):
         ref = float(n ** expo)
@@ -433,18 +429,15 @@ def _run_critical_scaling(kind, params, seed, budget):
     extra.update({"p": p, "q": q, "slope_target": expo,
                   "tree_vertices": tree.n})
     if len(rows) >= 3:
-        slope, _, r2 = fit_slope([r.n_or_k for r in rows],
-                                 [r.lower for r in rows])
-        extra["packing_slope"] = slope
-        extra["packing_r2"] = r2
-        checks["packing_slope_in_band"] = abs(slope - expo) <= 0.20
+        _slope(extra, checks, "packing", [r.n_or_k for r in rows],
+               [r.lower for r in rows], expo, 0.20)
     certified = [r for r in rows if r.upper is not None]
     if len(certified) >= 3:
         normalized = [r.upper * r.n_or_k ** (-expo) for r in certified]
         extra["certificate_band"] = max(normalized) / min(normalized)
         checks["certificate_band_within_10"] = extra["certificate_band"] <= 10.0
     extra["checks"] = checks
-    return rows, extra, cap
+    return rows, extra
 
 
 def _run_certificate_growth(params, seed, budget):
@@ -453,9 +446,9 @@ def _run_certificate_growth(params, seed, budget):
     tree = full_tree(int(params["arity"]), int(params["depth"]))
     expo = 1.0 / q - 1.0 / p
 
-    uppers, extra, checks, cap = _certificate_sweep(
+    uppers, extra, checks = _certificate_sweep(
         tree, scheme, h, [int(n) for n in params["n_values"]], p, q,
-        float(params["eps"]), budget.exceeded, budget.exceeded())
+        float(params["eps"]), budget)
     rows = []
     for n, upper in uppers.items():
         ref = float(n ** expo)
@@ -464,15 +457,13 @@ def _run_certificate_growth(params, seed, budget):
 
     extra.update({"p": p, "q": q, "slope_target": expo})
     if len(rows) >= 3:
-        slope, _, r2 = fit_slope([r.n_or_k for r in rows],
-                                 [r.upper for r in rows])
-        extra["growth_slope"] = slope
-        extra["growth_r2"] = r2
+        _slope(extra, checks, "growth", [r.n_or_k for r in rows],
+               [r.upper for r in rows])
         band = [r.ratio for r in rows]
         extra["normalized_band"] = max(band) / min(band)
         checks["normalized_band_within_10"] = extra["normalized_band"] <= 10.0
     extra["checks"] = checks
-    return rows, extra, cap
+    return rows, extra
 
 
 def _run_kuhn_consistency(params, seed, budget):
@@ -481,11 +472,9 @@ def _run_kuhn_consistency(params, seed, budget):
     phi = lambda t: math.log(2.0 + t) ** expo
 
     rows = []
-    cap = None
     worst = 0.0
     for n in range(int(params["n_min"]), int(params["n_max"]) + 1):
-        cap = budget.exceeded()
-        if cap is not None:
+        if budget.exceeded() is not None:
             break
         got = kuhn_value(n, p, q, phi)
         ref = math.log(2.0 + 2.0 ** n) ** (-expo)
@@ -495,7 +484,7 @@ def _run_kuhn_consistency(params, seed, budget):
 
     extra = {"p": p, "q": q, "max_rel_err": worst,
              "checks": {"matches_reference": worst <= 1e-12}}
-    return rows, extra, cap
+    return rows, extra
 
 
 # -- registry and the run entry point -----------------------------------------
@@ -612,7 +601,10 @@ def run(config: ExperimentConfig, *, wall_cap_s: float = WALL_CAP_S,
     budget = ResourceBudget(wall_cap_s, rss_cap_bytes)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
-    rows, extra, cap_hit = runner(params, config.seed, budget)
+    rows, extra = runner(params, config.seed, budget)
+    # the only place a cap is reported: polls are monotone, so this one
+    # trips whenever a poll inside the runner did
+    cap_hit = budget.exceeded()
 
     violations = [int(r.n_or_k) for r in rows
                   if r.lower is not None and r.upper is not None

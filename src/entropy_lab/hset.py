@@ -50,11 +50,7 @@ class TauFn:
         """log2 tau(2^lx) without forming 2^lx (overflow guard)."""
         if self.kind == "const":
             return 0.0
-        # ln(e + 2^lx) ~ lx ln 2 for large lx
-        if lx > 50:
-            inner = lx * math.log(2)
-        else:
-            inner = math.log(math.e + 2.0 ** lx)
+        inner = float(np.logaddexp(1.0, lx * math.log(2)))  # ln(e + 2^lx)
         if self.kind == "log-power":
             return self.nu * math.log2(inner)
         return math.log2(math.log(math.e + inner))

@@ -261,8 +261,8 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     trees with at most 12 vertices; the smaller certified value is returned.
 
     poll, if given, is called once before each ascent iteration; when it
-    returns a cap name the ascent stops, the bounds are computed from the
-    iterate reached (still certified), and meta["stopped"] holds the name.
+    returns a cap name the ascent stops and the bounds are computed from
+    the iterate reached (still certified).
     """
     cfg = dict(cfg or {})
     restarts = int(cfg.pop("restarts", 16))
@@ -297,12 +297,9 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
 
     vals = np.zeros(cols)
     iterations = 0
-    stopped = None
     for it in range(1, max_iter + 1):
-        if poll is not None:
-            stopped = poll()
-            if stopped is not None:
-                break
+        if poll is not None and poll() is not None:
+            break
         iterations = it
         g = apply(tree, ub, wb, f)
         new_vals = _lp_norm(g, q, axis=0)
@@ -326,8 +323,6 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
         upper = min(upper, _simplex_grid_upper(tree, u, w, p, q, upper))
     upper = max(upper, lower)
     meta = {"iterations": iterations, "seed": seed, "restarts": restarts}
-    if stopped is not None:
-        meta["stopped"] = stopped
     return NormEstimate(lower, upper, witness, meta)
 
 

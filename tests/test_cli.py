@@ -48,7 +48,7 @@ def test_run_usage_errors(tmp_path, capsys):
 
 def test_run_invariant_violation_exits_2(tmp_path):
     def bad_runner(params, seed, budget):
-        return [Row(1, lower=2.0, upper=1.0)], {"checks": {"ok": True}}, None
+        return [Row(1, lower=2.0, upper=1.0)], {"checks": {"ok": True}}
 
     _EXPERIMENTS["broken_for_cli_test"] = (bad_runner, {})
     try:

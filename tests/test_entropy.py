@@ -599,7 +599,7 @@ def test_bound_expr_schuett_leaf():
 
 def test_bound_expr_composition():
     expr = BoundExpr.sum_of(
-        BoundExpr.scaled(BoundExpr.norm(2.0), BoundExpr.schuett_leaf(8, 3, 2, 4)),
+        BoundExpr.scaled(2.0, BoundExpr.schuett_leaf(8, 3, 2, 4)),
         BoundExpr.leaf(_upper(2, 0.1)))
     est = expr.evaluate()
     assert est.k == 3 + 2 - 1
@@ -617,20 +617,16 @@ def test_bound_expr_lifshits_node():
 
 def test_bound_expr_errors_and_serialization():
     with pytest.raises(ValueError):
-        BoundExpr.norm(2.0).evaluate()
-    with pytest.raises(ValueError):
-        BoundExpr.scaled(BoundExpr.leaf(_upper(1, 1.0)), BoundExpr.norm(1.0))
-    with pytest.raises(ValueError):
         BoundExpr("bogus").evaluate()
     with pytest.raises(ValueError):
-        BoundExpr.norm(-1.0)
+        BoundExpr.scaled(-1.0, BoundExpr.leaf(_upper(1, 1.0)))
     expr = BoundExpr.sum_of(
-        BoundExpr.scaled(BoundExpr.norm(1.5), BoundExpr.schuett_leaf(4, 2, 2, 4)),
+        BoundExpr.scaled(1.5, BoundExpr.schuett_leaf(4, 2, 2, 4)),
         BoundExpr.leaf(_upper(1, 0.5)))
     blob = json.dumps(expr.to_dict())
     data = json.loads(blob)
     assert data["op"] == "sum"
-    assert data["children"][0]["children"][0]["payload"]["value"] == 1.5
+    assert data["children"][0]["payload"]["norm"] == 1.5
 
 
 # -- estimate type and CSV export ---------------------------------------------

@@ -170,7 +170,7 @@ def test_wall_cap_flushes_partial_results(tmp_path):
 def test_invariant_violation_detected(tmp_path):
     def bad_runner(params, seed, budget):
         rows = [Row(7, lower=2.0, upper=1.0), Row(8, lower=0.5, upper=1.0)]
-        return rows, {"checks": {"always": True}}, None
+        return rows, {"checks": {"always": True}}
 
     _EXPERIMENTS["broken_for_test"] = (bad_runner, {})
     try:
@@ -277,7 +277,8 @@ def test_critical_scaling_cap_trips_inside_the_traversal(tmp_path,
     res = run(ExperimentConfig("critical_scaling_power", params=params,
                                seed=0, output_dir=str(tmp_path / "cut")))
     assert res.cap_hit == "wall_clock" and not res.passed
-    assert len(polls) == 13  # the tripped poll and the one after the run
+    # the tripped poll, the certificate sweep's first and run()'s own
+    assert len(polls) == 14
     assert [r.n_or_k for r in res.rows] == [3, 4]
     assert [r.lower for r in res.rows] == [r.lower for r in full.rows[:2]]
     assert all(r.upper is None for r in res.rows)
@@ -316,13 +317,14 @@ def test_hardy_consistency_cap_trips_inside_the_oracle(tmp_path, monkeypatch):
                                 output_dir=str(tmp_path / "full")))
     assert full.passed and iterations[1] > 3
     # one poll per start depth and one per oracle iteration: trip before
-    # the fourth iteration of the second oracle
+    # the fourth iteration of the second oracle; then the poll before the
+    # third start depth stops the run, and run() polls once more
     trip_at = 1 + iterations[0] + 1 + 4
     polls = _trip_on_poll(monkeypatch, trip_at)
     res = run(ExperimentConfig("hardy_consistency", params=params, seed=0,
                                output_dir=str(tmp_path / "cut")))
     assert res.cap_hit == "wall_clock" and not res.passed
-    assert len(polls) == trip_at and iterations[-1] == 3
+    assert len(polls) == trip_at + 2 and iterations[-1] == 3
     assert [r.n_or_k for r in res.rows] == [4, 8]
     assert res.rows[0] == full.rows[0]
     cut = res.rows[1]
@@ -345,7 +347,7 @@ def test_schuett_regimes_cap_trips_inside_the_cover_traversal(tmp_path,
     res = run(ExperimentConfig("schuett_regimes", params=params, seed=1,
                                output_dir=str(tmp_path / "cut")))
     assert res.cap_hit == "wall_clock" and not res.passed
-    assert len(polls) == 8  # the tripped poll and the one after the run
+    assert len(polls) == 8  # the tripped poll and run()'s own
     assert [r.n_or_k for r in res.rows] == [r.n_or_k for r in full.rows]
     assert res.rows[:3] == full.rows[:3]
     assert all(r.heuristic is not None for r in full.rows[:8])
@@ -449,12 +451,12 @@ def test_certificate_growth_polls_before_each_certificate(tmp_path,
     polls = _trip_on_poll(monkeypatch, 99)
     full = run(ExperimentConfig("certificate_growth", params=params,
                                 seed=0, output_dir=str(tmp_path / "full")))
-    assert len(polls) == 3 and full.cap_hit is None
+    assert len(polls) == 4 and full.cap_hit is None  # 3 and run()'s own
     # the third poll comes before n = 16: the first two rows stand
     polls = _trip_on_poll(monkeypatch, 3)
     res = run(ExperimentConfig("certificate_growth", params=params,
                                seed=0, output_dir=str(tmp_path / "cut")))
-    assert len(polls) == 3 and res.cap_hit == "wall_clock"
+    assert len(polls) == 4 and res.cap_hit == "wall_clock"
     assert res.rows == full.rows[:2]
     assert res.summary["budget_constants"] == \
         full.summary["budget_constants"][:2]
@@ -468,12 +470,13 @@ def test_critical_scaling_polls_after_each_certificate(tmp_path,
     full = run(ExperimentConfig("critical_scaling_power", params=params,
                                 seed=0, output_dir=str(tmp_path / "full")))
     total = len(polls)
-    # the last four polls follow the certificates of n = 3, 4, 5 and 6:
-    # tripping the one after n = 4 leaves n = 5 and n = 6 uncertified
+    # the last four polls follow the certificates of n = 3, 4, 5 and 6
+    # (the last is run()'s own): tripping the one after n = 4 leaves
+    # n = 5 and n = 6 uncertified
     polls = _trip_on_poll(monkeypatch, total - 2)
     res = run(ExperimentConfig("critical_scaling_power", params=params,
                                seed=0, output_dir=str(tmp_path / "cut")))
-    assert len(polls) == total - 2 and res.cap_hit == "wall_clock"
+    assert len(polls) == total - 1 and res.cap_hit == "wall_clock"
     assert [r.upper for r in res.rows] == \
         [r.upper for r in full.rows[:2]] + [None, None]
     assert [r.lower for r in res.rows] == [r.lower for r in full.rows]
@@ -482,6 +485,42 @@ def test_critical_scaling_polls_after_each_certificate(tmp_path,
     res = run(ExperimentConfig("critical_scaling_power", params=params,
                                seed=0, output_dir=str(tmp_path / "last")))
     assert res.cap_hit == "wall_clock" and res.rows == full.rows
+
+
+@pytest.mark.parametrize("name, params, kernel, items", [
+    ("partition_stress", {"n_trees": 6, "max_vertices": 200},
+     "dyadic_family", 6),
+    ("hardy_consistency", {"j_values": [4, 8, 16], "height": 5,
+                           "restarts": 4}, "norm_oracle", 3),
+    ("certificate_growth", {"depth": 8, "n_values": [4, 8, 16]},
+     "entropy_certificate", 3),
+    ("kuhn_consistency", {"n_min": 1, "n_max": 5}, "kuhn_value", 5),
+])
+def test_cap_crossed_in_the_last_work_item_is_reported(
+        tmp_path, monkeypatch, name, params, kernel, items):
+    full = run(ExperimentConfig(name, params=params, seed=0,
+                                output_dir=str(tmp_path / "full")))
+    assert full.cap_hit is None and len(full.rows) == items
+    # the cap is crossed while the last work item runs: no poll inside
+    # the runner can see it, only the one run() makes afterwards
+    calls = []
+    inner = getattr(experiments, kernel)
+
+    def counted(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(experiments, kernel, counted)
+    monkeypatch.setattr(ResourceBudget, "exceeded", lambda self: (
+        "wall_clock" if len(calls) >= items else None))
+    res = run(ExperimentConfig(name, params=params, seed=0,
+                               output_dir=str(tmp_path / "cut")))
+    assert len(calls) == items
+    assert res.cap_hit == "wall_clock" and not res.passed
+    assert res.rows == full.rows
+    manifest = json.loads(Path(res.manifest_path).read_text())
+    assert manifest["cap_hit"] == "wall_clock"
 
 
 def test_kuhn_consistency_pass(tmp_path):

@@ -211,6 +211,25 @@ class TestSchedule:
         # nu_bar_log2(t) = 2 * 2^t
         assert sch.t_star_star(10) == 3
 
+    @pytest.mark.parametrize("tau", [TauFn("log-power", nu=2.0),
+                                     TauFn("iterated-log")])
+    def test_from_profile_log_nonconst_tau(self, tau):
+        def log2_tau(lx):  # log2 tau(2^lx) through 2^lx itself
+            inner = math.log(math.e + 2.0 ** lx)
+            if tau.kind == "log-power":
+                return tau.nu * math.log2(inner)
+            return math.log2(math.log(math.e + inner))
+
+        sch = schedule_from_profile(
+            HProfile(theta=0.0, gamma=-1.0, c3=1.0, tau=tau))
+        for lx in (1, 49, 51, 1000):
+            got = tau.log2_at_log2_arg(lx)
+            assert got == pytest.approx(log2_tau(lx), rel=1e-15, abs=0.0)
+            assert sch.psi_star(lx) == -got
+        # past 2^1024 only the log-space form stays finite
+        assert math.isfinite(tau.log2_at_log2_arg(5000))
+        assert math.isfinite(sch.psi_star(5000))
+
 
 class TestSlowlyVarying:
     def test_const_passes_all_eps(self):
