@@ -33,6 +33,8 @@ _DEFAULT_SAMPLES = 2 ** 14
 _BLOCK_BYTES = 2 ** 20
 _BALL_TAG = 0x6c7062
 _NET_CAP = 4_000_000
+_GRAM_MAX = 2.0 ** 1018   # squared norms the q = 2 filter takes
+_GRAM_PAD = 2.0 ** -1070  # 16 least subnormals, per column
 
 
 @dataclass(frozen=True)
@@ -242,28 +244,31 @@ def _cpu_count() -> int:
 class _LqPasses:
     """l_q distance passes from one center to every row of a fixed pool.
 
-    A pass walks the pool in row blocks of about _BLOCK_BYTES: each block's
-    |x - c| goes into a reused scratch buffer, is reduced per row, and is
-    min-folded straight into the caller's `dist` (a first pass folds into
-    +inf), so no pass allocates anything pool-sized.  The blocks are split
-    into contiguous chunks, one per CPU and never more than there are
-    blocks; the calling thread runs the first chunk and a thread pool the
-    others, in parallel because numpy's ufuncs and einsum release the GIL.
-    Per row the arithmetic is the one-shot expression's (same ufuncs, same
-    reduction, same final power), so every distance is bit-identical to it
-    and none depends on the thread count.  Use as a context manager: the
-    threads live until exit.
+    A pass min-folds each row's distance to the center into the caller's
+    `dist` (a first pass folds into +inf).  Rows go through the per-row
+    arithmetic in blocks of about _BLOCK_BYTES: each block's x - c goes
+    into a reused scratch buffer, is reduced per row, and is folded, so no
+    pass allocates anything pool-sized.  The blocks are split into
+    contiguous chunks, one per CPU and never more than there are blocks;
+    the calling thread runs the first chunk and a thread pool the others,
+    in parallel because numpy's ufuncs and einsum release the GIL.  Per
+    row the arithmetic is the one-shot expression's (same subtraction,
+    same reduction, same final power; the |x - c| is skipped where q = 2
+    or 4 squares it, since IEEE squaring is sign-blind), so every distance
+    is bit-identical to it, bar the sign bit of a NaN, and none depends on
+    the thread count.
+
+    At q = 2 a pass first runs the Gram filter of _candidates and sends
+    only the rows it cannot rule out through that arithmetic, gathered
+    into the same blocks; every other row provably keeps its `dist` bits.
+    Use as a context manager: the threads live until exit.
     """
 
     def __init__(self, points: np.ndarray, q: float):
         n, m = points.shape
         self.points, self.q = points, q
         self.rows = _block_rows(m)
-        n_blocks = -(-n // self.rows)
-        n_chunks = max(1, min(_cpu_count(), n_blocks))
-        edges = [min(n, n_blocks * i // n_chunks * self.rows)
-                 for i in range(n_chunks + 1)]
-        self.chunks = list(zip(edges, edges[1:]))
+        n_cpus = max(1, min(_cpu_count(), -(-n // self.rows)))
         # einsum sums a lone row in one loop but the rows of a taller
         # operand in buffer-sized pieces, which rounds differently for wide
         # rows; reducing over >= 2 rows whenever the pool has them keeps a
@@ -271,9 +276,18 @@ class _LqPasses:
         self.min_rows = min(n, 2)
         buf_rows = max(min(self.rows, n), self.min_rows)
         self.scratch = [(np.zeros((buf_rows, m)), np.empty(buf_rows))
-                        for _ in self.chunks]
-        self.executor = (ThreadPoolExecutor(n_chunks - 1)
-                         if n_chunks > 1 else None)
+                        for _ in range(n_cpus)]
+        self.executor = (ThreadPoolExecutor(n_cpus - 1)
+                         if n_cpus > 1 else None)
+        if q == 2.0:
+            self.pad = m * _GRAM_PAD
+            self.coef = 8.0 * (m + 2) * 2.0 ** -53
+            with np.errstate(invalid="ignore", over="ignore"):
+                sq = np.einsum("ij,ij->i", points, points)
+                self.base = sq - self.coef * (sq + self.pad)
+            self.base[~(sq <= _GRAM_MAX)] = np.nan
+            self.lo = np.empty(n)
+            self.skip = np.empty(n, dtype=bool)
 
     def __enter__(self):
         return self
@@ -284,24 +298,86 @@ class _LqPasses:
 
     def __call__(self, center: np.ndarray, dist: np.ndarray):
         """dist = min(dist, distances to `center`)."""
-        futures = [self.executor.submit(self._chunk, i, center, dist)
-                   for i in range(1, len(self.chunks))]
-        self._chunk(0, center, dist)
+        idx = self._candidates(center, dist) if self.q == 2.0 else None
+        if idx is not None and idx.size == dist.size:
+            idx = None
+        k = dist.size if idx is None else idx.size
+        n_blocks = -(-k // self.rows)
+        n_parts = max(1, min(len(self.scratch), n_blocks))
+        edges = [min(k, n_blocks * i // n_parts * self.rows)
+                 for i in range(n_parts + 1)]
+        futures = [self.executor.submit(self._chunk, i, edges[i],
+                                        edges[i + 1], center, dist, idx)
+                   for i in range(1, n_parts)]
+        self._chunk(0, edges[0], edges[1], center, dist, idx)
         for f in futures:
             f.result()
 
-    def _chunk(self, i, center, dist):
+    def _candidates(self, center, dist):
+        """Rows whose distance to `center` may fall below their `dist`.
+
+        For a row x and the center c, of width m, the filter forms
+        lo^2 = fl(fl(-2 g + a_x) + b) from the BLAS product g = fl(x . c),
+        a_x = fl(n_x - fl(C fl(n_x + A))) (once per pool) and
+        b = n_c - C (n_c + A) - A, where n_x, n_c are the computed squared
+        norms, C = 8 (m + 2) u and A = m 2^-1070.  It is certified: with
+        u = 2^-53, gamma_k = k u / (1 - k u), eta = 2^-1074, d = ||x - c||
+        and R* = (||x|| + ||c||)^2 <= 2 (||x||^2 + ||c||^2), in any
+        summation order, with or without FMA and gradual underflow,
+          exact kernel  S = fl(sum fl(x_i - c_i)^2) >= (1 - gamma_{m+2})
+                        d^2 - m eta, and it returns fl(sqrt(S));
+          Gram terms    |n_x - ||x||^2| <= gamma_m ||x||^2 + m eta, alike
+                        for n_c, and |g - x . c| <= gamma_m ||x|| ||c||
+                        + m eta, so T = n_x - 2 g + n_c <= d^2 + gamma_m
+                        R* + 4 m eta and S >= T - (gamma_m +
+                        gamma_{m+2}) R* - 5 m eta;
+          rounding      the two sums and a_x, b add at most 3u (n_x +
+                        2|g| + n_c) + 3 eta <= 3u (1 + gamma_m) R* + 3 eta.
+        Since R* <= 2 (n_x + n_c + 2 m eta) (1 + 2 gamma_m), the
+        subtracted C (n_x + n_c + 2A) + A covers all of it for
+        (m + 2) u <= 2^-4, so lo^2 <= S, and as sqrt is correctly rounded
+        and monotone, lo = fl(sqrt(max(lo^2, 0))) <= fl(sqrt(S)).  A row
+        with lo >= dist therefore has min(dist, exact) == dist bit for
+        bit.  Squared norms above _GRAM_MAX = 2^1018 (and inf or NaN ones)
+        make a_x or b NaN, so nothing overflows: a NaN lo fails
+        `lo >= dist` like a NaN or +inf dist does, and those rows take
+        the exact path.
+        """
+        lo, skip = self.lo, self.skip
+        sq_c = float(np.dot(center, center))
+        b = (sq_c - self.coef * (sq_c + self.pad) - self.pad
+             if sq_c <= _GRAM_MAX else math.nan)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.dot(self.points, center, out=lo)
+            lo *= -2.0
+            lo += self.base
+            lo += b
+            np.maximum(lo, 0.0, out=lo)
+            np.sqrt(lo, out=lo)
+            np.greater_equal(lo, dist, out=skip)
+        np.logical_not(skip, out=skip)
+        return np.flatnonzero(skip)
+
+    def _chunk(self, i, start, stop, center, dist, idx):
+        """Fold rows start:stop (of idx, when given) into dist."""
         q = self.q
         buf, red = self.scratch[i]
-        lo, hi = self.chunks[i]
-        for s in range(lo, hi, self.rows):
-            e = min(s + self.rows, hi)
-            diff = np.subtract(self.points[s:e], center, out=buf[:e - s])
-            np.abs(diff, out=diff)
+        for s in range(start, stop, self.rows):
+            e = min(s + self.rows, stop)
+            if idx is None:
+                rows = slice(s, e)
+                diff = np.subtract(self.points[rows], center,
+                                   out=buf[:e - s])
+            else:
+                rows = idx[s:e]
+                diff = np.take(self.points, rows, axis=0, out=buf[:e - s],
+                               mode="clip")
+                diff -= center
             # rows past e - s are stale or zero; their sums are discarded
             wide = buf[:max(e - s, self.min_rows)]
             out = red[:wide.shape[0]]
             if math.isinf(q):
+                np.abs(diff, out=diff)
                 np.max(wide, axis=1, out=out)
             elif q == 2.0:
                 np.einsum("ij,ij->i", wide, wide, out=out)
@@ -311,10 +387,12 @@ class _LqPasses:
                 np.einsum("ij,ij->i", wide, wide, out=out)
                 out **= 0.25
             else:
+                np.abs(diff, out=diff)
                 diff **= q
                 np.sum(wide, axis=1, out=out)
                 out **= 1.0 / q
-            np.minimum(dist[s:e], out[:e - s], out=dist[s:e])
+            out = np.minimum(dist[rows], out[:e - s], out=out[:e - s])
+            dist[rows] = out
 
 
 def _lq_dist(points: np.ndarray, center: np.ndarray, q: float) -> np.ndarray:

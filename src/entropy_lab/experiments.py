@@ -19,6 +19,7 @@ silently or dying on a hard limit.
 
 import json
 import math
+import os
 import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,17 +59,35 @@ CSV_HEADER = "n_or_k,lower,upper,heuristic,reference,ratio"
 # -- plumbing -----------------------------------------------------------------
 
 
+def _max_rss_bytes() -> int:
+    """Process-lifetime peak RSS (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+def _current_rss_bytes() -> int | None:
+    """Resident set size now, from /proc/self/statm; None without /proc."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return None
+
+
 class ResourceBudget:
     """Wall-clock and peak-RSS caps, polled between work items, once per
     selected center of a farthest-point traversal (packing or cover
     profile) and once per norm-oracle iteration.
 
     Polling keeps the enforcement cooperative: a work item never gets
-    interrupted halfway, it just becomes the last one.  exceeded() is
-    monotone, because elapsed time and ru_maxrss only grow: once a poll
-    has tripped, every later poll trips too, so the poll run() makes after
-    the runner returns reports any cap that stopped it.  ru_maxrss is in
-    KiB on Linux.
+    interrupted halfway, it just becomes the last one.  The peak RSS is the
+    run's own: the process-lifetime ru_maxrss once it has grown past its
+    value when the budget started, and until then the highest current RSS
+    seen at a poll (an earlier, higher peak in the same interpreter is not
+    this run's); without /proc it is ru_maxrss.
+    exceeded() is monotone, because elapsed time and that peak only grow
+    (ru_maxrss past its start value exceeds every RSS seen before): once a
+    poll has tripped, every later poll trips too, so the poll run() makes
+    after the runner returns reports any cap that stopped it.
     """
 
     def __init__(self, wall_cap_s: float = WALL_CAP_S,
@@ -76,12 +95,19 @@ class ResourceBudget:
         self.wall_cap_s = float(wall_cap_s)
         self.rss_cap_bytes = int(rss_cap_bytes)
         self.t0 = time.monotonic()
+        self.max_rss0 = _max_rss_bytes()
+        self.seen_rss = 0
 
     def elapsed_s(self) -> float:
         return time.monotonic() - self.t0
 
     def peak_rss_bytes(self) -> int:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+        max_rss = _max_rss_bytes()
+        current = None if max_rss > self.max_rss0 else _current_rss_bytes()
+        if current is None:
+            return max_rss
+        self.seen_rss = max(self.seen_rss, current)
+        return self.seen_rss
 
     def exceeded(self) -> str | None:
         if self.elapsed_s() > self.wall_cap_s:

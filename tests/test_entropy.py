@@ -256,33 +256,74 @@ def _assert_matches_reference(points, q, n_select, start):
     sel, radii, dist = _farthest_point_run(points, q, n_select, start)
     ref_sel, ref_radii, ref_dist = _reference_farthest_point_run(
         points, q, n_select, start)
+    # NaN rows give NaN distances, which compare equal here
     assert sel == ref_sel
-    assert radii == ref_radii
-    assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(radii, ref_radii, equal_nan=True)
+    assert np.array_equal(dist, ref_dist, equal_nan=True)
     centroid = points.mean(axis=0)
     assert np.array_equal(_lq_dist(points, centroid, q),
-                          _reference_lq_dist(points, centroid, q))
+                          _reference_lq_dist(points, centroid, q),
+                          equal_nan=True)
 
 
 # widths past 8192 columns are where einsum rounds a lone row differently
-# from the rows of a taller operand
+# from the rows of a taller operand; a warp (scale, offset, one non-finite
+# entry) is where the q = 2 Gram filter's error margin must hold: a common
+# offset or scale leaves a small separation under large norms, 1e153 puts
+# the squared norms past the filter's range, and NaN / inf rows must take
+# the exact path
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 40), m=st.sampled_from([1, 3, 32, 9000]),
        distinct=st.integers(1, 40),
        q=st.sampled_from([1.5, 2.0, 4.0, math.inf]),
        block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3, 5]),
+       warp=st.sampled_from([(1.0, 0.0, None), (1e150, 0.0, None),
+                             (1e-150, 0.0, None), (1e153, 0.0, None),
+                             (1.0, 1e3, None), (1.0, 0.0, math.nan),
+                             (1.0, 0.0, math.inf), (1.0, 0.0, -math.inf)]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, q,
-                                                      block_rows, cpus, seed):
+                                                      block_rows, cpus, warp,
+                                                      seed):
     # block_rows = 0 makes the block narrower than one row; rows drawn
     # from a few distinct points make ties that must break to the lowest
     # index
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((distinct, m))[rng.integers(0, distinct, n)]
+    scale, offset, bad = warp
+    points = points * scale + offset
+    if bad is not None:
+        points[rng.integers(0, n), rng.integers(0, m)] = bad
     block_bytes = max(1, 8 * m * block_rows)
     with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(entropy, "_cpu_count", lambda: cpus):
+            mock.patch.object(entropy, "_cpu_count", lambda: cpus), \
+            np.errstate(invalid="ignore", over="ignore"):
         _assert_matches_reference(points, q, min(n, 12), int(seed % n))
+
+
+def test_gram_filter_bound_is_below_the_exact_distance():
+    # the filter may skip a row only if its bound lo never exceeds the
+    # distance the exact kernel computes; large norms with tiny
+    # separations and near-duplicates put the most rounding into lo, and
+    # on well-separated rows (big = 0) lo must still be tight
+    rng = np.random.default_rng(6)
+    for m in (1, 3, 32, 9000):
+        base = rng.standard_normal(m)
+        for big, sep in ((0.0, 1.0), (1e3, 1e-12), (1e8, 1e-8),
+                         (1e150, 1e138), (1e-150, 1e-163), (1.0, 0.0)):
+            points = big * base + sep * rng.standard_normal((40, m))
+            # near-duplicates: one ulp apart in one coordinate
+            points[20:30] = points[:10]
+            points[20:30, 0] = np.nextafter(points[20:30, 0], np.inf)
+            with entropy._LqPasses(points, 2.0) as lq_pass:
+                for c in (0, 5, 20, 39):
+                    exact = _reference_lq_dist(points, points[c], 2.0)
+                    lq_pass._candidates(points[c], np.zeros(40))
+                    assert np.all(lq_pass.lo <= exact)
+                    if big == 0.0:
+                        far = exact > 1e-6  # no near-duplicate of c
+                        assert np.all(lq_pass.lo[far]
+                                      >= exact[far] * (1 - 1e-9))
 
 
 @pytest.mark.parametrize("q", [2.0, 4.0])

@@ -167,6 +167,26 @@ def test_wall_cap_flushes_partial_results(tmp_path):
     assert summary["cap_hit"] == "wall_clock"
 
 
+def test_memory_cap_counts_only_the_run_own_peak(tmp_path):
+    # an earlier, higher peak of the same interpreter is not this run's:
+    # raise the process peak 160 MiB above the current RSS, free it, and
+    # a cap in between must not trip on kuhn_consistency
+    current = experiments._current_rss_bytes()
+    if current is None:
+        pytest.skip("needs /proc/self/statm")
+    block = np.ones(160 * 2 ** 20 // 8)
+    del block
+    current = experiments._current_rss_bytes()
+    max_rss = experiments._max_rss_bytes()
+    assert max_rss >= current + 100 * 2 ** 20
+    cfg = ExperimentConfig("kuhn_consistency", seed=0,
+                           output_dir=str(tmp_path))
+    res = run(cfg, rss_cap_bytes=current + 50 * 2 ** 20)
+    assert res.cap_hit is None and res.passed
+    manifest = json.loads(Path(res.manifest_path).read_text())
+    assert manifest["peak_rss_bytes"] < max_rss
+
+
 def test_invariant_violation_detected(tmp_path):
     def bad_runner(params, seed, budget):
         rows = [Row(7, lower=2.0, upper=1.0), Row(8, lower=0.5, upper=1.0)]
