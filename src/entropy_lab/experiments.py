@@ -67,7 +67,7 @@ def _max_rss_bytes() -> int:
 def _current_rss_bytes() -> int | None:
     """Resident set size now, from /proc/self/statm; None without /proc."""
     try:
-        with open("/proc/self/statm") as fh:
+        with open("/proc/self/statm", "rb", buffering=0) as fh:
             return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
     except (OSError, ValueError, IndexError):
         return None

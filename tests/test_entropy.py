@@ -270,7 +270,7 @@ def _assert_matches_reference(points, q, n_select, start):
 # from the rows of a taller operand; a warp (scale, offset, one non-finite
 # entry) is where the q = 2 Gram filter's error margin must hold: a common
 # offset or scale leaves a small separation under large norms, 1e153 puts
-# the squared norms past the filter's range, and NaN / inf rows must take
+# most squared norms past the filter's range, and NaN / inf rows must take
 # the exact path
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 40), m=st.sampled_from([1, 3, 32, 9000]),
