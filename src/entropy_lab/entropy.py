@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 _KINDS = ("certified_lower", "certified_upper", "heuristic")
 _SAMPLED_K_CAP = 24
@@ -158,7 +157,8 @@ def volumetric_lower(nu: int, p: float, q: float, k: int,
 
     def log_vol(r: float) -> float:
         inv = 1.0 / r
-        return nu * (math.log(2.0) + gammaln(1.0 + inv)) - gammaln(1.0 + nu * inv)
+        return (nu * (math.log(2.0) + math.lgamma(1.0 + inv))
+                - math.lgamma(1.0 + nu * inv))
 
     log_val = (log_det + log_vol(p) - log_vol(q)) / nu \
         - (k - 1) / nu * math.log(2.0)
@@ -241,6 +241,18 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _submit(executor, fn, *args):
+    """executor.submit(fn, *args), run under the calling thread's numpy
+    floating-point error settings: np.errstate is thread-local, so a worker
+    thread would otherwise warn (or raise) by numpy's defaults."""
+    err, call = np.geterr(), np.geterrcall()
+
+    def task():
+        with np.errstate(call=call, **err):
+            return fn(*args)
+    return executor.submit(task)
+
+
 class _LqPasses:
     """l_q distance passes from one center to every row of a fixed pool.
 
@@ -251,12 +263,12 @@ class _LqPasses:
     pass allocates anything pool-sized.  The blocks are split into
     contiguous chunks, one per CPU and never more than there are blocks;
     the calling thread runs the first chunk and a thread pool the others,
-    in parallel because numpy's ufuncs and einsum release the GIL.  Per
-    row the arithmetic is the one-shot expression's (same subtraction,
-    same reduction, same final power; the |x - c| is skipped where q = 2
-    or 4 squares it, since IEEE squaring is sign-blind), so every distance
-    is bit-identical to it, bar the sign bit of a NaN, and none depends on
-    the thread count.
+    in parallel because numpy's ufuncs and einsum release the GIL, and
+    under the caller's np.errstate (see _submit).  Per row the arithmetic
+    is the one-shot expression's (same subtraction, same reduction, same
+    final power; the |x - c| is skipped where q = 2 or 4 squares it, since
+    IEEE squaring is sign-blind), so every distance is bit-identical to
+    it, bar the sign bit of a NaN, and none depends on the thread count.
 
     At q = 2 a pass first runs the Gram filter of _candidates and sends
     only the rows it cannot rule out through that arithmetic, gathered
@@ -306,8 +318,8 @@ class _LqPasses:
         n_parts = max(1, min(len(self.scratch), n_blocks))
         edges = [min(k, n_blocks * i // n_parts * self.rows)
                  for i in range(n_parts + 1)]
-        futures = [self.executor.submit(self._chunk, i, edges[i],
-                                        edges[i + 1], center, dist, idx)
+        futures = [_submit(self.executor, self._chunk, i, edges[i],
+                           edges[i + 1], center, dist, idx)
                    for i in range(1, n_parts)]
         self._chunk(0, edges[0], edges[1], center, dist, idx)
         for f in futures:

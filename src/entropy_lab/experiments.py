@@ -33,6 +33,7 @@ from .certificate import entropy_certificate
 from .entropy import (
     _block_rows,
     _farthest_point_run,
+    _submit,
     cover_profile,
     kuhn_value,
     sample_lp_sphere,
@@ -381,7 +382,7 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
             basis_rows[s:e] = apply(tree, u, w, basis).T
 
     with ThreadPoolExecutor(1) as worker:
-        basis_filled = worker.submit(fill_basis)
+        basis_filled = _submit(worker, fill_basis)
         sample_lp_sphere(tree.n, p, samples, seed, out=sample_rows)
         basis_filled.result()
     for s in range(0, samples, step):

@@ -4,6 +4,9 @@ benchmark run."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import entropy_lab
@@ -52,3 +55,17 @@ def test_traced_functions_stay_imported_where_the_benchmark_wraps_them():
             module = importlib.import_module(f"entropy_lab.{user}")
             assert func in vars(module).values(), f"{user} lost {span}"
     assert not users
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that
+    # imports the package and its CLI has no scipy module loaded
+    src = str(Path(entropy_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, entropy_lab, entropy_lab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

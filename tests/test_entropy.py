@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -157,6 +158,33 @@ def test_volumetric_homogeneity_and_monotonicity():
     assert a == pytest.approx(lam * b, rel=1e-12)
     vals = [volumetric_lower(3, 1.5, 4, k, diag=d).value for k in range(1, 20)]
     assert all(y <= x for x, y in zip(vals, vals[1:]))
+
+
+def _log_ball_volume(n, r):
+    """log vol(B_r^n) from exact integers: 2^n / n! at r = 1,
+    pi^{n/2} / Gamma(n/2 + 1) at r = 2, with Gamma(n/2 + 1) = (n/2)! for
+    even n and n!! sqrt(pi) / 2^{(n+1)/2} for odd n, and 2^n at r = inf."""
+    if r == 1:
+        return math.log(2 ** n) - math.log(math.factorial(n))
+    if math.isinf(r):
+        return math.log(2 ** n)
+    if n % 2 == 0:
+        return n // 2 * math.log(math.pi) - math.log(math.factorial(n // 2))
+    double_factorial = math.prod(range(n, 0, -2))
+    return ((n - 1) // 2 * math.log(math.pi) + math.log(2 ** ((n + 1) // 2))
+            - math.log(double_factorial))
+
+
+def test_volumetric_matches_exact_ball_volumes():
+    # (vol B_p^n / vol B_q^n)^{1/n} 2^{-(k-1)/n}, with no log-gamma routine
+    # on the reference side
+    for p, q in ((1, 2), (1, math.inf), (2, math.inf)):
+        for n in range(1, 301):
+            log_ratio = (_log_ball_volume(n, p) - _log_ball_volume(n, q)) / n
+            for k in (1, 2, 9, n + 1):
+                want = math.exp(log_ratio - (k - 1) / n * math.log(2.0))
+                got = volumetric_lower(n, p, q, k).value
+                assert got == pytest.approx(want, rel=1e-13), (p, q, n, k)
 
 
 # -- samplers -----------------------------------------------------------------
@@ -333,6 +361,22 @@ def test_traversal_rows_wider_than_a_block(q):
     points = rng.standard_normal((5, width))
     assert entropy._block_rows(width) == 1
     _assert_matches_reference(points, q, 5, 0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0, math.inf])
+def test_traversal_threads_follow_the_callers_errstate(q, cpus):
+    # two blocks of 2048 rows; the start row holds an inf, so its x - c is
+    # inf - inf, and with 2 CPUs a worker thread runs the block it is in
+    points = np.random.default_rng(5).standard_normal((4000, 64))
+    points[3500, 0] = np.inf
+    assert entropy._block_rows(64) == 2048
+    with mock.patch.object(entropy, "_cpu_count", lambda: cpus):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            _farthest_point_run(points, q, 3, 3500)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _farthest_point_run(points, q, 3, 3500)
 
 
 def test_traversal_on_many_blocks_and_threads():

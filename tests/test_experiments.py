@@ -1,6 +1,8 @@
 import json
 import sys
+import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -435,6 +437,25 @@ def test_witness_pools_built_side_by_side_match_the_reference():
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(pool, ref) for pool in pools)
+
+
+def test_witness_pool_worker_follows_the_callers_errstate():
+    # the basis rows are filled on a worker thread; an invalid value made
+    # there must warn or raise by the caller's np.errstate
+    tree = random_tree(50, 2, seed=1)
+    u = w = np.ones(tree.n)
+
+    def apply_invalid_off_main(tree, u, w, x):
+        if threading.current_thread() is not threading.main_thread():
+            np.subtract(np.full(1, np.inf), np.inf)
+        return apply(tree, u, w, x)
+
+    with mock.patch.object(experiments, "apply", apply_invalid_off_main):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            _witness_pool(tree, u, w, 2.0, 8, 4, 0)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _witness_pool(tree, u, w, 2.0, 8, 4, 0)
 
 
 def test_witness_pool_peaks_near_its_own_size():
