@@ -62,7 +62,7 @@ def test_import_loads_no_scipy():
     # imports the package and its CLI has no scipy module loaded
     src = str(Path(entropy_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, entropy_lab, entropy_lab.cli; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
