@@ -10,6 +10,7 @@ cross-level intersection counts stay bounded.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,8 +84,7 @@ def balanced_partition(tree: Tree, weights: VertexWeight, n: int,
     if n == 1:
         return SubtreePartition(
             np.array([0], dtype=np.int64),
-            [np.arange(tree.n, dtype=np.int64)],
-            np.arange(tree.n, dtype=np.int64),
+            np.append(np.zeros(tree.n, dtype=np.int64), -1),
             {"C": float(k + 2), "threshold": tau, "n": 1, "k": int(k)})
 
     levels = tree.levels()
@@ -124,9 +124,10 @@ class PartitionFamily:
 
     levels[0] is the finest partition; each later level merges groups of
     parts of the previous one, so containment across levels is structural.
-    meta reports the achieved constants: "C" (part-count factor), "cross"
-    (largest merge group, which bounds how many level-l parts a level-(l+1)
-    part meets), and whether the group cap was relaxed at the final step.
+    meta holds the a-priori part-count factor "C" = k + 2 and the achieved
+    constants: "achieved_C", "cross" (largest merge group, which bounds how
+    many level-l parts a level-(l+1) part meets), and whether the group cap
+    was relaxed at the final step.
     """
 
     levels: list
@@ -146,18 +147,18 @@ class PartitionFamily:
                     f"level {l} has {level.n_parts()} parts, above the "
                     f"reported C * 2^-l * n0")
         top = self.levels[-1]
-        if top.n_parts() != 1 or top.parts[0].size != tree.n:
+        if top.n_parts() != 1 or np.any(top.label[:-1] != 0):
             raise AssertionError("top level is not the whole tree")
         for l in range(len(self.levels) - 1):
             fine, coarse = self.levels[l], self.levels[l + 1]
-            # the smallest and largest coarse label over each fine part
-            owner = coarse.labels(tree.n)[np.concatenate(fine.parts)]
-            starts = np.cumsum([0] + [len(p) for p in fine.parts[:-1]])
-            lo = np.minimum.reduceat(owner, starts)
-            if np.any(lo != np.maximum.reduceat(owner, starts)) or lo.min() < 0:
+            # each fine part lies in the coarse part holding its root, and
+            # what lies outside the fine universe lies outside the coarse one
+            up = coarse.label[fine.roots]
+            if (np.any(np.append(up, -1)[fine.label] != coarse.label)
+                    or np.any(up < 0)):
                 raise AssertionError(
                     f"level {l} part crosses level {l + 1} parts")
-            hits = np.bincount(lo, minlength=coarse.n_parts())
+            hits = np.bincount(up, minlength=coarse.n_parts())
             if hits.max() > cross:
                 raise AssertionError(
                     f"a level-{l + 1} part meets {int(hits.max())} level-{l} "
@@ -181,7 +182,7 @@ def _coarsen_once(tree: Tree, prev: SubtreePartition, cap: int):
     """
     n_parts = prev.n_parts()
     # the root's parent id -1 reads label -1: the top part has no parent
-    q_parent = prev.labels(tree.n)[tree.parent[prev.roots]]
+    q_parent = prev.label[tree.parent[prev.roots]]
     q_children = [[] for _ in range(n_parts)]
     for i, qp in enumerate(q_parent):
         if qp >= 0:
@@ -207,17 +208,20 @@ def _coarsen_once(tree: Tree, prev: SubtreePartition, cap: int):
     return groups, max(len(g) for g in groups)
 
 
-def _merge_level(tree: Tree, prev: SubtreePartition, groups) -> SubtreePartition:
-    roots = []
-    parts = []
-    for g in groups:
-        verts = np.sort(np.concatenate([prev.parts[i] for i in g]))
-        roots.append(int(verts[0]))
-        parts.append(verts)
+def _merge_level(prev: SubtreePartition, groups) -> SubtreePartition:
+    """Merge each group of prev's parts (every part in one group) into one
+    part; the merged parts are numbered in root order."""
+    sizes = [len(g) for g in groups]
+    members = np.fromiter(itertools.chain.from_iterable(groups),
+                          dtype=np.int64, count=sum(sizes))
+    starts = np.cumsum([0] + sizes[:-1])
+    roots = np.minimum.reduceat(prev.roots[members], starts)
     order = np.argsort(roots)
-    return SubtreePartition(np.asarray(roots, dtype=np.int64)[order],
-                            [parts[i] for i in order],
-                            prev.universe, {})
+    rank = np.argsort(order)
+    # part -> merged part; the slot -1 stays -1
+    merged = np.full(prev.n_parts() + 1, -1, dtype=np.int64)
+    merged[members] = np.repeat(rank, sizes)
+    return SubtreePartition(roots[order], merged[prev.label])
 
 
 def dyadic_family(tree: Tree, weights: VertexWeight, n0: int,
@@ -230,7 +234,6 @@ def dyadic_family(tree: Tree, weights: VertexWeight, n0: int,
     (quotients with huge hubs), the last step merges everything and the
     relaxation is reported in the metadata.
     """
-    _check_inputs(tree, weights, n0, k)
     base = balanced_partition(tree, weights, n0, k)
     levels = [base]
     n_levels = int(math.floor(math.log2(n0))) if n0 > 1 else 0
@@ -246,15 +249,12 @@ def dyadic_family(tree: Tree, weights: VertexWeight, n0: int,
             groups = [list(range(prev.n_parts()))]
             gmax = prev.n_parts()
             relaxed = gmax > cap
-        levels.append(_merge_level(tree, prev, groups))
+        levels.append(_merge_level(prev, groups))
         cross = max(cross, gmax)
 
     achieved = max(
         level.n_parts() / (n0 * 2.0 ** (-l)) for l, level in enumerate(levels))
-    big_c = max(float(k + 2), float(math.ceil(achieved)))
-    for l, level in enumerate(levels):
-        level.meta.update({"level": l, "count": level.n_parts()})
-    fam = PartitionFamily(levels, int(n0),
-                          {"C": big_c, "cross": int(cross), "k": int(k),
-                           "relaxed": bool(relaxed)})
-    return fam
+    return PartitionFamily(levels, int(n0),
+                           {"C": float(k + 2), "achieved_C": achieved,
+                            "cross": int(cross), "k": int(k),
+                            "relaxed": bool(relaxed)})

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-MAX_VERTICES_DEFAULT = 1 << 22
+MAX_VERTICES = 1 << 22  # keeps every tree, JSON-loaded too, at desk scale
+
 
 class Level(NamedTuple):
     """One depth level of a tree: its id range and their parent ids."""
@@ -60,9 +61,8 @@ class Tree:
     ----------
     parent : sequence of int
         ``parent[0] == -1`` for the root; ``0 <= parent[i] < i`` otherwise.
-        Vertex depths must be non-decreasing in id (BFS order).
-    max_vertices : int, optional
-        Construction cap; experiments stay in memory at desk scale.
+        Vertex depths must be non-decreasing in id (BFS order), and there
+        are at most ``MAX_VERTICES`` vertices.
 
     Attributes
     ----------
@@ -82,13 +82,13 @@ class Tree:
     __slots__ = ("parent", "depth", "height", "n", "_level_start",
                  "_levels", "_segments")
 
-    def __init__(self, parent, max_vertices: int = MAX_VERTICES_DEFAULT):
+    def __init__(self, parent):
         parent = np.asarray(parent, dtype=np.int64)
         if parent.ndim != 1 or parent.size == 0:
             raise ValueError("parent must be a non-empty 1-d array")
         n = parent.size
-        if n > max_vertices:
-            raise ValueError(f"tree has {n} vertices, cap is {max_vertices}")
+        if n > MAX_VERTICES:
+            raise ValueError(f"tree has {n} vertices, cap is {MAX_VERTICES}")
         if parent[0] != -1:
             raise ValueError("parent[0] must be -1 (root)")
         if n > 1:
@@ -321,44 +321,42 @@ class Layering:
 class SubtreePartition:
     """A partition of a vertex set into connected subtrees.
 
-    parts[i] is an increasing id array whose minimum is roots[i]; the parts
-    are disjoint and cover `universe` (all vertices for tree partitions, a
-    single layer's vertices for layer components).
+    label[v] is the part holding vertex v, -1 outside the partitioned
+    `universe` (all vertices, or one layer's); label[-1] = -1 serves the
+    root's parent id.  roots[i], increasing in i, is part i's smallest id.
     """
 
     roots: np.ndarray
-    parts: list
-    universe: np.ndarray
+    label: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def n_parts(self) -> int:
-        return len(self.parts)
+        return len(self.roots)
 
-    def labels(self, n: int) -> np.ndarray:
-        """label[v] = index of the part holding vertex v, -1 for vertices in
-        no part; n + 1 entries, so label[-1] (for the root's parent id -1)
-        is -1 too."""
-        label = np.full(n + 1, -1, dtype=np.int64)
-        if self.parts:
-            sizes = [len(p) for p in self.parts]
-            members = np.concatenate(self.parts).astype(np.int64, copy=False)
-            label[members] = np.repeat(
-                np.arange(len(self.parts)), sizes)
-        return label
+    @property
+    def parts(self) -> list:
+        """The parts as increasing id arrays, in root order."""
+        own = self.label[:-1]
+        # stable: each part's ids stay increasing; label -1 is cut off
+        order = np.argsort(own, kind="stable")
+        bounds = np.cumsum(np.bincount(own + 1, minlength=self.n_parts() + 1))
+        return np.split(order, bounds)[1:-1]
+
+    @property
+    def universe(self) -> np.ndarray:
+        """The partitioned vertices, in increasing id order."""
+        return np.flatnonzero(self.label[:-1] >= 0)
 
     def validate(self, tree: Tree) -> None:
-        seen = np.concatenate(self.parts) if self.parts else np.array([], dtype=np.int64)
-        if seen.size != np.unique(seen).size:
-            raise AssertionError("parts overlap")
-        if not np.array_equal(np.sort(seen), np.sort(self.universe)):
-            raise AssertionError("parts do not cover the universe")
-        seen = seen.astype(np.int64, copy=False)
-        roots = np.asarray(self.roots, dtype=np.int64)
-        if roots.size != len(self.parts):
-            raise AssertionError("roots and parts differ in number")
-        label = self.labels(tree.n)
+        label, roots = self.label, self.roots
+        if label.shape != (tree.n + 1,) or label[-1] != -1:
+            raise AssertionError(
+                f"label needs {tree.n + 1} entries ending in -1")
+        if label.min() < -1 or label.max() >= roots.size:
+            raise AssertionError(f"label out of range for {roots.size} parts")
         if np.any(label[np.clip(roots, -1, tree.n)] != np.arange(roots.size)):
             raise AssertionError("root not inside its part")
+        seen = self.universe
         own = label[seen]
         cut = np.flatnonzero((seen != roots[own])
                              & (label[tree.parent[seen]] != own))
@@ -382,15 +380,13 @@ def _hanging_parts(tree: Tree, marked: np.ndarray, first: int,
     the part of its nearest marked ancestor."""
     levels = tree.levels()[first:stop]
     lo, hi = levels[0].ids.start, levels[-1].ids.stop
-    top = np.arange(tree.n)
-    for level in levels[1:]:
-        top[level.ids] = np.where(marked[level.ids], top[level.ids],
-                                  top[level.parent])
     roots = lo + np.flatnonzero(marked[lo:hi])
-    # a stable sort keeps each part's ids increasing
-    order = lo + np.argsort(top[lo:hi], kind="stable")
-    parts = np.split(order, np.searchsorted(top[order], roots[1:]))
-    return SubtreePartition(roots, parts, np.arange(lo, hi, dtype=np.int64))
+    label = np.full(tree.n + 1, -1, dtype=np.int64)
+    label[roots] = np.arange(roots.size)
+    for level in levels[1:]:
+        label[level.ids] = np.where(marked[level.ids], label[level.ids],
+                                    label[level.parent])
+    return SubtreePartition(roots, label)
 
 
 def layer_components(tree: Tree, layering: Layering, t: int) -> SubtreePartition:
@@ -403,8 +399,8 @@ def layer_components(tree: Tree, layering: Layering, t: int) -> SubtreePartition
     lo, hi = layering.depth_range(t)
     stop = min(hi, tree.height + 1)
     if lo >= stop:
-        empty = np.array([], dtype=np.int64)
-        return SubtreePartition(empty, [], empty)
+        return SubtreePartition(np.array([], dtype=np.int64),
+                                np.full(tree.n + 1, -1, dtype=np.int64))
     marked = np.zeros(tree.n, dtype=bool)
     marked[tree.level_slice(lo)] = True
     return _hanging_parts(tree, marked, lo, stop)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import CsrReference, trees
+from tree_cases import CsrReference, labelled_partition, trees
 
 from entropy_lab.partition import (
     PartitionFamily,
@@ -273,7 +273,7 @@ def _ref_hanging_parts(tree, marked):
 
 def _ref_coarsen_once(tree, prev, cap):
     """_coarsen_once with its part map and quotient parents built by
-    per-part Python loops, as before they were read off prev.labels."""
+    per-part Python loops, as before they were read off prev.label."""
     n_parts = prev.n_parts()
     part_of = np.full(tree.n, -1, dtype=np.int64)
     for i, p in enumerate(prev.parts):
@@ -414,7 +414,7 @@ def test_coarsening_matches_the_per_part_loops_exactly(tree, style, n, cap,
         assert (groups, gmax) == _ref_coarsen_once(tree, prev, cap)
         if len(groups) == 1:
             break
-        prev = _merge_level(tree, prev, groups)
+        prev = _merge_level(prev, groups)
 
 
 @settings(max_examples=100, deadline=None)
@@ -436,11 +436,10 @@ def test_validators_agree_with_reference_on_families(tree, style, n0, seed):
         return
     src, dst = rng.choice(level.n_parts(), 2, replace=False)
     v = int(rng.choice(level.parts[src]))
-    parts = list(level.parts)
-    parts[src] = parts[src][parts[src] != v]
-    parts[dst] = np.sort(np.append(parts[dst], v))
+    label = level.label.copy()
+    label[v] = dst
     levels = list(fam.levels)
-    levels[l] = SubtreePartition(level.roots, parts, level.universe)
+    levels[l] = SubtreePartition(level.roots, label)
     bad = PartitionFamily(levels, fam.n0, fam.meta)
     verdicts = []
     for check in (bad.validate, lambda t: _ref_family_validate(bad, t)):
@@ -462,15 +461,11 @@ FAMILY_VALIDATORS = [pytest.param(PartitionFamily.validate, id="new"),
 
 
 def _split(tree, roots, parts):
-    return SubtreePartition(np.array(roots),
-                            [np.array(p, dtype=np.int64) for p in parts],
-                            np.arange(tree.n, dtype=np.int64))
+    return labelled_partition(tree.n, roots, parts)
 
 
 @pytest.mark.parametrize("validate", PART_VALIDATORS)
 @pytest.mark.parametrize("roots, parts, message", [
-    ([0, 3], [[0, 1, 2, 3], [3, 4, 5, 6]], "overlap"),
-    ([0, 4], [[0, 1, 2], [4, 5, 6]], "do not cover"),
     ([1, 2], [[0, 2, 5, 6], [1, 3, 4]], "root not inside"),
     ([0, 3], [[0, 1, 3, 4], [2, 5, 6]], "root not inside"),
     ([0, 1], [[0, 2, 3, 5, 6], [1, 4]], "not connected at vertex 3"),
@@ -487,9 +482,29 @@ def test_part_validator_fails_on_bad_partition(validate, roots, parts,
 
 def test_part_validator_rejects_roots_without_parts():
     t = full_tree(2, 2)
+    # a root whose part holds no vertex
     bad = _split(t, [0, 1], [[0, 1, 2, 3, 4, 5, 6]])
-    with pytest.raises(AssertionError, match="differ in number"):
+    with pytest.raises(AssertionError, match="root not inside"):
         bad.validate(t)
+    # a labelled part without a root
+    bad = _split(t, [0], [[0, 2, 5, 6], [1, 3, 4]])
+    with pytest.raises(AssertionError, match="label out of range"):
+        bad.validate(t)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda label: label[:-1], "label needs 8 entries"),
+    (lambda label: np.append(label, -1), "label needs 8 entries"),
+    (lambda label: np.where(np.arange(8) == 7, 0, label), "ending in -1"),
+    (lambda label: np.where(np.arange(8) == 4, 3, label), "out of range"),
+    (lambda label: np.where(np.arange(8) == 4, -2, label), "out of range"),
+])
+def test_part_validator_fails_on_bad_label(edit, message):
+    t = full_tree(2, 2)
+    good = _split(t, [0, 1, 2], [[0], [1, 3, 4], [2, 5, 6]])
+    good.validate(t)
+    with pytest.raises(AssertionError, match=message):
+        SubtreePartition(good.roots, edit(good.label)).validate(t)
 
 
 def _path8_family():
@@ -502,9 +517,7 @@ def _path8_family():
 def _edit(fam, l=None, parts=None, **meta):
     levels = list(fam.levels)
     if l is not None:
-        parts = [np.array(p, dtype=np.int64) for p in parts]
-        levels[l] = SubtreePartition(np.array([p[0] for p in parts]), parts,
-                                     levels[l].universe)
+        levels[l] = labelled_partition(8, [p[0] for p in parts], parts)
     return PartitionFamily(levels, fam.n0, {**fam.meta, **meta})
 
 
@@ -514,7 +527,8 @@ def test_family_validator_fails_on_each_bad_family(validate):
     validate(fam, t)
     cases = [
         # a level's part is broken: the part validator fires inside
-        (_edit(fam, 1, [[0, 1, 2, 3], [3, 4, 5, 6, 7]]), "overlap"),
+        (_edit(fam, 1, [[0, 1, 4, 5], [2, 3, 6, 7]]),
+         "not connected at vertex 4"),
         # level 0 holds more parts than C * n0 allows
         (_edit(fam, C=0.5), "level 0 has 4 parts"),
         # a fine part straddles two coarse parts
@@ -528,3 +542,26 @@ def test_family_validator_fails_on_each_bad_family(validate):
     for bad, message in cases:
         with pytest.raises(AssertionError, match=message):
             validate(bad, t)
+
+
+def test_family_validator_rejects_a_level_that_leaves_parts_out():
+    # level 1 keeps only its first part: level 0's parts on 4..7 lie in no
+    # level-1 part (the reference validator, which reads owners per fine
+    # part, counts them against the last coarse part instead)
+    t, fam = _path8_family()
+    with pytest.raises(AssertionError, match="level 0 part crosses"):
+        _edit(fam, 1, [[0, 1, 2, 3]]).validate(t)
+
+
+def test_family_counts_are_held_to_the_a_priori_constant(monkeypatch):
+    """C is k + 2 whatever the coarsening achieves: with a coarsening that
+    merges nothing, a level keeps more parts than C * 2^-l * n0 allows."""
+    monkeypatch.setattr(
+        "entropy_lab.partition._coarsen_once",
+        lambda tree, prev, cap: ([[i] for i in range(prev.n_parts())], 1))
+    t = path_tree(64)
+    fam = dyadic_family(t, VertexWeight.uniform(64), 16, 1)
+    assert [lv.n_parts() for lv in fam.levels] == [16, 16, 16, 16, 1]
+    with pytest.raises(AssertionError, match="level 2 has 16 parts"):
+        fam.validate(t)
+    assert fam.meta["C"] == 3.0 and fam.meta["achieved_C"] == 8.0

@@ -1,13 +1,14 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import CsrReference, trees
+from tree_cases import CsrReference, labelled_partition, trees
 
 from entropy_lab import Layering, Tree, full_tree, layer_components, path_tree, random_tree
-from entropy_lab.trees import SubtreePartition
+from entropy_lab import trees as trees_module
 
 
 def random_parent(n, branching, rng):
@@ -65,8 +66,13 @@ class TestConstruction:
             Tree([-1, 0, 1, 0])
 
     def test_vertex_cap(self):
-        with pytest.raises(ValueError):
-            Tree(np.arange(-1, 99), max_vertices=50)
+        with mock.patch.object(trees_module, "MAX_VERTICES", 50):
+            Tree(np.arange(-1, 49))
+            with pytest.raises(ValueError, match="cap is 50"):
+                Tree(np.arange(-1, 99))
+            # the cap guards trees loaded from JSON too
+            with pytest.raises(ValueError, match="cap is 50"):
+                Tree.from_json(json.dumps({"parent": list(range(-1, 99))}))
 
     def test_full_binary_counts(self):
         t = full_tree(2, 4)
@@ -243,7 +249,7 @@ def _ref_layer_components(tree, layering, t):
     hi_s = tree.level_slice(hi - 1).stop if hi - 1 <= tree.height else tree.n
     universe = np.arange(lo_s, hi_s, dtype=np.int64)
     if universe.size == 0:
-        return SubtreePartition(np.array([], dtype=np.int64), [], universe)
+        return labelled_partition(tree.n, [], [])
     comp = np.full(tree.n, -1, dtype=np.int64)
     roots = []
     groups = []
@@ -258,8 +264,7 @@ def _ref_layer_components(tree, layering, t):
         if c == len(groups):
             groups.append([])
         groups[c].append(int(v))
-    parts = [np.asarray(g, dtype=np.int64) for g in groups]
-    return SubtreePartition(np.asarray(roots, dtype=np.int64), parts, universe)
+    return labelled_partition(tree.n, roots, groups)
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,11 +278,8 @@ def test_layer_components_match_the_per_vertex_loop_exactly(tree, rule,
         got = layer_components(tree, lay, t)
         ref = _ref_layer_components(tree, lay, t)
         assert _same(got.roots, ref.roots)
-        assert _same(got.universe, ref.universe)
-        assert len(got.parts) == len(ref.parts)
-        assert all(_same(a, b) for a, b in zip(got.parts, ref.parts))
-        if got.parts:
-            got.validate(tree)
+        assert _same(got.label, ref.label)
+        got.validate(tree)
 
 
 class TestRandomTree:

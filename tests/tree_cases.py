@@ -1,5 +1,6 @@
 """Hypothesis strategies for trees that cover every branch of the level sweeps,
-and the CSR walks the level walks are checked against.
+the CSR walks the level walks are checked against, and a builder of
+subtree partitions from explicit parts.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from entropy_lab.hset import HProfile, generate_hset_tree
-from entropy_lab.trees import Tree, random_tree
+from entropy_lab.trees import SubtreePartition, Tree, random_tree
 
 
 def unsorted_bfs_tree(n: int, max_children: int, seed: int) -> Tree:
@@ -92,3 +93,13 @@ class CsrReference:
             if frontier.size:
                 out.append(frontier)
         return np.sort(np.concatenate(out))
+
+
+def labelled_partition(n: int, roots, parts) -> SubtreePartition:
+    """The SubtreePartition of an n-vertex tree with the given roots whose
+    label puts the vertices of parts[i] in part i and every other vertex in
+    no part.  Nothing is checked, so it builds invalid partitions too."""
+    label = np.full(n + 1, -1, dtype=np.int64)
+    for i, p in enumerate(parts):
+        label[np.asarray(p, dtype=np.int64)] = i
+    return SubtreePartition(np.asarray(roots, dtype=np.int64), label)
