@@ -460,12 +460,11 @@ FAMILY_VALIDATORS = [pytest.param(PartitionFamily.validate, id="new"),
                      pytest.param(_ref_family_validate, id="reference")]
 
 
-def _split(tree, roots, parts):
-    return labelled_partition(tree.n, roots, parts)
-
-
 @pytest.mark.parametrize("validate", PART_VALIDATORS)
 @pytest.mark.parametrize("roots, parts, message", [
+    # root ids outside the tree: past its last vertex, and the parent id -1
+    ([0, 7], [[0, 1, 3, 4], [2, 5, 6]], "root not inside"),
+    ([-1, 2], [[0, 1, 3, 4], [2, 5, 6]], "root not inside"),
     ([1, 2], [[0, 2, 5, 6], [1, 3, 4]], "root not inside"),
     ([0, 3], [[0, 1, 3, 4], [2, 5, 6]], "root not inside"),
     ([0, 1], [[0, 2, 3, 5, 6], [1, 4]], "not connected at vertex 3"),
@@ -474,34 +473,39 @@ def _split(tree, roots, parts):
 def test_part_validator_fails_on_bad_partition(validate, roots, parts,
                                                message):
     t = full_tree(2, 2)  # 0 -> 1, 2; 1 -> 3, 4; 2 -> 5, 6
-    good = _split(t, [0, 1, 2], [[0], [1, 3, 4], [2, 5, 6]])
+    good = labelled_partition(t.n, [0, 1, 2], [[0], [1, 3, 4], [2, 5, 6]])
     validate(good, t)
     with pytest.raises(AssertionError, match=message):
-        validate(_split(t, roots, parts), t)
+        validate(labelled_partition(t.n, roots, parts), t)
 
 
 def test_part_validator_rejects_roots_without_parts():
     t = full_tree(2, 2)
     # a root whose part holds no vertex
-    bad = _split(t, [0, 1], [[0, 1, 2, 3, 4, 5, 6]])
+    bad = labelled_partition(t.n, [0, 1], [[0, 1, 2, 3, 4, 5, 6]])
     with pytest.raises(AssertionError, match="root not inside"):
         bad.validate(t)
     # a labelled part without a root
-    bad = _split(t, [0], [[0, 2, 5, 6], [1, 3, 4]])
+    bad = labelled_partition(t.n, [0], [[0, 2, 5, 6], [1, 3, 4]])
     with pytest.raises(AssertionError, match="label out of range"):
         bad.validate(t)
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda label: label[:-1], "label needs 8 entries"),
-    (lambda label: np.append(label, -1), "label needs 8 entries"),
-    (lambda label: np.where(np.arange(8) == 7, 0, label), "ending in -1"),
-    (lambda label: np.where(np.arange(8) == 4, 3, label), "out of range"),
-    (lambda label: np.where(np.arange(8) == 4, -2, label), "out of range"),
+    pytest.param(lambda label: label[:-1], "label needs 8 entries",
+                 id="short"),
+    pytest.param(lambda label: np.append(label, -1), "label needs 8 entries",
+                 id="long"),
+    pytest.param(lambda label: np.where(np.arange(8) == 7, 0, label),
+                 "ending in -1", id="parent-slot-labelled"),
+    pytest.param(lambda label: np.where(np.arange(8) == 4, 3, label),
+                 "out of range", id="past-last-part"),
+    pytest.param(lambda label: np.where(np.arange(8) == 4, -2, label),
+                 "out of range", id="below-minus-one"),
 ])
 def test_part_validator_fails_on_bad_label(edit, message):
     t = full_tree(2, 2)
-    good = _split(t, [0, 1, 2], [[0], [1, 3, 4], [2, 5, 6]])
+    good = labelled_partition(t.n, [0, 1, 2], [[0], [1, 3, 4], [2, 5, 6]])
     good.validate(t)
     with pytest.raises(AssertionError, match=message):
         SubtreePartition(good.roots, edit(good.label)).validate(t)
@@ -545,12 +549,12 @@ def test_family_validator_fails_on_each_bad_family(validate):
 
 
 def test_family_validator_rejects_a_level_that_leaves_parts_out():
-    # level 1 keeps only its first part: level 0's parts on 4..7 lie in no
-    # level-1 part (the reference validator, which reads owners per fine
-    # part, counts them against the last coarse part instead)
+    # level 1 drops vertices 6 and 7: level 0's part [6, 7] lies in no
+    # level-1 part (the reference validator counts it against the last
+    # coarse part instead, and accepts this family)
     t, fam = _path8_family()
     with pytest.raises(AssertionError, match="level 0 part crosses"):
-        _edit(fam, 1, [[0, 1, 2, 3]]).validate(t)
+        _edit(fam, 1, [[0, 1, 2, 3], [4, 5]]).validate(t)
 
 
 def test_family_counts_are_held_to_the_a_priori_constant(monkeypatch):
