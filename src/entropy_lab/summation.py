@@ -253,16 +253,23 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
 
     Lower bound: multiplicative fixed-point ascent (the power-method
     generalization f <- (S^T (Sf)^{q-1})^{p'-1}), restarted from a uniform
-    vector plus seeded random starts.  Every iterate is a feasible point,
-    so the best Rayleigh-type ratio is a certified lower bound even when
-    the ascent is not provably globally optimal.
+    vector plus seeded random starts.  Each restart stops on its own once
+    ||Sf||_q changes by at most _ORACLE_TOL relative in one step; its
+    iterate and value are frozen there, and later steps apply S and S^T
+    to the live restarts only.  Every iterate is a feasible point, so the
+    ratio ||Sf||_q / ||f||_p recomputed at the best restart's iterate is a
+    certified lower bound even when the ascent is not provably globally
+    optimal.
 
     Upper bound: row-wise Hoelder, tightened by a simplex-grid search for
     trees with at most 12 vertices; the smaller certified value is returned.
 
-    poll, if given, is called once before each ascent iteration; when it
+    poll, if given, is called once before each ascent step; when it
     returns a cap name the ascent stops and the bounds are computed from
-    the iterate reached (still certified).
+    the iterates reached (still certified).
+
+    meta["iterations"] counts ascent steps; meta["restart_iterations"]
+    holds, per restart, the step at which it stopped.
     """
     cfg = dict(cfg or {})
     restarts = int(cfg.pop("restarts", 16))
@@ -278,43 +285,70 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     if np.any(u <= 0) or np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
 
+    cols = max(1, restarts)
     if tree.n == 1:
         v = float(u[0] * w[0])
-        return NormEstimate(v, v, np.ones(1), {"iterations": 0, "seed": seed})
+        return NormEstimate(v, v, np.ones(1),
+                            {"iterations": 0, "seed": seed, "restarts": restarts,
+                             "restart_iterations": [0] * cols})
 
     pp = _conj(p)
-    cols = max(1, restarts)
-    f0 = np.empty((tree.n, cols))
-    f0[:, 0] = 1.0
+    # row r is restart r: its final iterate, and first its start
+    final = np.empty((cols, tree.n))
+    final[0] = 1.0
     for r in range(1, cols):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6f7261, r]))
-        f0[:, r] = np.abs(rng.standard_normal(tree.n)) + 1e-12
-    f = f0 / _lp_norm(f0, p, axis=0)
-    # the weights as (|V|, cols) blocks, so each iteration's four scalings
-    # multiply elementwise instead of broadcasting a column
+        final[r] = np.abs(rng.standard_normal(tree.n)) + 1e-12
+    final /= _lp_norm(final, p, axis=1)[:, None]
+
+    # the live restarts' iterates as the columns of one (|V|, k) block, and
+    # the weights as blocks of the same shape, so each of the four scalings
+    # per step multiplies elementwise instead of broadcasting a column
+    live = np.arange(cols)
+    f = np.ascontiguousarray(final.T)
+    t = np.empty_like(f)
     ub = np.repeat(u[:, None], cols, axis=1)
     wb = np.repeat(w[:, None], cols, axis=1)
-
+    # |g|^q and |f|^p per live restart, one contiguous row each, so the
+    # norms are row sums
+    powers = np.empty((cols, tree.n))
     vals = np.zeros(cols)
+    stopped = np.zeros(cols, dtype=np.int64)
     iterations = 0
     for it in range(1, max_iter + 1):
         if poll is not None and poll() is not None:
             break
         iterations = it
+        # the kernel and the iterates are positive: no abs, and
+        # |g|^q = g^(q-1) * g reuses the pow that feeds the adjoint
         g = apply(tree, ub, wb, f)
-        new_vals = _lp_norm(g, q, axis=0)
-        done = np.all(np.abs(new_vals - vals)
-                      <= _ORACLE_TOL * np.maximum(new_vals, 1e-300))
-        vals = new_vals
-        if done:
-            break
-        g **= q - 1.0
-        f = apply_adjoint(tree, ub, wb, g)
-        f **= pp - 1.0
-        f /= _lp_norm(f, p, axis=0)
+        np.power(g, q - 1.0, out=t)
+        rows = powers[:live.size]
+        np.multiply(t.T, g.T, out=rows)
+        new_vals = np.sum(rows, axis=1) ** (1.0 / q)
+        done = (np.abs(new_vals - vals[live])
+                <= _ORACLE_TOL * np.maximum(new_vals, 1e-300))
+        vals[live] = new_vals
+        if done.any():
+            stopped[live[done]] = it
+            final[live[done]] = f[:, done].T
+            keep = ~done
+            live, f, t = live[keep], f[:, keep], t[:, keep]
+            if live.size == 0:
+                break
+            ub = np.repeat(u[:, None], live.size, axis=1)
+            wb = np.repeat(w[:, None], live.size, axis=1)
+        z = apply_adjoint(tree, ub, wb, t)
+        # f = z^(p'-1), so |f|^p = z^(p') = z * f
+        np.power(z, pp - 1.0, out=f)
+        rows = powers[:live.size]
+        np.multiply(z.T, f.T, out=rows)
+        f /= np.sum(rows, axis=1) ** (1.0 / p)
+    stopped[live] = iterations
+    final[live] = f.T
 
     best = int(np.argmax(vals))
-    witness = f[:, best].copy()
+    witness = final[best].copy()
     lower = float(_lp_norm(apply(tree, u, w, witness), q) / _lp_norm(witness, p))
 
     ones = np.ones(tree.n)
@@ -322,7 +356,8 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     if tree.n <= 12:
         upper = min(upper, _simplex_grid_upper(tree, u, w, p, q, upper))
     upper = max(upper, lower)
-    meta = {"iterations": iterations, "seed": seed, "restarts": restarts}
+    meta = {"iterations": iterations, "seed": seed, "restarts": restarts,
+            "restart_iterations": stopped.tolist()}
     return NormEstimate(lower, upper, witness, meta)
 
 

@@ -343,7 +343,8 @@ def _ref_family_validate(fam, tree, part_validate=_ref_part_validate):
         hits = np.zeros(coarse.n_parts(), dtype=np.int64)
         for p in fine.parts:
             owners = np.unique(owner[p])
-            if owners.size != 1:
+            # -1: the part lies outside every coarse part
+            if owners.size != 1 or owners[0] < 0:
                 raise AssertionError(
                     f"level {l} part crosses level {l + 1} parts")
             hits[owners[0]] += 1
@@ -550,11 +551,17 @@ def test_family_validator_fails_on_each_bad_family(validate):
 
 def test_family_validator_rejects_a_level_that_leaves_parts_out():
     # level 1 drops vertices 6 and 7: level 0's part [6, 7] lies in no
-    # level-1 part (the reference validator counts it against the last
-    # coarse part instead, and accepts this family)
+    # level-1 part.  Counted against the last coarse part, it would lift
+    # that part's count to 2, within cross = 2, so only the missing owner
+    # can reject the family.
     t, fam = _path8_family()
-    with pytest.raises(AssertionError, match="level 0 part crosses"):
-        _edit(fam, 1, [[0, 1, 2, 3], [4, 5]]).validate(t)
+    assert [p.tolist() for p in fam.levels[0].parts] == [[0, 1], [2, 3],
+                                                         [4, 5], [6, 7]]
+    bad = _edit(fam, 1, [[0, 1, 2, 3], [4, 5]])
+    assert bad.meta["cross"] == 2
+    for validate in (PartitionFamily.validate, _ref_family_validate):
+        with pytest.raises(AssertionError, match="level 0 part crosses"):
+            validate(bad, t)
 
 
 def test_family_counts_are_held_to_the_a_priori_constant(monkeypatch):

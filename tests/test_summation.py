@@ -225,36 +225,49 @@ def _ref_norm_oracle(tree, u, w, p, q, cfg):
     w = np.asarray(w, dtype=float)
     if tree.n == 1:
         v = float(u[0] * w[0])
-        return NormEstimate(v, v, np.ones(1), {"iterations": 0, "seed": seed})
+        return NormEstimate(v, v, np.ones(1),
+                            {"iterations": 0,
+                             "restart_iterations": [0] * max(1, restarts)})
     pp = _conj(p)
-    cols = max(1, restarts)
-    f0 = np.empty((tree.n, cols))
-    f0[:, 0] = 1.0
-    for r in range(1, cols):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6f7261, r]))
-        f0[:, r] = np.abs(rng.standard_normal(tree.n)) + 1e-12
-    f = f0 / _ref_lp_norm(f0, p, axis=0)
-    vals = np.zeros(cols)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        g = _ref_apply(tree, u, w, f)
-        new_vals = _ref_lp_norm(g, q, axis=0)
-        done = np.all(np.abs(new_vals - vals) <= tol * np.maximum(new_vals, 1e-300))
-        vals = new_vals
-        if done:
-            break
-        z = _ref_apply_adjoint(tree, u, w, g ** (q - 1.0))
-        f = z ** (pp - 1.0)
-        f = f / _ref_lp_norm(f, p, axis=0)
+    vals, iterates, stopped = [], [], []
+    for r in range(max(1, restarts)):
+        # one restart on its own, as a one-column block (so its norms are
+        # array pows, as in the oracle's block), until it converges or runs
+        # out of steps
+        if r == 0:
+            f = np.ones((tree.n, 1))
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, 0x6f7261, r]))
+            f = np.abs(rng.standard_normal((tree.n, 1))) + 1e-12
+        f = f / _ref_lp_norm(f, p)
+        val = 0.0
+        step = 0
+        for step in range(1, max_iter + 1):
+            g = _ref_apply(tree, u, w, f)
+            t = g ** (q - 1.0)
+            new_val = (np.sum(t * g, axis=0) ** (1.0 / q))[0]
+            done = abs(new_val - val) <= tol * max(new_val, 1e-300)
+            val = new_val
+            if done:
+                break
+            z = _ref_apply_adjoint(tree, u, w, t)
+            f = z ** (pp - 1.0)
+            f = f / np.sum(z * f, axis=0) ** (1.0 / p)
+        vals.append(val)
+        iterates.append(f[:, 0])
+        stopped.append(step)
     best = int(np.argmax(vals))
-    witness = f[:, best].copy()
+    witness = iterates[best].copy()
     lower = float(_ref_lp_norm(_ref_apply(tree, u, w, witness), q)
                   / _ref_lp_norm(witness, p))
     upper = _ref_row_hoelder_upper(tree, u, w, p, q)
     if tree.n <= 12:
         upper = min(upper, _simplex_grid_upper(tree, u, w, p, q, upper))
     upper = max(upper, lower)
-    return NormEstimate(lower, upper, witness, {"iterations": iterations})
+    return NormEstimate(lower, upper, witness,
+                        {"iterations": max(stopped),
+                         "restart_iterations": stopped})
 
 
 def _block(rng, n, cols):
@@ -588,6 +601,7 @@ def test_norm_oracle_matches_reference_exactly(tree, pq, restarts, max_iter,
     assert got.lower == ref.lower and got.upper == ref.upper
     assert np.array_equal(got.witness, ref.witness)
     assert got.meta["iterations"] == ref.meta["iterations"]
+    assert got.meta["restart_iterations"] == ref.meta["restart_iterations"]
 
 
 def test_norm_oracle_poll_stops_with_certified_bounds():
@@ -621,8 +635,48 @@ def test_norm_oracle_poll_before_the_first_iteration():
     t = full_tree(2, 3)
     ones = np.ones(t.n)
     cut = norm_oracle(t, ones, ones, 2.0, 2.0, poll=lambda: "memory")
-    assert cut.meta == {"iterations": 0, "seed": 0, "restarts": 16}
+    assert cut.meta == {"iterations": 0, "seed": 0, "restarts": 16,
+                        "restart_iterations": [0] * 16}
     assert 0.0 < cut.lower <= cut.upper
+
+
+def test_norm_oracle_steps_only_the_live_restarts(monkeypatch):
+    """A restart that has converged leaves the block: the ascent passes
+    fewer vertex-columns to apply than restarts x iterations x |V|."""
+    rng = np.random.default_rng(10)
+    t = random_parent(60, rng)
+    u, w = rand_weights(60, rng)
+    cols = []
+
+    def counting_apply(tree, u, w, f):
+        out = apply(tree, u, w, f)
+        cols.append(out.size)
+        return out
+
+    monkeypatch.setattr("entropy_lab.summation.apply", counting_apply)
+    polls = []
+    est = norm_oracle(t, u, w, 2.0, 4.0, {"restarts": 6, "seed": 1},
+                      poll=lambda: polls.append(1))
+    steps = est.meta["iterations"]
+    assert len(polls) == steps > 1
+    # one apply per step, then the witness and the Hoelder bound
+    assert len(cols) == steps + 2
+    assert sum(cols[:-2]) < 6 * steps * t.n
+    assert sum(cols[:-2]) == t.n * sum(est.meta["restart_iterations"])
+
+
+def test_norm_oracle_restart_iterations():
+    rng = np.random.default_rng(11)
+    t = random_parent(40, rng)
+    u, w = rand_weights(40, rng)
+    est = norm_oracle(t, u, w, 1.5, 3.0, {"restarts": 5, "seed": 2})
+    stopped = est.meta["restart_iterations"]
+    assert len(stopped) == 5 and all(isinstance(s, int) for s in stopped)
+    assert max(stopped) == est.meta["iterations"] < 10_000
+    assert min(stopped) < max(stopped)
+    capped = norm_oracle(t, u, w, 1.5, 3.0,
+                         {"restarts": 5, "seed": 2, "max_iter": 3})
+    assert capped.meta["restart_iterations"] == [3] * 5
 
 
 # -- Hardy bounds ------------------------------------------------------------
