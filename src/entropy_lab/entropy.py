@@ -170,24 +170,17 @@ def volumetric_lower(nu: int, p: float, q: float, k: int,
 
 
 def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
-                     tag: int = 0x6c7073, *, out=None) -> np.ndarray:
+                     tag: int = 0x6c7073) -> np.ndarray:
     """Uniform (cone measure) samples on the l_p unit sphere.
 
     Coordinates are drawn from the generalized Gaussian density
     proportional to exp(-|x|^p) (gamma trick) and normalized; for p = inf
     the coordinates are uniform on [-1, 1].  Counter-based generator keyed
     by (seed, tag) for reproducibility.  The samples are drawn straight
-    into `out` (an (n_samples, nu) C-contiguous float64 array, fresh if
-    omitted), which is returned; the signs, the row norms and the scaling
-    then go one row block at a time, so the only sample-sized array is the
-    result.
+    into the result; the signs, the row norms and the scaling then go one
+    row block at a time, so the only sample-sized array is the result.
     """
-    if out is None:
-        out = np.empty((n_samples, nu))
-    elif (out.shape != (n_samples, nu) or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape "
-                         f"{(n_samples, nu)}")
+    out = np.empty((n_samples, nu))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
     if math.isinf(p):
         rng.random(out=out)
@@ -415,31 +408,152 @@ def _lq_dist(points: np.ndarray, center: np.ndarray, q: float) -> np.ndarray:
     return dist
 
 
+class _SparsePasses:
+    """l_q distance passes from a dense center to rows stored sparsely.
+
+    Row r is zero but for data[starts[r]:starts[r + 1]] at the columns
+    indices[starts[r]:starts[r + 1]].  For a center c,
+        ||x - c||_q^q = ||c||_q^q + sum_{j in row} (|x_j - c_j|^q - |c_j|^q),
+    clamped at 0, so a pass costs O(nnz + width) through one reused
+    nnz-sized buffer; it min-folds the distances into the caller's `dist`
+    as _LqPasses does.  The value rounds differently from the dense
+    kernel's and loses relative accuracy where the distance is small next
+    to the norms, so it serves selection, never a certified radius.
+    q must be finite.
+    """
+
+    def __init__(self, starts, indices, data, q: float, width: int):
+        if not 1.0 <= q < math.inf:
+            raise ValueError(f"sparse rows need a finite q >= 1, got {q}")
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.data = np.asarray(data, dtype=float)
+        nnz = int(self.starts[-1])
+        if self.indices.shape != (nnz,) or self.data.shape != (nnz,):
+            raise ValueError(f"sparse rows need {nnz} indices and data")
+        if nnz and not 0 <= self.indices.min() <= self.indices.max() < width:
+            raise ValueError(f"sparse row indices must lie in [0, {width})")
+        self.q = q
+        counts = np.diff(self.starts)
+        # reduceat sums from one head to the next, so empty rows take none
+        self.rows = slice(None) if counts.all() else np.flatnonzero(counts)
+        self.heads = self.starts[:-1][self.rows]
+        self.buf = np.empty(nnz)
+        self.part = np.empty(self.heads.size)
+        self.cq = np.empty(width)
+        self.out = np.empty(counts.size)
+
+    def _abs_pow(self, x):
+        """x = |x|^q in place; squaring is sign-blind."""
+        if self.q == 2.0 or self.q == 4.0:
+            x *= x
+            if self.q == 4.0:
+                x *= x
+        else:
+            np.abs(x, out=x)
+            x **= self.q
+
+    def row(self, r: int, out: np.ndarray):
+        """Scatter row r into `out`, which holds zeros."""
+        s, e = self.starts[r], self.starts[r + 1]
+        out[self.indices[s:e]] = self.data[s:e]
+
+    def __call__(self, center: np.ndarray, dist: np.ndarray):
+        """dist = min(dist, distances to `center`)."""
+        buf, part, out, cq = self.buf, self.part, self.out, self.cq
+        np.copyto(cq, center)
+        self._abs_pow(cq)
+        out.fill(np.sum(cq))
+        if part.size:
+            # the indices are checked, so clipping (which takes without
+            # buffering) changes none of them
+            np.take(cq, self.indices, out=buf, mode="clip")
+            np.add.reduceat(buf, self.heads, out=part)
+            out[self.rows] -= part
+            np.take(center, self.indices, out=buf, mode="clip")
+            np.subtract(self.data, buf, out=buf)
+            self._abs_pow(buf)
+            np.add.reduceat(buf, self.heads, out=part)
+            out[self.rows] += part
+        np.maximum(out, 0.0, out=out)
+        out **= 1.0 / self.q
+        np.minimum(dist, out, out=dist)
+
+
 def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
-                        start: int, *, poll=None):
+                        start: int, *, sparse=None, poll=None):
     """Select n_select points by farthest-point traversal from `start`.
 
     Returns (selected indices, radii, dist): radii[i] is the distance of
-    selection i+1 from the previous centers (nonincreasing), and dist[j]
-    is point j's distance to its nearest selected center, so max(dist) is
-    the covering radius of the selection.  Ties pick the lowest sample
-    index.  poll, if given, is called once before each selection after
-    the first; when it returns a cap name the run stops and returns what
-    it has selected so far.
+    selection i+1 from the previous centers, and dist[j] is point j's
+    distance to its nearest selected center, so max(dist) is the covering
+    radius of the selection.  Ties pick the lowest index.  poll, if
+    given, is called once before each selection after the first; when it
+    returns a cap name the run stops and returns what it has selected so
+    far.
+
+    sparse, if given, is a (starts, indices, data) triple of rows as wide
+    as `points` and stored sparsely (see _SparsePasses).  They come first:
+    index j < n_sparse is sparse row j and n_sparse + i is points[i].
+    Every center is a dense vector, a selected sparse row scattered into
+    one, and the rows of `points` go through _LqPasses as without sparse
+    rows.  The sparse rows' distances round differently, so rows that tie
+    in exact arithmetic can break either way, and their dist entries are
+    that arithmetic's (a selected sparse row's own entry is set to 0).
+    Every radius is still an exact-kernel value: after the traversal,
+    radius k is replayed as min over i < k of the _LqPasses distance from
+    center k to center i.  (A dense row's dist is that value already
+    unless `points` has a single row, which einsum reduces on its own.)
+    Radii then need not be nonincreasing; their running minimum is the
+    least pairwise distance of the centers so far.  Without sparse rows
+    they are nonincreasing.
     """
-    dist = np.full(points.shape[0], np.inf)
-    selected = [start]
+    n_sparse = 0 if sparse is None else len(sparse[0]) - 1
+    dist = np.full(n_sparse + points.shape[0], np.inf)
+    selected = []
     radii = []
+    c = start
     with _LqPasses(points, q) as lq_pass:
-        lq_pass(points[start], dist)
-        for _ in range(1, n_select):
-            if poll is not None and poll() is not None:
+        if sparse is not None:
+            sparse_pass = _SparsePasses(*sparse, q, points.shape[1])
+            centers = np.zeros((max(n_select, 1), points.shape[1]))
+        while True:
+            selected.append(c)
+            if sparse is None:
+                lq_pass(points[c], dist)
+            else:
+                center = centers[len(selected) - 1]
+                if c < n_sparse:
+                    sparse_pass.row(c, center)
+                else:
+                    center[:] = points[c - n_sparse]
+                sparse_pass(center, dist[:n_sparse])
+                lq_pass(center, dist[n_sparse:])
+                if c < n_sparse:
+                    # the sparse arithmetic leaves a center's own row near
+                    # 0, not at it, and that row must not be picked again
+                    dist[c] = 0.0
+            if len(selected) >= n_select or (poll is not None
+                                             and poll() is not None):
                 break
             c = int(np.argmax(dist))
             radii.append(float(dist[c]))
-            selected.append(c)
-            lq_pass(points[c], dist)
+    if sparse is not None:
+        for k in range(1, len(selected)):
+            radii[k - 1] = _exact_radius(centers[:k + 1], q)
     return selected, radii, dist
+
+
+def _exact_radius(centers: np.ndarray, q: float) -> float:
+    """min over i < k of the _LqPasses distance from centers[k] to
+    centers[i], k the last row.  The pass includes row k itself (distance
+    0, left out of the minimum) so that it never reduces a lone row, which
+    einsum rounds differently for wide rows; the kernel is symmetric in
+    its two vectors, since |fl(a - b)| = |fl(b - a)|."""
+    dist = np.full(centers.shape[0], np.inf)
+    with _LqPasses(centers, q) as lq_pass:
+        lq_pass(centers[-1], dist)
+    return float(np.min(dist[:-1]))
 
 
 def _sampled_images(matrix, p: float, ks, samples: int, seed: int):

@@ -22,7 +22,6 @@ import math
 import os
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -33,7 +32,6 @@ from .certificate import entropy_certificate
 from .entropy import (
     _block_rows,
     _farthest_point_run,
-    _submit,
     cover_profile,
     kuhn_value,
     sample_lp_sphere,
@@ -45,6 +43,7 @@ from .partition import VertexWeight, balanced_partition, dyadic_family
 from .summation import (
     WeightScheme,
     apply,
+    basis_images,
     hardy_bound,
     norm_oracle,
     weights_for_tree,
@@ -350,18 +349,10 @@ def _run_hardy_consistency(params, seed, budget):
     return rows, extra
 
 
-def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
-    """Images of unit l_p vectors: stratified basis columns per depth level
-    plus random sphere samples, so deep and shallow directions both appear.
-
-    The pool is the only pool-sized array.  The sphere samples are drawn
-    straight into its last rows on the calling thread while one worker
-    thread fills its first rows with the basis columns' images (the serial
-    draw and apply's ufuncs release the GIL, and the rows are disjoint);
-    then the sample rows are mapped through apply in place.  Both fills go
-    a block of rows at a time, and apply maps each column on its own, so
-    no full-width basis or image is ever built.
-    """
+def _basis_images(tree, u, w, per_level_cap, seed):
+    """Images of stratified basis vectors, at most per_level_cap per depth
+    level, as sparse rows (see summation.basis_images), so deep and
+    shallow directions both appear among the witnesses."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
     per_level = []
     for d in range(tree.height + 1):
@@ -369,24 +360,20 @@ def _witness_pool(tree, u, w, p, samples, per_level_cap, seed):
         if ids.size > per_level_cap:
             ids = np.sort(rng.choice(ids, per_level_cap, replace=False))
         per_level.append(ids)
-    cols = np.concatenate(per_level)
-    pool = np.empty((cols.size + samples, tree.n))
-    basis_rows, sample_rows = pool[:cols.size], pool[cols.size:]
+    return basis_images(tree, u, w, np.concatenate(per_level))
+
+
+def _witness_pool(tree, u, w, p, samples, seed):
+    """Images of `samples` random l_p unit-sphere vectors, one per row.
+
+    The samples are drawn straight into the result, then mapped through
+    apply in place a block of rows at a time, so the result is the only
+    sample-sized array.
+    """
+    pool = sample_lp_sphere(tree.n, p, samples, seed)
     step = _block_rows(tree.n)
-
-    def fill_basis():
-        for s in range(0, cols.size, step):
-            e = min(s + step, cols.size)
-            basis = np.zeros((tree.n, e - s))
-            basis[cols[s:e], np.arange(e - s)] = 1.0
-            basis_rows[s:e] = apply(tree, u, w, basis).T
-
-    with ThreadPoolExecutor(1) as worker:
-        basis_filled = _submit(worker, fill_basis)
-        sample_lp_sphere(tree.n, p, samples, seed, out=sample_rows)
-        basis_filled.result()
     for s in range(0, samples, step):
-        rows = sample_rows[s:s + step]
+        rows = pool[s:s + step]
         rows[:] = apply(tree, u, w, rows.T).T
     return pool
 
@@ -430,17 +417,22 @@ def _run_critical_scaling(kind, params, seed, budget):
 
     lows = {}
     if budget.exceeded() is None:
-        pool = _witness_pool(tree, u, w, p, int(params["samples"]),
-                             int(params["per_level_cap"]), seed)
+        basis = _basis_images(tree, u, w, int(params["per_level_cap"]), seed)
+        n_basis, samples = basis[0].size - 1, int(params["samples"])
         n_sel = 2 ** (n_max - 1) + 1
-        if n_sel > pool.shape[0]:
+        if n_sel > n_basis + samples:
             raise ValueError(
-                f"witness pool has {pool.shape[0]} points, packing at "
-                f"n={n_max} needs {n_sel}; raise per_level_cap or samples")
+                f"witness pool has {n_basis} basis and {samples} sample "
+                f"points, packing at n={n_max} needs {n_sel}; raise "
+                f"per_level_cap or samples")
+        pool = _witness_pool(tree, u, w, p, samples, seed)
         _, radii, _ = _farthest_point_run(pool, q, n_sel, start=0,
-                                          poll=budget.exceeded)
-        # a cap stops the traversal early; keep the n it got through
-        lows = {n: radii[2 ** (n - 1) - 1] / 2.0
+                                          sparse=basis, poll=budget.exceeded)
+        # the first 2^(n-1) + 1 centers lie pairwise at least the running
+        # minimum of their radii apart; a cap stops the traversal early,
+        # so keep the n it got through
+        seps = np.minimum.accumulate(radii)
+        lows = {n: float(seps[2 ** (n - 1) - 1]) / 2.0
                 for n in range(n_min, n_max + 1)
                 if 2 ** (n - 1) <= len(radii)}
 

@@ -162,30 +162,57 @@ class Tree:
         s = self.level_slice(d)
         return np.arange(s.start, s.stop, dtype=np.int64)
 
-    def _walk(self, v: int, l: int) -> list:
-        """Descendants of v at distances 0..l, one id array each, from a
-        level mask carried down the level plan; stops at the last level."""
+    def descendants_at_distance(self, v: int, l: int) -> np.ndarray:
+        """The set V_l(v): descendants of v at edge distance exactly l,
+        from a level mask carried down the level plan."""
+        if l < 0:
+            raise ValueError("distance must be >= 0")
         levels = self.levels()
         d = int(self.depth[v])
+        if d + l > self.height:
+            return np.array([], dtype=np.int64)
         ids = levels[d].ids
         mask = np.arange(ids.start, ids.stop) == v
-        found = [ids.start + np.flatnonzero(mask)]
         for level in levels[d + 1:d + l + 1]:
             mask = mask[level.parent - ids.start]
             ids = level.ids
-            found.append(ids.start + np.flatnonzero(mask))
-        return found
+        return ids.start + np.flatnonzero(mask)
 
-    def descendants_at_distance(self, v: int, l: int) -> np.ndarray:
-        """The set V_l(v): descendants of v at edge distance exactly l."""
-        if l < 0:
-            raise ValueError("distance must be >= 0")
-        found = self._walk(v, l)
-        return found[l] if l < len(found) else np.array([], dtype=np.int64)
+    def subtrees(self, vs) -> tuple:
+        """The subtrees of the vertices vs as one (starts, ids) pair:
+        ids[starts[i]:starts[i + 1]] holds vs[i] and all its descendants,
+        in preorder, vs[i] first.
 
-    def subtree(self, v: int) -> np.ndarray:
-        """All descendants of v, v included, in increasing id order."""
-        return np.concatenate(self._walk(v, self.height))
+        One sweep of the level plan, deepest level first, sums the subtree
+        sizes; one more, root first, places every vertex in preorder after
+        its parent and its earlier siblings' subtrees.  Each subtree is then
+        a contiguous preorder range, so all of them cost O(|V| log |V|)
+        plus their total size.
+        """
+        vs = np.asarray(vs, dtype=np.int64)
+        levels = self.levels()
+        size = np.ones(self.n, dtype=np.int64)
+        for level in levels[:0:-1]:
+            np.add.at(size, level.parent, size[level.ids])
+        # each child's offset past its parent: the sizes of its earlier
+        # siblings, an exclusive running sum restarted at every parent
+        kids = np.argsort(self.parent[1:], kind="stable") + 1
+        before = np.cumsum(size[kids]) - size[kids]
+        par = self.parent[kids]
+        first = np.ones(kids.size, dtype=bool)
+        first[1:] = par[1:] != par[:-1]
+        offset = np.empty(self.n, dtype=np.int64)
+        offset[kids] = before - np.maximum.accumulate(
+            np.where(first, before, 0))
+        pre = np.zeros(self.n, dtype=np.int64)
+        for level in levels[1:]:
+            pre[level.ids] = pre[level.parent] + 1 + offset[level.ids]
+        by_pre = np.empty(self.n, dtype=np.int64)
+        by_pre[pre] = np.arange(self.n)
+        counts = size[vs]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        at = np.arange(starts[-1]) + np.repeat(pre[vs] - starts[:-1], counts)
+        return starts, by_pre[at]
 
     # -- serialization ---------------------------------------------------
 

@@ -5,8 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from tree_cases import trees
 
 from entropy_lab import entropy
 from entropy_lab.entropy import (
@@ -29,6 +30,13 @@ from entropy_lab.entropy import (
     schuett,
     volumetric_lower,
 )
+from entropy_lab.summation import (
+    WeightScheme,
+    apply,
+    basis_images,
+    weights_for_tree,
+)
+from entropy_lab.trees import full_tree
 
 # Frozen oracle values, derived from the closed-form regime formulas before
 # the implementation existed (see test scaffolding notes).
@@ -229,19 +237,9 @@ def _reference_sphere(nu, p, n_samples, seed, tag=0x6c7073):
 def test_sphere_sampler_matches_one_shot_reference(nu, n_samples, p, seed,
                                                    block_bytes):
     ref = _reference_sphere(nu, p, n_samples, seed)
-    out = np.full((n_samples, nu), np.nan)
     with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes):
         got = sample_lp_sphere(nu, p, n_samples, seed)
-        into = sample_lp_sphere(nu, p, n_samples, seed, out=out)
     assert np.array_equal(got, ref)
-    assert into is out and np.array_equal(out, ref)
-
-
-def test_sphere_sampler_rejects_an_unfit_out():
-    for out in (np.empty((5, 4)), np.empty((6, 3)), np.empty((6, 4), np.float32),
-                np.empty((4, 6)).T):
-        with pytest.raises(ValueError, match="out must be"):
-            sample_lp_sphere(4, 2, 6, seed=1, out=out)
 
 
 def test_sampler_determinism():
@@ -446,6 +444,144 @@ def test_cover_radii_match_separate_traversals(n, m, distinct, q, ks, seed):
     for k in ks:
         assert radii[k] == _reference_greedy_cover_radius(points, q,
                                                           2 ** (k - 1))
+
+
+# -- sparse rows in the traversal ----------------------------------------------
+
+
+def _materialize(sparse, width):
+    starts, indices, data = sparse
+    rows = np.zeros((starts.size - 1, width))
+    for r in range(starts.size - 1):
+        rows[r, indices[starts[r]:starts[r + 1]]] = data[starts[r]:starts[r + 1]]
+    return rows
+
+
+def _close_in_qth_power(got, ref, rows, centers, q, rtol):
+    """|got^q - ref^q| <= rtol (||row||_q^q + max ||center||_q^q): how
+    close the sparse arithmetic comes, whatever the distance."""
+    scale = (np.sum(np.abs(rows) ** q, axis=1)
+             + np.max(np.sum(np.abs(centers) ** q, axis=1)))
+    return bool(np.all(np.abs(got ** q - ref ** q) <= rtol * scale))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=trees(), q=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+       own_row=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sparse_distances_match_the_dense_kernel(tree, q, own_row, seed):
+    # basis images of a random tree and weights against a sample image or
+    # one of the rows itself (distance 0, where only the norm-relative
+    # error is small); entries already below the distance keep their bits
+    rng = np.random.default_rng(seed)
+    u, w = rng.uniform(0.1, 2.0, tree.n), rng.uniform(0.1, 2.0, tree.n)
+    vs = rng.integers(0, tree.n, 20)
+    sparse = basis_images(tree, u, w, vs)
+    rows = _materialize(sparse, tree.n)
+    center = (rows[int(rng.integers(0, vs.size))].copy() if own_row
+              else apply(tree, u, w, rng.standard_normal(tree.n)))
+    ref = _reference_lq_dist(rows, center, q)
+    dist = np.full(vs.size, np.inf)
+    dist[::2] = ref[::2] / 2.0
+    entropy._SparsePasses(*sparse, q, tree.n)(center, dist)
+    assert np.array_equal(dist[::2], ref[::2] / 2.0)
+    assert _close_in_qth_power(dist[1::2], ref[1::2], rows[1::2],
+                               center[None], q, 1e-12)
+    far = ref[1::2] ** q >= 1e-2 * np.sum(np.abs(center) ** q)
+    assert np.allclose(dist[1::2][far], ref[1::2][far], rtol=1e-12, atol=0)
+
+
+def _random_sparse(rng, n, m):
+    """n sparse rows of width m; only row 0 may be empty, so no two rows
+    are equal."""
+    counts = rng.integers(1, m + 1, n)
+    if n and rng.random() < 0.5:
+        counts[0] = 0
+    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    indices = np.concatenate(
+        [rng.choice(m, c, replace=False) for c in counts] + [np.empty(0)])
+    return (starts, indices.astype(np.int64),
+            rng.standard_normal(starts[-1]) * 10.0 ** rng.integers(-3, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_sparse=st.integers(0, 25), n_dense=st.integers(0, 25),
+       m=st.sampled_from([2, 5, 40, 9000]),
+       q=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+       block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_sparse=18, n_dense=1, m=9000, q=2.0, block_rows=0, cpus=1, seed=7)
+def test_sparse_traversal_matches_the_reference_on_the_materialized_pool(
+        n_sparse, n_dense, m, q, block_rows, cpus, seed):
+    # continuous random rows leave no ties, so the selections agree, and
+    # every radius is the exact kernel's, bit for bit; the dense rows'
+    # distances are the kernel's on the dense rows alone, which einsum
+    # reduces its own way when one row is wider than 8192 columns
+    n = n_sparse + n_dense
+    if n == 0:
+        return
+    rng = np.random.default_rng(seed)
+    sparse = _random_sparse(rng, n_sparse, m)
+    dense = rng.standard_normal((n_dense, m)) * 10.0 ** rng.integers(-3, 4)
+    pool = np.concatenate([_materialize(sparse, m), dense])
+    n_select, start = min(n, 12), int(seed % n)
+    with mock.patch.object(entropy, "_BLOCK_BYTES",
+                           max(1, 8 * m * block_rows)), \
+            mock.patch.object(entropy, "_cpu_count", lambda: cpus):
+        sel, radii, dist = _farthest_point_run(dense, q, n_select, start,
+                                               sparse=sparse)
+    ref_sel, ref_radii, ref_dist = _reference_farthest_point_run(
+        pool, q, n_select, start)
+    assert sel == ref_sel
+    assert np.array_equal(radii, ref_radii)
+    if n_dense:
+        assert np.array_equal(dist[n_sparse:], np.min(
+            [_reference_lq_dist(dense, pool[c], q) for c in sel], axis=0))
+    assert _close_in_qth_power(dist[:n_sparse], ref_dist[:n_sparse],
+                               pool[:n_sparse], pool[sel], q, 1e-12)
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+def test_sparse_radii_are_the_exact_pairwise_distances_of_the_centers(q):
+    # depth-constant weights on a full tree make symmetric basis rows tie
+    # exactly, where the sparse arithmetic may break a tie another way;
+    # the radii must still be the exact kernel's distances of the centers
+    # selected, and their running minimum the least pairwise distance
+    tree = full_tree(2, 6)
+    scheme = WeightScheme("power-critical", kappa=1.0, alpha_u=0.125,
+                          alpha_w=0.125)
+    u, w = weights_for_tree(scheme, tree)
+    sparse = basis_images(tree, u, w, np.arange(tree.n))
+    samples = apply(tree, u, w, sample_lp_sphere(tree.n, 2.0, 40, 5).T).T
+    pool = np.concatenate([_materialize(sparse, tree.n), samples])
+    sel, radii, _ = _farthest_point_run(samples, q, 65, 0, sparse=sparse)
+    assert len(set(sel)) == 65 and any(c < tree.n for c in sel[1:])
+    centers = pool[sel]
+    pair = np.array([_reference_lq_dist(centers, c, q) for c in centers])
+    for k in range(1, len(sel)):
+        assert radii[k - 1] == np.min(
+            _reference_lq_dist(centers[:k], centers[k], q))
+        assert np.minimum.accumulate(radii)[k - 1] == np.min(
+            pair[:k + 1, :k + 1][np.triu_indices(k + 1, 1)])
+
+
+def test_a_selected_sparse_row_is_not_selected_again():
+    # the sparse distance of a large row to itself is only near 0, here
+    # above the distances of the small dense rows left to select
+    rng = np.random.default_rng(10)
+    sparse = (np.array([0, 0, 39]), rng.choice(40, 39, replace=False),
+              rng.standard_normal(39) * 100.0)
+    dense = rng.standard_normal((3, 40)) * 1e-3
+    pool = np.concatenate([_materialize(sparse, 40), dense])
+    for q in (1.5, 2.0, 4.0):
+        sel, radii, _ = _farthest_point_run(dense, q, 5, 0, sparse=sparse)
+        ref_sel, ref_radii, _ = _reference_farthest_point_run(pool, q, 5, 0)
+        assert sel == ref_sel and radii == ref_radii
+
+
+def test_sparse_rows_need_a_finite_q():
+    sparse = (np.array([0, 1]), np.array([0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="finite q"):
+        _farthest_point_run(np.zeros((2, 3)), math.inf, 2, 0, sparse=sparse)
 
 
 # -- packing lower bound ------------------------------------------------------

@@ -1,8 +1,6 @@
 import json
 import sys
-import threading
 import tracemalloc
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -21,6 +19,7 @@ from entropy_lab.experiments import (
     ResourceBudget,
     Row,
     _EXPERIMENTS,
+    _basis_images,
     _witness_pool,
     fit_slope,
     rows_to_csv,
@@ -281,6 +280,37 @@ def test_critical_scaling_pool_too_small(tmp_path):
         run(cfg)
 
 
+def test_critical_scaling_pool_counts_basis_and_sample_rows(tmp_path):
+    # depth 3 with two basis columns per level: 1 + 2 + 2 + 2 = 7 basis
+    # rows; packing at n = 4 needs 9 points
+    params = {"depth": 3, "per_level_cap": 2, "n_min": 3, "n_max": 4}
+    with pytest.raises(ValueError, match="7 basis and 1 sample points"):
+        run(ExperimentConfig("critical_scaling_power",
+                             params={**params, "samples": 1}, seed=0,
+                             output_dir=str(tmp_path / "short")))
+    res = run(ExperimentConfig("critical_scaling_power",
+                               params={**params, "samples": 2}, seed=0,
+                               output_dir=str(tmp_path / "exact")))
+    assert [r.n_or_k for r in res.rows] == [3, 4]
+
+
+def test_critical_scaling_packs_with_the_running_minimum_radius(tmp_path):
+    # radii replayed exactly need not be nonincreasing; the first
+    # 2^(n-1) + 1 centers are only as far apart as the least radius so far
+    def traversal(points, q, n_select, start, *, sparse=None, poll=None):
+        radii = [1.0] * (n_select - 1)
+        radii[2] = 0.25
+        return list(range(n_select)), radii, None
+
+    with mock.patch.object(experiments, "_farthest_point_run", traversal):
+        res = run(ExperimentConfig(
+            "critical_scaling_power",
+            params={"depth": 7, "per_level_cap": 32, "samples": 256,
+                    "n_min": 3, "n_max": 6},
+            seed=0, output_dir=str(tmp_path)))
+    assert [r.lower for r in res.rows] == [0.125] * 4
+
+
 def test_critical_scaling_cap_trips_inside_the_traversal(tmp_path,
                                                        monkeypatch):
     params = {"depth": 7, "per_level_cap": 32, "samples": 256,
@@ -400,6 +430,16 @@ def _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed):
     return pool
 
 
+def _built_pool(tree, u, w, p, samples, per_level_cap, seed):
+    """The witness pool as the critical-scaling runner builds it: sparse
+    basis rows, materialized here, ahead of the sample rows."""
+    starts, ids, data = _basis_images(tree, u, w, per_level_cap, seed)
+    basis = np.zeros((starts.size - 1, tree.n))
+    for r in range(starts.size - 1):
+        basis[r, ids[starts[r]:starts[r + 1]]] = data[starts[r]:starts[r + 1]]
+    return basis, _witness_pool(tree, u, w, p, samples, seed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 120), branching=st.integers(1, 4),
        p=st.sampled_from([1.0, 1.5, 2.0, 4.0]), samples=st.integers(0, 30),
@@ -413,15 +453,17 @@ def test_witness_pool_matches_one_shot_reference(n, branching, p, samples,
     u, w = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
     with mock.patch.object(entropy, "_BLOCK_BYTES",
                            max(1, 8 * n * block_rows)):
-        got = _witness_pool(tree, u, w, p, samples, per_level_cap, seed)
+        basis, sample_rows = _built_pool(tree, u, w, p, samples,
+                                         per_level_cap, seed)
     ref = _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed)
-    assert got.shape == ref.shape and np.array_equal(got, ref)
+    assert sample_rows.shape == (samples, n)
+    assert np.array_equal(np.concatenate([basis, sample_rows]), ref)
 
 
 def test_witness_pools_built_side_by_side_match_the_reference():
-    # more pool builds than cores, each with its own worker thread, under a
-    # short switch interval: a row written twice, or by a fill that had not
-    # finished, breaks equality with the one-shot pool
+    # more pool builds than cores, on threads, under a short switch
+    # interval: a build that shared state with another breaks equality
+    # with the one-shot pool
     tree = random_tree(300, 3, seed=11)
     rng = np.random.default_rng(11)
     u, w = rng.uniform(0.1, 2.0, tree.n), rng.uniform(0.1, 2.0, tree.n)
@@ -431,48 +473,34 @@ def test_witness_pools_built_side_by_side_match_the_reference():
     try:
         with mock.patch.object(entropy, "_BLOCK_BYTES", 8 * tree.n * 3), \
                 ThreadPoolExecutor(4) as builders:
-            futures = [builders.submit(_witness_pool, tree, u, w, 1.5, 20, 64,
+            futures = [builders.submit(_built_pool, tree, u, w, 1.5, 20, 64,
                                        3) for _ in range(8)]
-            pools = [f.result(timeout=60) for f in futures]
+            pools = [np.concatenate(f.result(timeout=60)) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(pool, ref) for pool in pools)
 
 
-def test_witness_pool_worker_follows_the_callers_errstate():
-    # the basis rows are filled on a worker thread; an invalid value made
-    # there must warn or raise by the caller's np.errstate
-    tree = random_tree(50, 2, seed=1)
-    u = w = np.ones(tree.n)
-
-    def apply_invalid_off_main(tree, u, w, x):
-        if threading.current_thread() is not threading.main_thread():
-            np.subtract(np.full(1, np.inf), np.inf)
-        return apply(tree, u, w, x)
-
-    with mock.patch.object(experiments, "apply", apply_invalid_off_main):
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("error")
-            _witness_pool(tree, u, w, 2.0, 8, 4, 0)
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            _witness_pool(tree, u, w, 2.0, 8, 4, 0)
-
-
 def test_witness_pool_peaks_near_its_own_size():
-    # numpy reports its buffers to tracemalloc: besides the pool itself,
-    # only block-sized scratch may be live, also while the worker thread
-    # fills the basis rows alongside the sphere draw
+    # numpy reports its buffers to tracemalloc: besides the sample rows
+    # and the basis rows' nonzeros, only block-sized scratch and a few
+    # nonzero- or vertex-sized temporaries may be live; a dense basis row
+    # block would hold over 30 times the nonzeros here
     tree = random_tree(1500, 3, seed=4)
     u, w = np.full(tree.n, 0.5), np.full(tree.n, 2.0)
     tracemalloc.start()
     try:
-        pool = _witness_pool(tree, u, w, 2.0, 1000, 64, 0)
+        basis = _basis_images(tree, u, w, 64, 0)
+        pool = _witness_pool(tree, u, w, 2.0, 1000, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pool.shape[0] > 1000 and pool.shape[1] == tree.n
-    # each thread holds at most about two blocks at a time
-    assert peak - pool.nbytes <= 6 * entropy._BLOCK_BYTES
+    starts, ids, data = basis
+    assert pool.shape == (1000, tree.n) and starts.size - 1 > 500
+    assert (starts.size - 1) * tree.n >= 30 * ids.size
+    live = pool.nbytes + starts.nbytes + ids.nbytes + data.nbytes
+    assert peak - live <= 2 * data.nbytes + 16 * 8 * tree.n \
+        + 4 * entropy._BLOCK_BYTES
 
 
 def test_certificate_growth_small(tmp_path):

@@ -102,7 +102,9 @@ class TestStructureOps:
 
     def test_subtree_of_path(self):
         t = path_tree(6)
-        assert t.subtree(3).tolist() == [3, 4, 5]
+        starts, ids = t.subtrees([3, 0, 5])
+        assert starts.tolist() == [0, 3, 9, 10]
+        assert ids.tolist() == [3, 4, 5, 0, 1, 2, 3, 4, 5, 5]
 
     def test_json_roundtrip(self):
         t = full_tree(2, 3)
@@ -233,9 +235,20 @@ def _same(a, b):
 def test_level_walks_match_the_csr_walks_exactly(tree):
     ref = CsrReference(tree)
     assert _same(tree.n_children(), ref.n_children())
+    # every vertex, with repeats, in one subtrees sweep
+    vs = np.concatenate([np.arange(tree.n), np.arange(tree.n)[::-2]])
+    starts, ids = tree.subtrees(vs)
+    assert starts[0] == 0 and starts[-1] == ids.size
+    for i, v in enumerate(vs):
+        row = ids[starts[i]:starts[i + 1]]
+        # preorder: v first, each vertex after its parent
+        assert row[0] == v
+        pos = {int(x): j for j, x in enumerate(row)}
+        assert all(pos[int(tree.parent[x])] < j
+                   for j, x in enumerate(row) if j)
+        assert _same(np.sort(row), ref.subtree(v))
     for v in range(tree.n):
         assert _same(tree.children(v), ref.children(v))
-        assert _same(tree.subtree(v), ref.subtree(v))
         # one distance past the last level reads empty
         for l in range(tree.height - int(tree.depth[v]) + 2):
             assert _same(tree.descendants_at_distance(v, l),
