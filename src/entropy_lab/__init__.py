@@ -9,7 +9,6 @@ from .entropy import (
     combine_scale,
     combine_sum,
     cover_profile,
-    estimates_to_csv,
     kuhn_value,
     lifshits_combine,
     matrix_norm_upper,

@@ -17,8 +17,6 @@ are tracked as an explicit expression tree with exact index bookkeeping.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -51,24 +49,6 @@ class EntropyEstimate:
             raise ValueError("value must be nonnegative")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-
-    def csv_row(self):
-        return [self.method, self.k, repr(float(self.value)), self.kind,
-                "" if self.seed is None else self.seed]
-
-
-def estimates_to_csv(estimates, path=None) -> str:
-    """CSV export (method, k, value, kind, seed)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "k", "value", "kind", "seed"])
-    for est in estimates:
-        writer.writerow(est.csv_row())
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 # -- closed-form reference curves -------------------------------------------
@@ -175,10 +155,14 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
 
     Coordinates are drawn from the generalized Gaussian density
     proportional to exp(-|x|^p) (gamma trick) and normalized; for p = inf
-    the coordinates are uniform on [-1, 1].  Counter-based generator keyed
-    by (seed, tag) for reproducibility.  The samples are drawn straight
-    into the result; the signs, the row norms and the scaling then go one
-    row block at a time, so the only sample-sized array is the result.
+    the coordinates are uniform on [-1, 1].  At p = 2 that density is a
+    Gaussian's, so the coordinates are standard normal draws, with no
+    gamma draw, sign draw or power: a normalized Gaussian vector is
+    exactly uniform on the l_2 sphere, because its law is rotation
+    invariant (Muller 1959).  Counter-based generator keyed by (seed, tag)
+    for reproducibility.  The samples are drawn straight into the result;
+    the signs, the row norms and the scaling then go one row block at a
+    time, so the only sample-sized array is the result.
     """
     out = np.empty((n_samples, nu))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
@@ -186,6 +170,8 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
         rng.random(out=out)
         out *= 2.0
         out -= 1.0
+    elif p == 2:
+        rng.standard_normal(out=out)
     else:
         rng.standard_gamma(1.0 / p, out=out)
     rows = _block_rows(nu)
@@ -196,6 +182,10 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
         x, block, norm = out[s:e], buf[:e - s], norms[:e - s]
         if math.isinf(p):
             np.max(np.abs(x, out=block), axis=1, out=norm)
+        elif p == 2:
+            np.multiply(x, x, out=block)
+            np.sum(block, axis=1, out=norm)
+            np.sqrt(norm, out=norm)
         else:
             x **= 1.0 / p
             signs = rng.integers(0, 2, x.shape)

@@ -19,7 +19,6 @@ from entropy_lab.entropy import (
     combine_scale,
     combine_sum,
     cover_profile,
-    estimates_to_csv,
     kuhn_value,
     lifshits_combine,
     matrix_norm_upper,
@@ -204,6 +203,20 @@ def test_sphere_samples_have_unit_norm():
     assert np.allclose(norms, 1.0, rtol=1e-9)
     y = sample_lp_sphere(4, math.inf, 256, seed=3)
     assert np.allclose(np.max(np.abs(y), axis=1), 1.0, rtol=1e-9)
+    z = sample_lp_sphere(6, 2, 256, seed=3)
+    assert np.allclose(np.linalg.norm(z, axis=1), 1.0, rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_l2_sphere_samples_follow_the_uniform_law(seed):
+    # uniform on the circle, x0 = cos(theta): E x0 = 0 with sd 1/sqrt(2),
+    # E x0^4 = 3/8 with sd sqrt(35/128 - 9/64) = 0.364
+    n = 100_000
+    x0 = sample_lp_sphere(2, 2, n, seed=seed)[:, 0]
+    z_mean = x0.mean() / (math.sqrt(0.5) / math.sqrt(n))
+    z_fourth = (np.mean(x0 ** 4) - 3 / 8) / (math.sqrt(17 / 128) / math.sqrt(n))
+    assert abs(z_mean) < 4, z_mean
+    assert abs(z_fourth) < 4, z_fourth
 
 
 def test_ball_samples_fill_the_ball():
@@ -220,6 +233,9 @@ def _reference_sphere(nu, p, n_samples, seed, tag=0x6c7073):
     if math.isinf(p):
         x = rng.uniform(-1.0, 1.0, (n_samples, nu))
         norms = np.max(np.abs(x), axis=1)
+    elif p == 2:
+        x = rng.standard_normal((n_samples, nu))
+        norms = np.sqrt(np.sum(x * x, axis=1))
     else:
         mags = rng.gamma(1.0 / p, 1.0, (n_samples, nu)) ** (1.0 / p)
         signs = rng.integers(0, 2, (n_samples, nu)) * 2 - 1
@@ -231,7 +247,7 @@ def _reference_sphere(nu, p, n_samples, seed, tag=0x6c7073):
 
 @settings(max_examples=60, deadline=None)
 @given(nu=st.integers(1, 40), n_samples=st.integers(0, 60),
-       p=st.sampled_from([0.7, 1.0, 1.5, 2.0, 4.0, math.inf]),
+       p=st.sampled_from([0.7, 1.0, 1.5, 2, 2.0, 4.0, math.inf]),
        seed=st.integers(0, 2 ** 32 - 1),
        block_bytes=st.integers(1, 4096))
 def test_sphere_sampler_matches_one_shot_reference(nu, n_samples, p, seed,
@@ -850,7 +866,7 @@ def test_bound_expr_errors_and_serialization():
     assert data["children"][0]["payload"]["norm"] == 1.5
 
 
-# -- estimate type and CSV export ---------------------------------------------
+# -- estimate type -----------------------------------------------------------
 
 
 def test_estimate_validation():
@@ -860,24 +876,6 @@ def test_estimate_validation():
         EntropyEstimate(1, -1.0, "heuristic", "x")
     with pytest.raises(ValueError):
         EntropyEstimate(1, 1.0, "upper", "x")
-
-
-def test_csv_export(tmp_path):
-    ests = [
-        EntropyEstimate(1, 0.5, "certified_lower", "packing", seed=3),
-        EntropyEstimate(2, 1.0 / 3.0, "certified_upper", "net"),
-    ]
-    text = estimates_to_csv(ests)
-    lines = text.strip().split("\n")
-    assert lines[0] == "method,k,value,kind,seed"
-    assert lines[1] == "packing,1,0.5,certified_lower,3"
-    # seed column empty for deterministic methods, value reprs round-trip
-    fields = lines[2].split(",")
-    assert fields[4] == ""
-    assert float(fields[2]) == 1.0 / 3.0
-    out = tmp_path / "est.csv"
-    estimates_to_csv(ests, out)
-    assert out.read_text() == text
 
 
 def test_matrix_norm_upper_values():
