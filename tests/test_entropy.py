@@ -213,8 +213,8 @@ def test_l2_sphere_samples_follow_the_uniform_law(seed):
     # E x0^4 = 3/8 with sd sqrt(35/128 - 9/64) = 0.364
     n = 100_000
     x0 = sample_lp_sphere(2, 2, n, seed=seed)[:, 0]
-    z_mean = x0.mean() / (math.sqrt(0.5) / math.sqrt(n))
-    z_fourth = (np.mean(x0 ** 4) - 3 / 8) / (math.sqrt(17 / 128) / math.sqrt(n))
+    z_mean = x0.mean() * math.sqrt(n / 0.5)
+    z_fourth = (np.mean(x0 ** 4) - 3 / 8) * math.sqrt(n / (17 / 128))
     assert abs(z_mean) < 4, z_mean
     assert abs(z_fourth) < 4, z_fourth
 
@@ -866,7 +866,7 @@ def test_bound_expr_errors_and_serialization():
     assert data["children"][0]["payload"]["norm"] == 1.5
 
 
-# -- estimate type -----------------------------------------------------------
+# -- estimate type ------------------------------------------------------------
 
 
 def test_estimate_validation():
