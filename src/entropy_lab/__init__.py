@@ -10,7 +10,6 @@ from .entropy import (
     combine_sum,
     cover_profile,
     kuhn_value,
-    lifshits_combine,
     matrix_norm_upper,
     net_upper,
     packing_profile,

@@ -10,7 +10,6 @@ provide the leaves of composite bounds; the combination rules
 
     e_{k+l-1}(S+T) <= e_k(S) + e_l(T)
     e_k(ST)       <= ||S|| e_k(T)
-    e_{n+floor(log2 N)+1}  <=  sup-member bound + approximation error
 
 are tracked as an explicit expression tree with exact index bookkeeping.
 """
@@ -19,6 +18,8 @@ from __future__ import annotations
 
 import math
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ _SAMPLED_K_CAP = 24
 _DEFAULT_SAMPLES = 2 ** 14
 _BLOCK_BYTES = 2 ** 20
 _BALL_TAG = 0x6c7062
+_SPHERE_TAG = 0x6c7073
 _NET_CAP = 4_000_000
 _GRAM_MAX = 2.0 ** 1018   # squared norms the q = 2 filter takes
 _GRAM_PAD = 2.0 ** -1070  # 16 least subnormals, per column
@@ -150,7 +152,7 @@ def volumetric_lower(nu: int, p: float, q: float, k: int,
 
 
 def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
-                     tag: int = 0x6c7073) -> np.ndarray:
+                     tag: int = _SPHERE_TAG) -> np.ndarray:
     """Uniform (cone measure) samples on the l_p unit sphere.
 
     Coordinates are drawn from the generalized Gaussian density
@@ -160,26 +162,70 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
     gamma draw, sign draw or power: a normalized Gaussian vector is
     exactly uniform on the l_2 sphere, because its law is rotation
     invariant (Muller 1959).  Counter-based generator keyed by (seed, tag)
-    for reproducibility.  The samples are drawn straight into the result;
-    the signs, the row norms and the scaling then go one row block at a
-    time, so the only sample-sized array is the result.
+    for reproducibility.  The rows come from _sphere_blocks: a worker
+    thread draws them straight into the result while the calling thread
+    normalizes each finished row block, so the only sample-sized array is
+    the result, and the stream is the one-shot draw's whatever the
+    threads' timing.
     """
     out = np.empty((n_samples, nu))
+    for _ in _sphere_blocks(out, p, seed, tag):
+        pass
+    return out
+
+
+def _sphere_blocks(out: np.ndarray, p: float, seed: int,
+                   tag: int = _SPHERE_TAG):
+    """Fill `out` with sample_lp_sphere's rows and yield its _block_rows
+    row blocks in order, each once it holds its final values.
+
+    A worker thread fills one block after another (standard_normal at
+    p = 2, random at p = inf, standard_gamma otherwise) and hands each
+    over; the calling thread waits for it, scales and normalizes it in
+    place and yields it, so while the caller works on block b (the
+    witness pool also maps it through `apply`), the worker fills b + 1.
+    At other p the stream holds every fill before the first sign draw
+    (`integers`, one per block), so the caller only raises each block to
+    the power 1/p as it arrives; once the worker has returned, the caller
+    draws the signs block by block, then finishes and yields each block.
+    (Sign arrays drawn on the worker thread left about one block more
+    memory resident after the draw.)  So the generator is never
+    used by two threads at once and its calls come in one fixed order,
+    one block per call; a Philox stream is a function of its key and a
+    counter, consumed in sequence, so these calls give the numbers of one
+    call over the whole array (Salmon et al., SC 2011; test_entropy pins
+    this for each call used here), and no bit depends on the threads'
+    timing.  The worker runs under the caller's np.errstate (see _submit)
+    and calls numpy alone.  A caller that may leave its loop early wraps
+    the generator in contextlib.closing: closing it stops the worker after
+    its current fill and joins it, as an error in it or running it to the
+    end does.
+    """
+    n, nu = out.shape
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
-    if math.isinf(p):
-        rng.random(out=out)
-        out *= 2.0
-        out -= 1.0
-    elif p == 2:
-        rng.standard_normal(out=out)
-    else:
-        rng.standard_gamma(1.0 / p, out=out)
     rows = _block_rows(nu)
-    buf = np.empty((min(rows, n_samples), nu))
-    norms = np.empty(min(rows, n_samples))
-    for s in range(0, n_samples, rows):
-        e = min(s + rows, n_samples)
-        x, block, norm = out[s:e], buf[:e - s], norms[:e - s]
+    starts = range(0, n, rows)
+    signed = not (p == 2 or math.isinf(p))
+    ready, stop = queue.SimpleQueue(), threading.Event()
+
+    def fill():
+        for s in starts:
+            if stop.is_set():
+                return
+            x = out[s:s + rows]
+            if p == 2:
+                rng.standard_normal(out=x)
+            elif math.isinf(p):
+                rng.random(out=x)
+            else:
+                rng.standard_gamma(1.0 / p, out=x)
+            ready.put(None)
+
+    buf = np.empty((min(rows, n), nu))
+    norms = np.empty(min(rows, n))
+
+    def normalize(x):
+        block, norm = buf[:x.shape[0]], norms[:x.shape[0]]
         if math.isinf(p):
             np.max(np.abs(x, out=block), axis=1, out=norm)
         elif p == 2:
@@ -187,18 +233,41 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
             np.sum(block, axis=1, out=norm)
             np.sqrt(norm, out=norm)
         else:
-            x **= 1.0 / p
-            signs = rng.integers(0, 2, x.shape)
-            signs *= 2
-            signs -= 1
-            x *= signs
             np.abs(x, out=block)
             block **= p
             np.sum(block, axis=1, out=norm)
             norm **= 1.0 / p
         norm[norm == 0] = 1.0
         x /= norm[:, None]
-    return out
+        return x
+
+    with ThreadPoolExecutor(1) as worker:
+        filled = _submit(worker, fill)
+        # a worker that raises wakes the caller through its future
+        filled.add_done_callback(ready.put)
+        try:
+            for s in starts:
+                if ready.get() is filled:
+                    filled.result()  # raises the worker's error
+                x = out[s:s + rows]
+                if math.isinf(p):
+                    x *= 2.0
+                    x -= 1.0
+                elif signed:
+                    x **= 1.0 / p
+                    continue
+                yield normalize(x)
+            filled.result()
+        finally:
+            stop.set()
+    if signed:
+        for s in starts:
+            x = out[s:s + rows]
+            signs = rng.integers(0, 2, x.shape)
+            signs *= 2
+            signs -= 1
+            x *= signs
+            yield normalize(x)
 
 
 def sample_lp_ball(nu: int, p: float, n_samples: int, seed: int) -> np.ndarray:
@@ -704,29 +773,6 @@ def combine_scale(norm: float, est: EntropyEstimate) -> EntropyEstimate:
                            f"scale[{norm:g} * {est.method}]", est.seed)
 
 
-def lifshits_combine(n: int, family_size: int, per_member,
-                     approx_error: float) -> EntropyEstimate:
-    """Selection bound over a family of size N:
-    e_{n + floor(log2 N) + 1} <= (per-member bound at index n) + error."""
-    if family_size < 1:
-        raise ValueError("family_size must be >= 1")
-    if not (approx_error >= 0):
-        raise ValueError("approximation error must be nonnegative")
-    if isinstance(per_member, EntropyEstimate):
-        _require_upper(per_member, "lifshits_combine")
-        if per_member.k != n:
-            raise ValueError(
-                f"per-member bound is at index {per_member.k}, not n={n}")
-        value, kind = per_member.value, per_member.kind
-    else:
-        value, kind = float(per_member), "certified_upper"
-        if value < 0:
-            raise ValueError("per-member bound must be nonnegative")
-    index = n + int(math.floor(math.log2(family_size))) + 1
-    return EntropyEstimate(index, value + approx_error, kind,
-                           f"lifshits[N={family_size}]")
-
-
 # -- expression trees ---------------------------------------------------------
 
 
@@ -734,8 +780,8 @@ def lifshits_combine(n: int, family_size: int, per_member,
 class BoundExpr:
     """Expression tree over entropy estimates and norm constants.
 
-    ops: "leaf" (estimate), "sum", "scale" (the payload's norm constant
-    times the child), "lifshits".  evaluate() is deterministic and routes
+    ops: "leaf" (estimate), "sum" and "scale" (the payload's norm
+    constant times the child).  evaluate() is deterministic and routes
     every combination through the calculus functions, so index bookkeeping
     is exact by construction.
     """
@@ -769,13 +815,6 @@ class BoundExpr:
             raise ValueError("norm constant must be nonnegative")
         return BoundExpr("scale", (entropy_expr,), {"norm": float(norm)})
 
-    @staticmethod
-    def lifshits(n: int, family_size: int, per_member: "BoundExpr",
-                 approx_error: float) -> "BoundExpr":
-        return BoundExpr("lifshits", (per_member,), {
-            "n": int(n), "family_size": int(family_size),
-            "approx_error": float(approx_error)})
-
     def evaluate(self) -> EntropyEstimate:
         if self.op == "leaf":
             return self.payload["estimate"]
@@ -785,11 +824,6 @@ class BoundExpr:
         if self.op == "scale":
             (child,) = self.children
             return combine_scale(self.payload["norm"], child.evaluate())
-        if self.op == "lifshits":
-            (child,) = self.children
-            pl = self.payload
-            return lifshits_combine(pl["n"], pl["family_size"],
-                                    child.evaluate(), pl["approx_error"])
         raise ValueError(f"unknown op {self.op!r}")
 
     def to_dict(self) -> dict:

@@ -7,9 +7,10 @@ fitted slopes and worst-case margins and is byte-stable across reruns
 with the same seed; wall-clock timestamps go only into the manifest.
 
 A run enforces two resource caps (wall clock and peak RSS), polled
-between work items, once per selected center inside the farthest-point
-traversals (the critical-scaling packing and the cover profile) and once
-per norm-oracle iteration: when a cap trips, the runner stops and returns
+between work items, once per row block of the witness-pool build, once
+per selected center inside the farthest-point traversals (the
+critical-scaling packing and the cover profile) and once per norm-oracle
+iteration: when a cap trips, the runner stops and returns
 the rows produced so far.  Runners never report a cap; run() polls once
 more after the runner returns and reports what that poll finds, so a cap
 crossed during a run's last work item is reported too.  The rows are
@@ -22,6 +23,7 @@ import math
 import os
 import resource
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -30,11 +32,10 @@ import numpy as np
 
 from .certificate import entropy_certificate
 from .entropy import (
-    _block_rows,
     _farthest_point_run,
+    _sphere_blocks,
     cover_profile,
     kuhn_value,
-    sample_lp_sphere,
     schuett,
     volumetric_lower,
 )
@@ -75,8 +76,9 @@ def _current_rss_bytes() -> int | None:
 
 class ResourceBudget:
     """Wall-clock and peak-RSS caps, polled between work items, once per
-    selected center of a farthest-point traversal (packing or cover
-    profile) and once per norm-oracle iteration.
+    row block of a witness-pool build, once per selected center of a
+    farthest-point traversal (packing or cover profile) and once per
+    norm-oracle iteration.
 
     Polling keeps the enforcement cooperative: a work item never gets
     interrupted halfway, it just becomes the last one.  The peak RSS is the
@@ -363,19 +365,30 @@ def _basis_images(tree, u, w, per_level_cap, seed):
     return basis_images(tree, u, w, np.concatenate(per_level))
 
 
-def _witness_pool(tree, u, w, p, samples, seed):
+def _witness_pool(tree, u, w, p, samples, seed, poll=None):
     """Images of `samples` random l_p unit-sphere vectors, one per row.
 
-    The samples are drawn straight into the result, then mapped through
-    apply in place a block of rows at a time, so the result is the only
-    sample-sized array.
+    The rows are sample_lp_sphere's, from entropy._sphere_blocks: a worker
+    thread draws them straight into the result, and the calling thread
+    normalizes each finished row block and maps it through apply in place
+    while the worker draws the next (at p other than 2 and inf, once the
+    last block is drawn).  So the result is the only sample-sized array,
+    and at p = 2 the build takes about as long as the serial draw alone.
+    The generator's calls come in one fixed order, never from two threads
+    at once, so no bit depends on the threads' timing.  poll, if given,
+    is called on the calling thread between blocks; when it returns a cap
+    name the build stops, the worker after its current block, and only
+    the rows mapped so far are returned.
     """
-    pool = sample_lp_sphere(tree.n, p, samples, seed)
-    step = _block_rows(tree.n)
-    for s in range(0, samples, step):
-        rows = pool[s:s + step]
-        rows[:] = apply(tree, u, w, rows.T).T
-    return pool
+    pool = np.empty((samples, tree.n))
+    done = 0
+    with closing(_sphere_blocks(pool, p, seed)) as blocks:
+        for rows in blocks:
+            rows[:] = apply(tree, u, w, rows.T).T
+            done += rows.shape[0]
+            if done < samples and poll is not None and poll() is not None:
+                break
+    return pool[:done]
 
 
 def _certificate_sweep(tree, scheme, h, ns, p, q, eps, budget):
@@ -425,16 +438,20 @@ def _run_critical_scaling(kind, params, seed, budget):
                 f"witness pool has {n_basis} basis and {samples} sample "
                 f"points, packing at n={n_max} needs {n_sel}; raise "
                 f"per_level_cap or samples")
-        pool = _witness_pool(tree, u, w, p, samples, seed)
-        _, radii, _ = _farthest_point_run(pool, q, n_sel, start=0,
-                                          sparse=basis, poll=budget.exceeded)
-        # the first 2^(n-1) + 1 centers lie pairwise at least the running
-        # minimum of their radii apart; a cap stops the traversal early,
-        # so keep the n it got through
-        seps = np.minimum.accumulate(radii)
-        lows = {n: float(seps[2 ** (n - 1) - 1]) / 2.0
-                for n in range(n_min, n_max + 1)
-                if 2 ** (n - 1) <= len(radii)}
+        pool = _witness_pool(tree, u, w, p, samples, seed,
+                             poll=budget.exceeded)
+        # polls are monotone: a cap that stopped the build trips this one
+        if budget.exceeded() is None:
+            _, radii, _ = _farthest_point_run(pool, q, n_sel, start=0,
+                                              sparse=basis,
+                                              poll=budget.exceeded)
+            # the first 2^(n-1) + 1 centers lie pairwise at least the
+            # running minimum of their radii apart; a cap stops the
+            # traversal early, so keep the n it got through
+            seps = np.minimum.accumulate(radii)
+            lows = {n: float(seps[2 ** (n - 1) - 1]) / 2.0
+                    for n in range(n_min, n_max + 1)
+                    if 2 ** (n - 1) <= len(radii)}
 
     # once a cap has tripped, packing rows are flushed uncertified
     uppers, extra, checks = _certificate_sweep(

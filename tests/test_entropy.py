@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import warnings
 from unittest import mock
 
@@ -20,7 +21,6 @@ from entropy_lab.entropy import (
     combine_sum,
     cover_profile,
     kuhn_value,
-    lifshits_combine,
     matrix_norm_upper,
     net_upper,
     packing_profile,
@@ -256,6 +256,59 @@ def test_sphere_sampler_matches_one_shot_reference(nu, n_samples, p, seed,
     with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes):
         got = sample_lp_sphere(nu, p, n_samples, seed)
     assert np.array_equal(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.integers(1, 7), rows=st.integers(1, 30),
+       cuts=st.lists(st.integers(1, 29), max_size=6),
+       shape=st.sampled_from([0.25, 1 / 1.5, 1.0, 1 / 0.7]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_blocks_draw_the_numbers_of_one_call(nu, rows, cuts, shape,
+                                                 seed):
+    # the sphere sampler draws one row block per call: a numpy whose
+    # numbers depended on that split would move every sample silently
+    edges = sorted({0, rows} | {c for c in cuts if c < rows})
+    blocks = list(zip(edges, edges[1:]))
+
+    def rng():
+        return np.random.Generator(np.random.Philox(
+            np.random.SeedSequence([seed, 0x6c7073])))
+
+    for fill in ("standard_normal", "random"):
+        one = getattr(rng(), fill)((rows, nu))
+        gen, got = rng(), np.empty((rows, nu))
+        for a, b in blocks:
+            getattr(gen, fill)(out=got[a:b])
+        assert np.array_equal(got, one)
+    # the gamma path: every magnitude first, then the signs block by block
+    gen = rng()
+    mags, signs = (gen.standard_gamma(shape, (rows, nu)),
+                   gen.integers(0, 2, (rows, nu)))
+    gen, got = rng(), np.empty((rows, nu))
+    for a, b in blocks:
+        gen.standard_gamma(shape, out=got[a:b])
+    got_signs = np.concatenate([gen.integers(0, 2, (b - a, nu))
+                                for a, b in blocks])
+    assert np.array_equal(got, mags) and np.array_equal(got_signs, signs)
+
+
+def test_a_failed_draw_reaches_the_caller():
+    # the draws run on a worker thread: its error must surface in the
+    # caller, not leave it waiting, and the worker must be gone (p = -1
+    # asks for a gamma shape of -1)
+    threads, errors = threading.active_count(), []
+
+    def call():
+        try:
+            sample_lp_sphere(3, -1.0, 10, seed=0)
+        except ValueError as exc:
+            errors.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and len(errors) == 1
+    assert threading.active_count() == threads
 
 
 def test_sampler_determinism():
@@ -800,21 +853,6 @@ def test_combine_scale():
         combine_scale(2.0, _upper(4, 0.8, "certified_lower"))
 
 
-def test_lifshits_combine_index_rule():
-    assert lifshits_combine(5, 1, 0.3, 0.05).k == 6
-    out = lifshits_combine(5, 8, 0.3, 0.05)
-    assert out.k == 9 and out.value == pytest.approx(0.35)
-    assert out.kind == "certified_upper"
-    member = _upper(5, 0.3, "heuristic")
-    assert lifshits_combine(5, 8, member, 0.0).kind == "heuristic"
-    with pytest.raises(ValueError):
-        lifshits_combine(5, 0, 0.3, 0.05)
-    with pytest.raises(ValueError):
-        lifshits_combine(5, 8, 0.3, -0.01)
-    with pytest.raises(ValueError):
-        lifshits_combine(4, 8, _upper(5, 0.3), 0.0)
-
-
 @given(st.integers(1, 50), st.integers(1, 50),
        st.floats(0, 10), st.floats(0, 10))
 @settings(max_examples=50, deadline=None)
@@ -844,12 +882,6 @@ def test_bound_expr_composition():
     assert est.kind == "certified_upper"
     # evaluation is deterministic
     assert expr.evaluate() == est
-
-
-def test_bound_expr_lifshits_node():
-    expr = BoundExpr.lifshits(3, 8, BoundExpr.leaf(_upper(3, 0.2)), 0.01)
-    est = expr.evaluate()
-    assert est.k == 3 + 3 + 1 and est.value == pytest.approx(0.21)
 
 
 def test_bound_expr_errors_and_serialization():

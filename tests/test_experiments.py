@@ -1,5 +1,7 @@
 import json
+import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -320,17 +322,18 @@ def test_critical_scaling_cap_trips_inside_the_traversal(tmp_path,
     polls = []
 
     def exceeded(self):
-        # one poll before the pool, then one per center: 11 pass, so the
-        # traversal reaches 11 centers, enough for n = 3 and n = 4 only
+        # one poll before the pool and one after it (the 256 samples are
+        # one block, so none in between), then one per center: 12 pass,
+        # so the traversal reaches 11 centers, enough for n = 3 and n = 4
         polls.append(1)
-        return "wall_clock" if len(polls) > 11 else None
+        return "wall_clock" if len(polls) > 12 else None
 
     monkeypatch.setattr(ResourceBudget, "exceeded", exceeded)
     res = run(ExperimentConfig("critical_scaling_power", params=params,
                                seed=0, output_dir=str(tmp_path / "cut")))
     assert res.cap_hit == "wall_clock" and not res.passed
     # the tripped poll, the certificate sweep's first and run()'s own
-    assert len(polls) == 14
+    assert len(polls) == 15
     assert [r.n_or_k for r in res.rows] == [3, 4]
     assert [r.lower for r in res.rows] == [r.lower for r in full.rows[:2]]
     assert all(r.upper is None for r in res.rows)
@@ -410,6 +413,38 @@ def test_schuett_regimes_cap_trips_inside_the_cover_traversal(tmp_path,
     assert summary["rows"] == len(full.rows)
 
 
+def test_critical_scaling_cap_trips_inside_the_witness_pool(tmp_path,
+                                                           monkeypatch):
+    # 255 vertices in 16-row blocks: the 256 samples are 16 blocks, with a
+    # poll after each of the first 15; one poll comes before the pool
+    params = {"depth": 7, "per_level_cap": 32, "samples": 256,
+              "n_min": 3, "n_max": 6}
+    mapped, traversals = [], []
+    inner = experiments.apply
+
+    def counted(tree, *args):
+        out = inner(tree, *args)
+        mapped.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(experiments, "apply", counted)
+    monkeypatch.setattr(experiments, "_farthest_point_run",
+                        lambda *a, **k: traversals.append(1))
+    monkeypatch.setattr(entropy, "_BLOCK_BYTES", 8 * 255 * 16)
+    threads = threading.active_count()
+    polls = _trip_on_poll(monkeypatch, 5)
+    res = run(ExperimentConfig("critical_scaling_power", params=params,
+                               seed=0, output_dir=str(tmp_path)))
+    assert threading.active_count() == threads
+    # four blocks mapped; the tripped poll, the one that skips the
+    # traversal and run()'s own (no row, so no certificate is polled for)
+    assert mapped == [16] * 4 and len(polls) == 7 and not traversals
+    assert res.cap_hit == "wall_clock" and not res.passed
+    assert res.rows == []
+    summary = json.loads(Path(res.summary_path).read_text())
+    assert summary["cap_hit"] == "wall_clock" and summary["rows"] == 0
+
+
 def _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed):
     """One-shot pool: full identity basis, full-width images, concatenate."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
@@ -442,7 +477,8 @@ def _built_pool(tree, u, w, p, samples, per_level_cap, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 120), branching=st.integers(1, 4),
-       p=st.sampled_from([1.0, 1.5, 2.0, 4.0]), samples=st.integers(0, 30),
+       p=st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
+       samples=st.integers(0, 30),
        per_level_cap=st.integers(1, 9), block_rows=st.integers(0, 9),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_witness_pool_matches_one_shot_reference(n, branching, p, samples,
@@ -479,6 +515,41 @@ def test_witness_pools_built_side_by_side_match_the_reference():
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(pool, ref) for pool in pools)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+def test_no_thread_outlives_a_witness_pool_build(monkeypatch, p):
+    tree = random_tree(200, 3, seed=5)
+    u, w = np.full(tree.n, 0.5), np.full(tree.n, 2.0)
+    monkeypatch.setattr(entropy, "_BLOCK_BYTES", 8 * tree.n * 4)
+    # per_level_cap 0: the reference holds the 40 sample rows alone
+    ref = _reference_witness_pool(tree, u, w, p, 40, 0, 7)
+    threads = threading.active_count()
+    # a normal build: ten blocks
+    assert np.array_equal(_witness_pool(tree, u, w, p, 40, 7), ref)
+    assert threading.active_count() == threads
+    # a build stopped by the poll after its second block
+    polls = []
+    cut = _witness_pool(tree, u, w, p, 40, 7,
+                        poll=lambda: polls.append(1) or
+                        ("wall_clock" if len(polls) == 2 else None))
+    assert np.array_equal(cut, ref[:8]) and len(polls) == 2
+    assert threading.active_count() == threads
+    # a build whose apply raises on its third block
+    calls = []
+    inner = experiments.apply
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("apply failed")
+        return inner(*args)
+
+    monkeypatch.setattr(experiments, "apply", failing)
+    with pytest.raises(RuntimeError, match="apply failed"):
+        _witness_pool(tree, u, w, p, 40, 7)
+    assert len(calls) == 3
+    assert threading.active_count() == threads
 
 
 def test_witness_pool_peaks_near_its_own_size():
