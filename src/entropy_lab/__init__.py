@@ -23,12 +23,9 @@ from .hset import (
     Schedule,
     TauFn,
     TAU_CONST,
-    check_hset_census,
     generate_hset_tree,
-    h_eval,
     h_level_target,
     schedule_from_profile,
-    slowly_varying_check,
     validate_critical,
 )
 from .partition import (
@@ -52,8 +49,6 @@ from .trees import (
     SubtreePartition,
     Tree,
     full_tree,
-    layer_components,
-    path_tree,
     random_tree,
 )
 

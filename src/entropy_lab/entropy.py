@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -179,47 +177,42 @@ def _sphere_blocks(out: np.ndarray, p: float, seed: int,
     """Fill `out` with sample_lp_sphere's rows and yield its _block_rows
     row blocks in order, each once it holds its final values.
 
-    A worker thread fills one block after another (standard_normal at
-    p = 2, random at p = inf, standard_gamma otherwise) and hands each
-    over; the calling thread waits for it, scales and normalizes it in
-    place and yields it, so while the caller works on block b (the
-    witness pool also maps it through `apply`), the worker fills b + 1.
-    At other p the stream holds every fill before the first sign draw
-    (`integers`, one per block), so the caller only raises each block to
-    the power 1/p as it arrives; once the worker has returned, the caller
-    draws the signs block by block, then finishes and yields each block.
-    (Sign arrays drawn on the worker thread left about one block more
-    memory resident after the draw.)  So the generator is never
-    used by two threads at once and its calls come in one fixed order,
-    one block per call; a Philox stream is a function of its key and a
-    counter, consumed in sequence, so these calls give the numbers of one
-    call over the whole array (Salmon et al., SC 2011; test_entropy pins
-    this for each call used here), and no bit depends on the threads'
-    timing.  The worker runs under the caller's np.errstate (see _submit)
-    and calls numpy alone.  A caller that may leave its loop early wraps
-    the generator in contextlib.closing: closing it stops the worker after
-    its current fill and joins it, as an error in it or running it to the
-    end does.
+    Each block's fill (standard_normal at p = 2, random at p = inf,
+    standard_gamma otherwise) is submitted to one worker thread, which
+    runs them in submission order; the calling thread waits for each
+    block's fill, scales and normalizes the block in place and yields it,
+    so while the caller works on block b (the witness pool also maps it
+    through `apply`), the worker fills the blocks after it.  At other p
+    the stream holds every fill before the first sign draw (`integers`,
+    one per block), so the caller only raises each block to the power 1/p
+    as it arrives; once the worker has returned, the caller draws the
+    signs block by block, then finishes and yields each block.  (Sign
+    arrays drawn on the worker thread left about one block more memory
+    resident after the draw.)  So the generator is never used by two
+    threads at once and its calls come in one fixed order, one block per
+    call; a Philox stream is a function of its key and a counter, consumed
+    in sequence, so these calls give the numbers of one call over the
+    whole array (Salmon et al., SC 2011; test_entropy pins this for each
+    call used here), and no bit depends on the threads' timing.  The
+    fills run under the caller's np.errstate (see _submit) and call numpy
+    alone.  A fill's error reaches the caller from that block's future.
+    A caller that may leave its loop early wraps the generator in
+    contextlib.closing: closing it cancels the fills not yet started and
+    joins the running one, as an error or running it to the end does.
     """
     n, nu = out.shape
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
     rows = _block_rows(nu)
     starts = range(0, n, rows)
     signed = not (p == 2 or math.isinf(p))
-    ready, stop = queue.SimpleQueue(), threading.Event()
 
-    def fill():
-        for s in starts:
-            if stop.is_set():
-                return
-            x = out[s:s + rows]
-            if p == 2:
-                rng.standard_normal(out=x)
-            elif math.isinf(p):
-                rng.random(out=x)
-            else:
-                rng.standard_gamma(1.0 / p, out=x)
-            ready.put(None)
+    def fill(x):
+        if p == 2:
+            rng.standard_normal(out=x)
+        elif math.isinf(p):
+            rng.random(out=x)
+        else:
+            rng.standard_gamma(1.0 / p, out=x)
 
     buf = np.empty((min(rows, n), nu))
     norms = np.empty(min(rows, n))
@@ -242,13 +235,10 @@ def _sphere_blocks(out: np.ndarray, p: float, seed: int,
         return x
 
     with ThreadPoolExecutor(1) as worker:
-        filled = _submit(worker, fill)
-        # a worker that raises wakes the caller through its future
-        filled.add_done_callback(ready.put)
+        fills = [_submit(worker, fill, out[s:s + rows]) for s in starts]
         try:
-            for s in starts:
-                if ready.get() is filled:
-                    filled.result()  # raises the worker's error
+            for s, filled in zip(starts, fills):
+                filled.result()
                 x = out[s:s + rows]
                 if math.isinf(p):
                     x *= 2.0
@@ -257,9 +247,9 @@ def _sphere_blocks(out: np.ndarray, p: float, seed: int,
                     x **= 1.0 / p
                     continue
                 yield normalize(x)
-            filled.result()
         finally:
-            stop.set()
+            for filled in fills:
+                filled.cancel()
     if signed:
         for s in starts:
             x = out[s:s + rows]
@@ -543,25 +533,24 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
                         start: int, *, sparse=None, poll=None):
     """Select n_select points by farthest-point traversal from `start`.
 
-    Returns (selected indices, radii, dist): radii[i] is the distance of
-    selection i+1 from the previous centers, and dist[j] is point j's
-    distance to its nearest selected center, so max(dist) is the covering
-    radius of the selection.  Ties pick the lowest index.  poll, if
-    given, is called once before each selection after the first; when it
-    returns a cap name the run stops and returns what it has selected so
-    far.
+    Returns (selected indices, radii): radii[i] is the distance of
+    selection i+1 from the previous centers.  Ties pick the lowest index.
+    poll, if given, is called once before each selection after the first;
+    when it returns a cap name the run stops and returns what it has
+    selected so far.
 
     sparse, if given, is a (starts, indices, data) triple of rows as wide
     as `points` and stored sparsely (see _SparsePasses).  They come first:
     index j < n_sparse is sparse row j and n_sparse + i is points[i].
-    Every center is a dense vector, a selected sparse row scattered into
-    one, and the rows of `points` go through _LqPasses as without sparse
-    rows.  The sparse rows' distances round differently, so rows that tie
-    in exact arithmetic can break either way, and their dist entries are
-    that arithmetic's (a selected sparse row's own entry is set to 0).
-    Every radius is still an exact-kernel value: after the traversal,
+    Every center is copied into one dense buffer, a selected sparse row
+    scattered into it, and the rows of `points` go through _LqPasses as
+    without sparse rows.  The sparse rows' distances round differently, so
+    rows that tie in exact arithmetic can break either way, and a selected
+    sparse row's own distance is set to 0 (a dense row keeps its computed
+    one, NaN for a row holding a NaN).  When there are sparse rows, every
+    radius is still made an exact-kernel value: after the traversal,
     radius k is replayed as min over i < k of the _LqPasses distance from
-    center k to center i.  (A dense row's dist is that value already
+    center k to center i.  (A dense row's distance is that value already
     unless `points` has a single row, which einsum reduces on its own.)
     Radii then need not be nonincreasing; their running minimum is the
     least pairwise distance of the centers so far.  Without sparse rows
@@ -569,38 +558,36 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     """
     n_sparse = 0 if sparse is None else len(sparse[0]) - 1
     dist = np.full(n_sparse + points.shape[0], np.inf)
+    centers = np.zeros((max(n_select, 1), points.shape[1]))
     selected = []
     radii = []
     c = start
     with _LqPasses(points, q) as lq_pass:
         if sparse is not None:
             sparse_pass = _SparsePasses(*sparse, q, points.shape[1])
-            centers = np.zeros((max(n_select, 1), points.shape[1]))
         while True:
+            center = centers[len(selected)]
             selected.append(c)
-            if sparse is None:
-                lq_pass(points[c], dist)
+            if c < n_sparse:
+                sparse_pass.row(c, center)
             else:
-                center = centers[len(selected) - 1]
-                if c < n_sparse:
-                    sparse_pass.row(c, center)
-                else:
-                    center[:] = points[c - n_sparse]
+                center[:] = points[c - n_sparse]
+            if n_sparse:
                 sparse_pass(center, dist[:n_sparse])
-                lq_pass(center, dist[n_sparse:])
-                if c < n_sparse:
-                    # the sparse arithmetic leaves a center's own row near
-                    # 0, not at it, and that row must not be picked again
-                    dist[c] = 0.0
+            lq_pass(center, dist[n_sparse:])
+            if c < n_sparse:
+                # the sparse arithmetic leaves a center's own row near
+                # 0, not at it, and that row must not be picked again
+                dist[c] = 0.0
             if len(selected) >= n_select or (poll is not None
                                              and poll() is not None):
                 break
             c = int(np.argmax(dist))
             radii.append(float(dist[c]))
-    if sparse is not None:
+    if n_sparse:
         for k in range(1, len(selected)):
             radii[k - 1] = _exact_radius(centers[:k + 1], q)
-    return selected, radii, dist
+    return selected, radii
 
 
 def _exact_radius(centers: np.ndarray, q: float) -> float:
@@ -638,9 +625,9 @@ def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None) -> dict:
     if feasible:
         centroid = points.mean(axis=0)
         start = int(np.argmin(_lq_dist(points, centroid, q)))
-        _, radii, _ = _farthest_point_run(points, q,
-                                          2 ** (feasible[-1] - 1) + 1,
-                                          start=start, poll=poll)
+        _, radii = _farthest_point_run(points, q,
+                                       2 ** (feasible[-1] - 1) + 1,
+                                       start=start, poll=poll)
         for k in feasible:
             if 2 ** (k - 1) <= len(radii):
                 values[k] = radii[2 ** (k - 1) - 1]
@@ -668,8 +655,8 @@ def packing_profile(matrix, p: float, q: float, ks,
     feasible = [k for k in ks if 2 ** (k - 1) + 1 <= samples]
     radii = []
     if feasible and np.any(points):
-        _, radii, _ = _farthest_point_run(points, q,
-                                          2 ** (feasible[-1] - 1) + 1, start=0)
+        _, radii = _farthest_point_run(points, q,
+                                       2 ** (feasible[-1] - 1) + 1, start=0)
     out = [EntropyEstimate(k, radii[2 ** (k - 1) - 1] / 2.0 if radii else 0.0,
                            "certified_lower", method, seed) for k in feasible]
     return out + [EntropyEstimate(k, 0.0, "certified_lower",

@@ -369,16 +369,16 @@ def _witness_pool(tree, u, w, p, samples, seed, poll=None):
     """Images of `samples` random l_p unit-sphere vectors, one per row.
 
     The rows are sample_lp_sphere's, from entropy._sphere_blocks: a worker
-    thread draws them straight into the result, and the calling thread
-    normalizes each finished row block and maps it through apply in place
-    while the worker draws the next (at p other than 2 and inf, once the
-    last block is drawn).  So the result is the only sample-sized array,
+    thread draws them block by block straight into the result, and the
+    calling thread normalizes each finished row block and maps it through
+    apply in place while the worker draws the blocks after it (at p other
+    than 2 and inf, once the last block is drawn).  So the result is the only sample-sized array,
     and at p = 2 the build takes about as long as the serial draw alone.
     The generator's calls come in one fixed order, never from two threads
     at once, so no bit depends on the threads' timing.  poll, if given,
     is called on the calling thread between blocks; when it returns a cap
-    name the build stops, the worker after its current block, and only
-    the rows mapped so far are returned.
+    name the build stops, the fills not yet started are cancelled, and
+    only the rows mapped so far are returned.
     """
     pool = np.empty((samples, tree.n))
     done = 0
@@ -442,9 +442,8 @@ def _run_critical_scaling(kind, params, seed, budget):
                              poll=budget.exceeded)
         # polls are monotone: a cap that stopped the build trips this one
         if budget.exceeded() is None:
-            _, radii, _ = _farthest_point_run(pool, q, n_sel, start=0,
-                                              sparse=basis,
-                                              poll=budget.exceeded)
+            _, radii = _farthest_point_run(pool, q, n_sel, start=0,
+                                           sparse=basis, poll=budget.exceeded)
             # the first 2^(n-1) + 1 centers lie pairwise at least the
             # running minimum of their radii apart; a cap stops the
             # traversal early, so keep the n it got through

@@ -27,8 +27,9 @@ class TauFn:
     kind "log-power": tau(x) = (ln(e + x))^nu
     kind "iterated-log": tau(x) = ln(e + ln(e + x))
 
-    Arbitrary callables are rejected at HProfile construction so that
-    slowly_varying_check stays meaningful for everything we generate.
+    Each is slowly varying: tau(t y) / tau(y) stays within a constant of
+    t^{+-eps} for every eps > 0.  HProfile rejects any other callable, so
+    every generated tree's profile has that property.
     """
 
     kind: str
@@ -75,15 +76,6 @@ class HProfile:
             raise ValueError("c3 must be >= 1")
         if not isinstance(self.tau, TauFn):
             raise ValueError("tau must come from the TauFn catalog")
-
-
-def h_eval(h: HProfile, t):
-    """Evaluate the profile at t in (0, 1] (scalar or array)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0) or np.any(t > 1):
-        raise ValueError("h is evaluated on (0, 1] only")
-    big_l = np.log(np.e + 1.0 / t)
-    return t ** h.theta * big_l ** h.gamma * h.tau(big_l)
 
 
 def h_level_target(h: HProfile, m_star: int, j, start_depth: int = 0):
@@ -159,32 +151,6 @@ def generate_hset_tree(h: HProfile, m_star: int, depth: int, seed: int,
     return Tree(np.asarray(parent, dtype=np.int64))
 
 
-def check_hset_census(tree, h: HProfile, m_star: int, start_depth: int = 0,
-                      seed: int = 0, max_samples: int = 200) -> dict:
-    """Empirical two-sided cardinality census of a generated tree.
-
-    Samples vertices xi at depth j and offsets l, compares card V_l(xi)
-    against the profile ratio h(2^{-m_*(j0+j)})/h(2^{-m_*(j0+j+l)}), and
-    reports c_hat = the worst two-sided constant observed.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x63656e73]))
-    worst = 1.0
-    checked = 0
-    if tree.height == 0:
-        return {"c_hat": 1.0, "n_checked": 0}
-    for _ in range(max_samples):
-        j = int(rng.integers(0, tree.height))
-        ls = tree.level_slice(j)
-        v = int(rng.integers(ls.start, ls.stop))
-        l = int(rng.integers(1, tree.height - j + 1))
-        card = tree.descendants_at_distance(v, l).size
-        target = float(h_level_target(h, m_star, l, start_depth + j))
-        ratio = card / target
-        worst = max(worst, ratio, 1.0 / ratio)
-        checked += 1
-    return {"c_hat": worst, "n_checked": checked}
-
-
 # -- multiscale schedule ---------------------------------------------------
 
 _T_CAP = 64  # last layer index a schedule scan visits
@@ -254,28 +220,6 @@ def schedule_from_profile(h: HProfile) -> Schedule:
 
 
 # -- validators ------------------------------------------------------------
-
-
-def slowly_varying_check(tau, eps: float, y_range=(1.0, 1e6),
-                         t_range=(1.0, 1e6), n_grid: int = 40,
-                         cap: float = 10.0) -> dict:
-    """Grid check of the slow-variation bound t^{-eps} <~ tau(ty)/tau(y) <~ t^eps.
-
-    The implementation constant 1 is allowed to relax to `cap`; the worst
-    observed constant is reported either way.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    ys = np.exp(np.linspace(math.log(y_range[0]), math.log(y_range[1]), n_grid))
-    ts = np.exp(np.linspace(math.log(t_range[0]), math.log(t_range[1]), n_grid))
-    worst = 1.0
-    for y in ys:
-        ratios = np.asarray(tau(ts * y), dtype=float) / float(np.asarray(tau(y)))
-        bound = ts ** eps
-        worst = max(worst, float(np.max(ratios / bound)),
-                    float(np.max(1.0 / (ratios * bound))))
-    return {"pass": bool(worst <= cap), "worst_ratio": worst,
-            "eps": eps, "cap": cap}
 
 
 @dataclass

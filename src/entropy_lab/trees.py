@@ -125,9 +125,6 @@ class Tree:
 
     # -- basic structure ------------------------------------------------
 
-    def children(self, v: int) -> np.ndarray:
-        return self.descendants_at_distance(v, 1)
-
     def n_children(self) -> np.ndarray:
         return np.bincount(self.parent[1:], minlength=self.n)
 
@@ -161,22 +158,6 @@ class Tree:
     def level(self, d: int) -> np.ndarray:
         s = self.level_slice(d)
         return np.arange(s.start, s.stop, dtype=np.int64)
-
-    def descendants_at_distance(self, v: int, l: int) -> np.ndarray:
-        """The set V_l(v): descendants of v at edge distance exactly l,
-        from a level mask carried down the level plan."""
-        if l < 0:
-            raise ValueError("distance must be >= 0")
-        levels = self.levels()
-        d = int(self.depth[v])
-        if d + l > self.height:
-            return np.array([], dtype=np.int64)
-        ids = levels[d].ids
-        mask = np.arange(ids.start, ids.stop) == v
-        for level in levels[d + 1:d + l + 1]:
-            mask = mask[level.parent - ids.start]
-            ids = level.ids
-        return ids.start + np.flatnonzero(mask)
 
     def subtrees(self, vs) -> tuple:
         """The subtrees of the vertices vs as one (starts, ids) pair:
@@ -238,10 +219,6 @@ class Tree:
 
     def __repr__(self):
         return f"Tree(n={self.n}, height={self.height})"
-
-
-def path_tree(n: int) -> Tree:
-    return Tree(np.arange(-1, n - 1))
 
 
 def full_tree(arity: int, height: int) -> Tree:
@@ -313,20 +290,6 @@ class Layering:
             raise ValueError(f"unknown layering rule {self.rule!r}")
         if self.m_star < 1:
             raise ValueError("m_star must be a positive integer")
-
-    def layer_of_depth(self, j) -> np.ndarray:
-        j = np.asarray(j, dtype=np.int64)
-        mj = self.m_star * j
-        t = np.zeros_like(mj)
-        pos = mj >= 1
-        if self.rule == "linear":
-            t[pos] = np.floor(np.log2(mj[pos])).astype(np.int64) + 1
-        else:
-            big = mj >= 2
-            lg = np.zeros_like(mj, dtype=float)
-            lg[big] = np.log2(mj[big].astype(float))
-            t[big] = np.floor(np.log2(lg[big])).astype(np.int64) + 1
-        return t
 
     def depth_range(self, t: int) -> tuple[int, int]:
         """Half-open depth interval [j_lo, j_hi) forming layer t."""
@@ -414,20 +377,3 @@ def _hanging_parts(tree: Tree, marked: np.ndarray, first: int,
         label[level.ids] = np.where(marked[level.ids], label[level.ids],
                                     label[level.parent])
     return SubtreePartition(roots, label)
-
-
-def layer_components(tree: Tree, layering: Layering, t: int) -> SubtreePartition:
-    """Connected components of a layer, each rooted in V_min(Gamma_t).
-
-    The components of layer t are the maximal connected subtrees of the
-    induced forest; their roots are exactly the vertices of the layer's
-    first depth level, whose parents lie outside the layer.
-    """
-    lo, hi = layering.depth_range(t)
-    stop = min(hi, tree.height + 1)
-    if lo >= stop:
-        return SubtreePartition(np.array([], dtype=np.int64),
-                                np.full(tree.n + 1, -1, dtype=np.int64))
-    marked = np.zeros(tree.n, dtype=bool)
-    marked[tree.level_slice(lo)] = True
-    return _hanging_parts(tree, marked, lo, stop)

@@ -348,13 +348,12 @@ def _reference_farthest_point_run(points, q, n_select, start):
 
 
 def _assert_matches_reference(points, q, n_select, start):
-    sel, radii, dist = _farthest_point_run(points, q, n_select, start)
-    ref_sel, ref_radii, ref_dist = _reference_farthest_point_run(
+    sel, radii = _farthest_point_run(points, q, n_select, start)
+    ref_sel, ref_radii, _ = _reference_farthest_point_run(
         points, q, n_select, start)
     # NaN rows give NaN distances, which compare equal here
     assert sel == ref_sel
     assert np.array_equal(radii, ref_radii, equal_nan=True)
-    assert np.array_equal(dist, ref_dist, equal_nan=True)
     centroid = points.mean(axis=0)
     assert np.array_equal(_lq_dist(points, centroid, q),
                           _reference_lq_dist(points, centroid, q),
@@ -464,18 +463,16 @@ def test_traversal_poll_stops_at_a_cap():
         calls.append(1)
         return "wall_clock" if len(calls) > 5 else None
 
-    sel, radii, dist = _farthest_point_run(points, 2.0, 40, 0, poll=poll)
-    full_sel, full_radii, _ = _farthest_point_run(points, 2.0, 40, 0)
+    sel, radii = _farthest_point_run(points, 2.0, 40, 0, poll=poll)
+    full_sel, full_radii = _farthest_point_run(points, 2.0, 40, 0)
     assert len(calls) == 6
     assert sel == full_sel[:6] and radii == full_radii[:5]
-    assert np.array_equal(dist, _reference_farthest_point_run(
-        points, 2.0, 6, 0)[2])
 
 
 def test_farthest_point_radii_nonincreasing():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((500, 3))
-    _, radii, _ = _farthest_point_run(pts, 2.0, 40, start=0)
+    _, radii = _farthest_point_run(pts, 2.0, 40, start=0)
     assert all(b <= a + 1e-12 for a, b in zip(radii, radii[1:]))
 
 
@@ -485,7 +482,7 @@ def test_cover_radius_dominates_packing_half_separation():
     for n_centers in (4, 16, 64):
         k = n_centers.bit_length()  # 2^{k-1} = n_centers
         cov = _cover_radii(pts, 2.0, [k])[k]
-        _, radii, _ = _farthest_point_run(pts, 2.0, n_centers + 1, start=0)
+        _, radii = _farthest_point_run(pts, 2.0, n_centers + 1, start=0)
         assert cov >= radii[-1] / 2.0 - 1e-12
 
 
@@ -582,9 +579,7 @@ def _random_sparse(rng, n, m):
 def test_sparse_traversal_matches_the_reference_on_the_materialized_pool(
         n_sparse, n_dense, m, q, block_rows, cpus, seed):
     # continuous random rows leave no ties, so the selections agree, and
-    # every radius is the exact kernel's, bit for bit; the dense rows'
-    # distances are the kernel's on the dense rows alone, which einsum
-    # reduces its own way when one row is wider than 8192 columns
+    # every radius is the exact kernel's, bit for bit
     n = n_sparse + n_dense
     if n == 0:
         return
@@ -596,17 +591,12 @@ def test_sparse_traversal_matches_the_reference_on_the_materialized_pool(
     with mock.patch.object(entropy, "_BLOCK_BYTES",
                            max(1, 8 * m * block_rows)), \
             mock.patch.object(entropy, "_cpu_count", lambda: cpus):
-        sel, radii, dist = _farthest_point_run(dense, q, n_select, start,
-                                               sparse=sparse)
-    ref_sel, ref_radii, ref_dist = _reference_farthest_point_run(
+        sel, radii = _farthest_point_run(dense, q, n_select, start,
+                                         sparse=sparse)
+    ref_sel, ref_radii, _ = _reference_farthest_point_run(
         pool, q, n_select, start)
     assert sel == ref_sel
     assert np.array_equal(radii, ref_radii)
-    if n_dense:
-        assert np.array_equal(dist[n_sparse:], np.min(
-            [_reference_lq_dist(dense, pool[c], q) for c in sel], axis=0))
-    assert _close_in_qth_power(dist[:n_sparse], ref_dist[:n_sparse],
-                               pool[:n_sparse], pool[sel], q, 1e-12)
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
@@ -622,7 +612,7 @@ def test_sparse_radii_are_the_exact_pairwise_distances_of_the_centers(q):
     sparse = basis_images(tree, u, w, np.arange(tree.n))
     samples = apply(tree, u, w, sample_lp_sphere(tree.n, 2.0, 40, 5).T).T
     pool = np.concatenate([_materialize(sparse, tree.n), samples])
-    sel, radii, _ = _farthest_point_run(samples, q, 65, 0, sparse=sparse)
+    sel, radii = _farthest_point_run(samples, q, 65, 0, sparse=sparse)
     assert len(set(sel)) == 65 and any(c < tree.n for c in sel[1:])
     centers = pool[sel]
     pair = np.array([_reference_lq_dist(centers, c, q) for c in centers])
@@ -642,7 +632,7 @@ def test_a_selected_sparse_row_is_not_selected_again():
     dense = rng.standard_normal((3, 40)) * 1e-3
     pool = np.concatenate([_materialize(sparse, 40), dense])
     for q in (1.5, 2.0, 4.0):
-        sel, radii, _ = _farthest_point_run(dense, q, 5, 0, sparse=sparse)
+        sel, radii = _farthest_point_run(dense, q, 5, 0, sparse=sparse)
         ref_sel, ref_radii, _ = _reference_farthest_point_run(pool, q, 5, 0)
         assert sel == ref_sel and radii == ref_radii
 

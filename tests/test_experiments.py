@@ -302,7 +302,7 @@ def test_critical_scaling_packs_with_the_running_minimum_radius(tmp_path):
     def traversal(points, q, n_select, start, *, sparse=None, poll=None):
         radii = [1.0] * (n_select - 1)
         radii[2] = 0.25
-        return list(range(n_select)), radii, None
+        return list(range(n_select)), radii
 
     with mock.patch.object(experiments, "_farthest_point_run", traversal):
         res = run(ExperimentConfig(

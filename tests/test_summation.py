@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import trees, unsorted_bfs_tree
+from tree_cases import path_tree, trees, unsorted_bfs_tree
 
 from entropy_lab.hset import HProfile, TauFn, generate_hset_tree
 from entropy_lab.summation import (
@@ -23,7 +23,7 @@ from entropy_lab.summation import (
     operator_matrix,
     weights_for_tree,
 )
-from entropy_lab.trees import Tree, full_tree, path_tree, random_tree
+from entropy_lab.trees import Tree, full_tree, random_tree
 
 GOLDEN = 1.618033988749895          # largest singular value, 2-step path
 PATH3_NORM = 2.246979603717467      # 1 / (2 sin(pi/14)), 3-step path

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import CsrReference, labelled_partition, trees
+from tree_cases import CsrReference, labelled_partition, path_tree, trees
 
-from entropy_lab import Layering, Tree, full_tree, layer_components, path_tree, random_tree
+from entropy_lab import Layering, SubtreePartition, Tree, full_tree, random_tree
 from entropy_lab import trees as trees_module
+from entropy_lab.trees import _hanging_parts
 
 
 def random_parent(n, branching, rng):
@@ -40,6 +41,28 @@ def random_parent(n, branching, rng):
             nxt = [len(parent) - 1]
         frontier = nxt
     return np.asarray(parent, dtype=np.int64)
+
+
+def layer_of(layering, j):
+    """The layer whose depth_range holds depth j."""
+    t = 0
+    while j >= layering.depth_range(t)[1]:
+        t += 1
+    return t
+
+
+def layer_components(tree, layering, t):
+    """Connected components of layer t, each rooted at a vertex of the
+    layer's first depth level: the subtrees _hanging_parts hangs from
+    that level, cut at the layer's last depth."""
+    lo, hi = layering.depth_range(t)
+    stop = min(hi, tree.height + 1)
+    if lo >= stop:
+        return SubtreePartition(np.array([], dtype=np.int64),
+                                np.full(tree.n + 1, -1, dtype=np.int64))
+    marked = np.zeros(tree.n, dtype=bool)
+    marked[tree.level_slice(lo)] = True
+    return _hanging_parts(tree, marked, lo, stop)
 
 
 class TestConstruction:
@@ -82,24 +105,6 @@ class TestConstruction:
 
 
 class TestStructureOps:
-    def test_children_sorted(self):
-        t = full_tree(3, 2)
-        assert t.children(0).tolist() == [1, 2, 3]
-
-    def test_descendants_at_distance_binary(self):
-        t = full_tree(2, 4)
-        for l in range(5):
-            assert t.descendants_at_distance(0, l).size == 2 ** l
-
-    def test_descendants_sum_over_layer(self):
-        # summed over vertices of a level, card V_l equals the target level size
-        t = full_tree(2, 5)
-        for d in range(3):
-            for l in range(1, 3):
-                total = sum(t.descendants_at_distance(int(v), l).size
-                            for v in t.level(d))
-                assert total == t.level(d + l).size
-
     def test_subtree_of_path(self):
         t = path_tree(6)
         starts, ids = t.subtrees([3, 0, 5])
@@ -123,37 +128,43 @@ class TestStructureOps:
     def test_random_tree_edges_reproduce(self, n, b, seed):
         parent = random_parent(n, b, np.random.default_rng(seed))
         t = Tree(parent)
-        # rebuild edge set from children lists
-        edges = {(int(t.parent[v]), v) for v in range(1, t.n)}
-        edges2 = {(v, int(c)) for v in range(t.n) for c in t.children(v)}
-        assert edges == edges2
+        assert np.array_equal(t.parent, parent)
+        # depths rebuilt from the parent array, one vertex at a time
+        depth = [0] * n
+        for v in range(1, n):
+            depth[v] = depth[parent[v]] + 1
+        assert t.depth.tolist() == depth
+        assert t.height == max(depth)
         assert t.branching() <= b or n <= 2
 
 
 class TestLayering:
     def test_linear_buckets(self):
         lay = Layering("linear", m_star=1)
-        js = np.arange(0, 17)
-        ts = lay.layer_of_depth(js)
-        assert ts.tolist() == [0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5]
+        ts = [layer_of(lay, j) for j in range(17)]
+        assert ts == [0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5]
 
     def test_linear_depth_range_consistent(self):
+        # the ranges tile the depths, layer t >= 1 holding 2^(t-1) <= j < 2^t
         lay = Layering("linear", m_star=1)
+        prev_hi = 0
         for t in range(6):
             lo, hi = lay.depth_range(t)
+            assert lo == prev_hi and lo < hi
             for j in range(lo, hi):
-                assert int(lay.layer_of_depth(j)) == t
+                assert (j == 0) if t == 0 else 2 ** (t - 1) <= j < 2 ** t
+            prev_hi = hi
 
     def test_doubly_exponential_buckets(self):
         lay = Layering("doubly-exponential", m_star=1)
-        assert int(lay.layer_of_depth(1)) == 0
-        assert int(lay.layer_of_depth(2)) == 1
-        assert int(lay.layer_of_depth(3)) == 1
-        assert int(lay.layer_of_depth(4)) == 2
-        assert int(lay.layer_of_depth(15)) == 2
-        assert int(lay.layer_of_depth(16)) == 3
-        assert int(lay.layer_of_depth(255)) == 3
-        assert int(lay.layer_of_depth(256)) == 4
+        assert layer_of(lay, 1) == 0
+        assert layer_of(lay, 2) == 1
+        assert layer_of(lay, 3) == 1
+        assert layer_of(lay, 4) == 2
+        assert layer_of(lay, 15) == 2
+        assert layer_of(lay, 16) == 3
+        assert layer_of(lay, 255) == 3
+        assert layer_of(lay, 256) == 4
 
     def test_doubly_exponential_range(self):
         lay = Layering("doubly-exponential", m_star=1)
@@ -162,7 +173,7 @@ class TestLayering:
     def test_m_star_scaling(self):
         lay = Layering("linear", m_star=4)
         # m_* j = 4 j; layer of j=1 is floor(log2 4)+1 = 3
-        assert int(lay.layer_of_depth(1)) == 3
+        assert layer_of(lay, 1) == 3
 
     def test_bad_rule(self):
         with pytest.raises(ValueError):
@@ -214,7 +225,7 @@ class TestLayerComponents:
         parent = random_parent(n, b, np.random.default_rng(seed))
         t = Tree(parent)
         lay = Layering("linear", m_star=1)
-        tmax = int(lay.layer_of_depth(t.height))
+        tmax = layer_of(lay, t.height)
         for tt in range(tmax + 1):
             part = layer_components(t, lay, tt)
             part.validate(t)
@@ -223,7 +234,8 @@ class TestLayerComponents:
             assert part.universe.size == size
 
 
-# -- the level walks against the CSR walks and per-vertex loop they replaced --
+# -- the level walks and _hanging_parts against the CSR walks and the
+# per-vertex loop they replaced --
 
 
 def _same(a, b):
@@ -247,12 +259,6 @@ def test_level_walks_match_the_csr_walks_exactly(tree):
         assert all(pos[int(tree.parent[x])] < j
                    for j, x in enumerate(row) if j)
         assert _same(np.sort(row), ref.subtree(v))
-    for v in range(tree.n):
-        assert _same(tree.children(v), ref.children(v))
-        # one distance past the last level reads empty
-        for l in range(tree.height - int(tree.depth[v]) + 2):
-            assert _same(tree.descendants_at_distance(v, l),
-                         ref.descendants_at_distance(v, l))
 
 
 def _ref_layer_components(tree, layering, t):
@@ -287,7 +293,7 @@ def test_layer_components_match_the_per_vertex_loop_exactly(tree, rule,
                                                            m_star):
     lay = Layering(rule, m_star=m_star)
     # every layer the tree reaches, and the first one past it
-    for t in range(int(lay.layer_of_depth(tree.height)) + 2):
+    for t in range(layer_of(lay, tree.height) + 2):
         got = layer_components(tree, lay, t)
         ref = _ref_layer_components(tree, lay, t)
         assert _same(got.roots, ref.roots)

@@ -1,6 +1,6 @@
 """Hypothesis strategies for trees that cover every branch of the level sweeps,
-the CSR walks the level walks are checked against, and a builder of
-subtree partitions from explicit parts.
+path trees, the CSR walks the level walks are checked against, and a
+builder of subtree partitions from explicit parts.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 
 from entropy_lab.hset import HProfile, generate_hset_tree
 from entropy_lab.trees import SubtreePartition, Tree, random_tree
+
+
+def path_tree(n: int) -> Tree:
+    """The path 0 - 1 - ... - n-1, rooted at 0."""
+    return Tree(np.arange(-1, n - 1))
 
 
 def unsorted_bfs_tree(n: int, max_children: int, seed: int) -> Tree:
