@@ -32,6 +32,8 @@ _SPHERE_TAG = 0x6c7073
 _NET_CAP = 4_000_000
 _GRAM_MAX = 2.0 ** 1018   # squared norms the q = 2 filter takes
 _GRAM_PAD = 2.0 ** -1070  # 16 least subnormals, per column
+_LAZY_ROWS = 16           # stale rows a lazy step first refreshes
+_LAZY_PAIRS = 2 ** 14     # (row, center) pairs one pairs call takes at most
 
 
 @dataclass(frozen=True)
@@ -296,21 +298,26 @@ def _submit(executor, fn, *args):
 
 
 class _LqPasses:
-    """l_q distance passes from one center to every row of a fixed pool.
+    """l_q distance passes from centers to the rows of a fixed pool.
 
-    A pass min-folds each row's distance to the center into the caller's
-    `dist` (a first pass folds into +inf).  Rows go through the per-row
+    A pass min-folds each row's distance to one center into the caller's
+    `dist` (a first pass folds into +inf); `pairs` min-folds the
+    distances of given (row, center) pairs, so one call can bring one row
+    up to date against many centers.  Rows go through the per-row
     arithmetic in blocks of about _BLOCK_BYTES: each block's x - c goes
-    into a reused scratch buffer, is reduced per row, and is folded, so no
-    pass allocates anything pool-sized.  The blocks are split into
-    contiguous chunks, one per CPU and never more than there are blocks;
-    the calling thread runs the first chunk and a thread pool the others,
-    in parallel because numpy's ufuncs and einsum release the GIL, and
-    under the caller's np.errstate (see _submit).  Per row the arithmetic
-    is the one-shot expression's (same subtraction, same reduction, same
-    final power; the |x - c| is skipped where q = 2 or 4 squares it, since
-    IEEE squaring is sign-blind), so every distance is bit-identical to
-    it, bar the sign bit of a NaN, and none depends on the thread count.
+    into a reused scratch buffer (a pair block gathers its rows into one
+    and their centers into another), is reduced per row, and is folded,
+    so no pass allocates anything pool-sized.  The blocks are split into contiguous
+    chunks, one per CPU and never more than there are blocks; the calling
+    thread runs the first chunk and a thread pool the others, in parallel
+    because numpy's ufuncs and einsum release the GIL, and under the
+    caller's np.errstate (see _submit).  Per row the arithmetic is the
+    one-shot expression's (same subtraction, same reduction over a 2-D
+    block of at least min_rows rows, same final power; the |x - c| is
+    skipped where q = 2 or 4 squares it, since IEEE squaring is
+    sign-blind), so every distance is bit-identical to it, bar the sign
+    bit of a NaN, whichever block, pass or pair it is computed in, and
+    none depends on the thread count.
 
     At q = 2 a pass first runs the Gram filter of _candidates and sends
     only the rows it cannot rule out through that arithmetic, gathered
@@ -321,16 +328,19 @@ class _LqPasses:
     def __init__(self, points: np.ndarray, q: float):
         n, m = points.shape
         self.points, self.q = points, q
-        self.rows = _block_rows(m)
+        # capped at n: a pass never needs more, and the pairs of a pairs
+        # call, which may outnumber the rows, must fit the buffers
+        self.rows = max(1, min(_block_rows(m), n))
         n_cpus = max(1, min(_cpu_count(), -(-n // self.rows)))
         # einsum sums a lone row in one loop but the rows of a taller
         # operand in buffer-sized pieces, which rounds differently for wide
         # rows; reducing over >= 2 rows whenever the pool has them keeps a
         # one-row block rounding like that row inside the whole pool
         self.min_rows = min(n, 2)
-        buf_rows = max(min(self.rows, n), self.min_rows)
-        self.scratch = [(np.zeros((buf_rows, m)), np.empty(buf_rows))
-                        for _ in range(n_cpus)]
+        buf_rows = max(self.rows, self.min_rows)
+        # a pair block gathers its centers into the third buffer
+        self.scratch = [(np.zeros((buf_rows, m)), np.empty(buf_rows),
+                         np.empty((buf_rows, m))) for _ in range(n_cpus)]
         self.executor = (ThreadPoolExecutor(n_cpus - 1)
                          if n_cpus > 1 else None)
         if q == 2.0:
@@ -350,20 +360,36 @@ class _LqPasses:
         if self.executor is not None:
             self.executor.shutdown()
 
-    def __call__(self, center: np.ndarray, dist: np.ndarray):
-        """dist = min(dist, distances to `center`)."""
+    def __call__(self, center: np.ndarray, dist: np.ndarray) -> int:
+        """dist = min(dist, distances to `center`); returns the number of
+        rows whose distance was computed."""
         idx = self._candidates(center, dist) if self.q == 2.0 else None
         if idx is not None and idx.size == dist.size:
             idx = None
+        self._split(center, dist, idx, None)
+        return dist.size if idx is None else idx.size
+
+    def pairs(self, rows: np.ndarray, cols: np.ndarray, centers: np.ndarray,
+              dist: np.ndarray):
+        """dist[r] = min(dist[r], distance of row r to centers[c]) for each
+        pair (r, c) of `rows` and `cols`; a row may appear in many pairs.
+        A block gathers its rows, as a filtered q = 2 pass does, and the
+        centers they pair with."""
+        out = np.empty(rows.size)
+        self._split(centers, out, rows, cols)
+        np.minimum.at(dist, rows, out)
+
+    def _split(self, center, dist, idx, cols):
+        """Run _chunk over all rows (or all of idx) on the threads."""
         k = dist.size if idx is None else idx.size
         n_blocks = -(-k // self.rows)
         n_parts = max(1, min(len(self.scratch), n_blocks))
         edges = [min(k, n_blocks * i // n_parts * self.rows)
                  for i in range(n_parts + 1)]
         futures = [_submit(self.executor, self._chunk, i, edges[i],
-                           edges[i + 1], center, dist, idx)
+                           edges[i + 1], center, dist, idx, cols)
                    for i in range(1, n_parts)]
-        self._chunk(0, edges[0], edges[1], center, dist, idx)
+        self._chunk(0, edges[0], edges[1], center, dist, idx, cols)
         for f in futures:
             f.result()
 
@@ -412,10 +438,12 @@ class _LqPasses:
         np.logical_not(skip, out=skip)
         return np.flatnonzero(skip)
 
-    def _chunk(self, i, start, stop, center, dist, idx):
-        """Fold rows start:stop (of idx, when given) into dist."""
+    def _chunk(self, i, start, stop, center, dist, idx, cols):
+        """Fold rows start:stop (of idx, when given) into dist.  With cols,
+        item j is the pair (idx[j], cols[j]), `center` holds the centers,
+        and the distance goes to dist[j] unfolded."""
         q = self.q
-        buf, red = self.scratch[i]
+        buf, red, cbuf = self.scratch[i]
         for s in range(start, stop, self.rows):
             e = min(s + self.rows, stop)
             if idx is None:
@@ -426,7 +454,11 @@ class _LqPasses:
                 rows = idx[s:e]
                 diff = np.take(self.points, rows, axis=0, out=buf[:e - s],
                                mode="clip")
-                diff -= center
+                if cols is None:
+                    diff -= center
+                else:
+                    diff -= np.take(center, cols[s:e], axis=0,
+                                    out=cbuf[:e - s], mode="clip")
             # rows past e - s are stale or zero; their sums are discarded
             wide = buf[:max(e - s, self.min_rows)]
             out = red[:wide.shape[0]]
@@ -445,6 +477,9 @@ class _LqPasses:
                 diff **= q
                 np.sum(wide, axis=1, out=out)
                 out **= 1.0 / q
+            if cols is not None:
+                dist[s:e] = out[:e - s]
+                continue
             out = np.minimum(dist[rows], out[:e - s], out=out[:e - s])
             dist[rows] = out
 
@@ -530,35 +565,59 @@ class _SparsePasses:
 
 
 def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
-                        start: int, *, sparse=None, poll=None):
+                        start: int, *, sparse=None, poll=None, counts=None):
     """Select n_select points by farthest-point traversal from `start`.
 
     Returns (selected indices, radii): radii[i] is the distance of
-    selection i+1 from the previous centers.  Ties pick the lowest index.
-    poll, if given, is called once before each selection after the first;
-    when it returns a cap name the run stops and returns what it has
-    selected so far.
+    selection i+1 from the previous centers.  Ties pick the lowest index
+    and NaN ranks above every number, as np.argmax does.  poll, if given,
+    is called once before each selection after the first; when it returns
+    a cap name the run stops and returns what it has selected so far.
+    counts, if given, is a dict that receives the numbers of (row, center)
+    distances the run computes: "dense_evals" through _LqPasses on the
+    rows of `points`, "sparse_evals" through _SparsePasses on the sparse
+    rows and "replay_evals" through _exact_radii.
+
+    Each row's distance to the centers so far only falls as centers are
+    added, so a value folded over some of them bounds the up-to-date one
+    from above (Gonzalez, Theoret. Comput. Sci. 38, 1985; the lazy
+    greedy of Minoux, LNCIS 7, 1978).  The first center goes through one
+    full _LqPasses pass; after it, at q other than 2 the rows of `points`
+    are lazy: a step brings up to date only the rows that can still win
+    the argmax (see _refresh), against only the centers added since their
+    last refresh, through the pass's own per-row arithmetic, so the
+    selection and radii are the eager traversal's bit for bit.  A center
+    holding a non-finite entry, which may turn distances NaN, goes through
+    a full pass at once.  At q = 2 every center gets a full pass, which
+    the Gram filter of _LqPasses makes cheap: it recomputes only the rows
+    whose distance may fall, far fewer than the (row, center) pairs a
+    lazy refresh recomputes.
 
     sparse, if given, is a (starts, indices, data) triple of rows as wide
     as `points` and stored sparsely (see _SparsePasses).  They come first:
     index j < n_sparse is sparse row j and n_sparse + i is points[i].
     Every center is copied into one dense buffer, a selected sparse row
-    scattered into it, and the rows of `points` go through _LqPasses as
-    without sparse rows.  The sparse rows' distances round differently, so
-    rows that tie in exact arithmetic can break either way, and a selected
-    sparse row's own distance is set to 0 (a dense row keeps its computed
-    one, NaN for a row holding a NaN).  When there are sparse rows, every
-    radius is still made an exact-kernel value: after the traversal,
-    radius k is replayed as min over i < k of the _LqPasses distance from
-    center k to center i.  (A dense row's distance is that value already
-    unless `points` has a single row, which einsum reduces on its own.)
-    Radii then need not be nonincreasing; their running minimum is the
-    least pairwise distance of the centers so far.  Without sparse rows
-    they are nonincreasing.
+    scattered into it, and every sparse row gets a pass per center.  The
+    sparse rows' distances round differently, so rows that tie in exact
+    arithmetic can break either way, and a selected sparse row's own
+    distance is set to 0 (a dense row keeps its computed one, NaN for a
+    row holding a NaN).  When there are sparse rows, every radius is still
+    made an exact-kernel value: after the traversal, radius k is replayed
+    as min over i < k of the _LqPasses distance from center k to center
+    i.  (A dense row's distance is that value already unless `points` has
+    a single row, which einsum reduces on its own.)  Radii then need not
+    be nonincreasing; their running minimum is the least pairwise distance
+    of the centers so far.  Without sparse rows they are nonincreasing.
     """
     n_sparse = 0 if sparse is None else len(sparse[0]) - 1
     dist = np.full(n_sparse + points.shape[0], np.inf)
+    dense = dist[n_sparse:]
+    lazy = q != 2.0
+    if lazy:
+        # dense[r] is folded over centers[:done[r]] and the non-finite ones
+        done = np.ones(points.shape[0], dtype=np.int64)
     centers = np.zeros((max(n_select, 1), points.shape[1]))
+    evals = dict.fromkeys(("dense_evals", "sparse_evals", "replay_evals"), 0)
     selected = []
     radii = []
     c = start
@@ -574,7 +633,10 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
                 center[:] = points[c - n_sparse]
             if n_sparse:
                 sparse_pass(center, dist[:n_sparse])
-            lq_pass(center, dist[n_sparse:])
+                evals["sparse_evals"] += n_sparse
+            if (not lazy or len(selected) == 1
+                    or not np.isfinite(center).all()):
+                evals["dense_evals"] += lq_pass(center, dense)
             if c < n_sparse:
                 # the sparse arithmetic leaves a center's own row near
                 # 0, not at it, and that row must not be picked again
@@ -582,24 +644,93 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
             if len(selected) >= n_select or (poll is not None
                                              and poll() is not None):
                 break
+            if lazy:
+                evals["dense_evals"] += _refresh(
+                    lq_pass, centers[:len(selected)], dist, n_sparse, done)
             c = int(np.argmax(dist))
             radii.append(float(dist[c]))
-    if n_sparse:
-        for k in range(1, len(selected)):
-            radii[k - 1] = _exact_radius(centers[:k + 1], q)
+    del lq_pass  # its scratch goes before the replay takes its own
+    if n_sparse and len(selected) > 1:
+        radii = _exact_radii(centers[:len(selected)], q)
+        evals["replay_evals"] += len(radii) * (len(radii) + 1) // 2
+    if counts is not None:
+        counts.update(evals)
     return selected, radii
 
 
-def _exact_radius(centers: np.ndarray, q: float) -> float:
-    """min over i < k of the _LqPasses distance from centers[k] to
-    centers[i], k the last row.  The pass includes row k itself (distance
-    0, left out of the minimum) so that it never reduces a lone row, which
-    einsum rounds differently for wide rows; the kernel is symmetric in
-    its two vectors, since |fl(a - b)| = |fl(b - a)|."""
-    dist = np.full(centers.shape[0], np.inf)
+def _refresh(lq_pass, centers: np.ndarray, dist: np.ndarray, n_sparse: int,
+             done: np.ndarray) -> int:
+    """Bring up to date every row of dist[n_sparse:] that can still win
+    np.argmax(dist) over `centers`; returns the distances computed.
+
+    Row r of the lazy part holds the minimum over centers[:done[r]] and
+    the non-finite centers, so centers[done[r]:] are finite, and from a
+    row without NaN a finite center is a number or +inf away: the value
+    held bounds the up-to-date one from above.  A NaN, once folded in, is
+    final.  The other entries (the sparse rows, the NaN rows and the rows
+    up to date) are exact; let best be their maximum.  While some stale
+    row holds a value >= best (a NaN best ranks above all), those rows
+    are refreshed through lq_pass.pairs and best is taken again.  A round
+    takes the _LAZY_ROWS largest of them, twice as many each round after
+    (argpartition), so that a refreshed row still far from the centers
+    raises best and spares the rest, and at most _LAZY_PAIRS pairs (bar
+    one row with more).  At the end each stale row holds less than best,
+    and so will its up-to-date value: the first entry equal to best,
+    which np.argmax picks, is exact, and is the eager traversal's pick.
+    (>= rather than > matters: a stale row equal to best and earlier than
+    every exact entry equal to it would win the tie on a value that may
+    be too large.)
+    """
+    t = centers.shape[0]
+    dense = dist[n_sparse:]
+    best_sparse = np.max(dist[:n_sparse], initial=-np.inf)
+    evals = 0
+    size = _LAZY_ROWS
+    while True:
+        stale = done < t
+        stale &= ~np.isnan(dense)
+        best = np.max(dense, where=~stale, initial=best_sparse)
+        stale &= dense >= best
+        cand = np.flatnonzero(stale)
+        if cand.size == 0:
+            return evals
+        if cand.size > size:
+            cand = cand[np.argpartition(dense[cand], -size)[-size:]]
+            size *= 2
+        # each candidate against each center since its last refresh
+        pending = t - done[cand]
+        ends = np.cumsum(pending)
+        keep = max(1, np.searchsorted(ends, _LAZY_PAIRS, side="right"))
+        cand, pending, ends = cand[:keep], pending[:keep], ends[:keep]
+        rows = np.repeat(cand, pending)
+        cols = np.arange(ends[-1]) - np.repeat(ends - pending - done[cand],
+                                               pending)
+        lq_pass.pairs(rows, cols, centers, dense)
+        done[cand] = t
+        evals += rows.size
+
+
+def _exact_radii(centers: np.ndarray, q: float) -> list:
+    """[min over i < k of the _LqPasses distance from centers[k] to
+    centers[i] for k >= 1], from one _LqPasses over the centers: row k
+    is paired with each earlier center, at most about _LAZY_PAIRS pairs
+    at once.  The pool has at least 2 rows, so no block reduces a lone
+    row, which einsum rounds differently for wide rows; and the kernel is
+    symmetric in its two vectors, since |fl(a - b)| = |fl(b - a)|."""
+    n = centers.shape[0]
+    radii = np.full(n, np.inf)
     with _LqPasses(centers, q) as lq_pass:
-        lq_pass(centers[-1], dist)
-    return float(np.min(dist[:-1]))
+        k = 1
+        while k < n:
+            # rows k .. stop - 1 hold k + (k + 1) + ... + (stop - 1) pairs
+            stop = min(n, max(k + 1, math.isqrt(k * k + 2 * _LAZY_PAIRS)))
+            ks = np.arange(k, stop)
+            rows = np.repeat(ks, ks)
+            ends = np.cumsum(ks)
+            cols = np.arange(ends[-1]) - np.repeat(ends - ks, ks)
+            lq_pass.pairs(rows, cols, centers, radii)
+            k = stop
+    return radii[1:].tolist()
 
 
 def _sampled_images(matrix, p: float, ks, samples: int, seed: int):
@@ -614,12 +745,13 @@ def _sampled_images(matrix, p: float, ks, samples: int, seed: int):
     return ks, sample_lp_ball(matrix.shape[1], p, samples, seed) @ matrix.T
 
 
-def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None) -> dict:
+def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None,
+                 counts=None) -> dict:
     """{k: covering radius of the greedy 2^{k-1}-center set} for sorted ks:
     first center nearest the centroid, the rest by farthest-point descent,
     so the radius is the distance of the next center selected.  0 once the
     centers reach the points; a k the polled traversal stops short of is
-    left out."""
+    left out.  poll and counts go to the traversal."""
     feasible = [k for k in ks if 2 ** (k - 1) < points.shape[0]]
     values = {k: 0.0 for k in ks}
     if feasible:
@@ -627,7 +759,8 @@ def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None) -> dict:
         start = int(np.argmin(_lq_dist(points, centroid, q)))
         _, radii = _farthest_point_run(points, q,
                                        2 ** (feasible[-1] - 1) + 1,
-                                       start=start, poll=poll)
+                                       start=start, poll=poll,
+                                       counts=counts)
         for k in feasible:
             if 2 ** (k - 1) <= len(radii):
                 values[k] = radii[2 ** (k - 1) - 1]
@@ -714,7 +847,7 @@ def net_upper(matrix, p: float, q: float, k: int,
 
 def cover_profile(matrix, p: float, q: float, ks,
                   samples: int = _DEFAULT_SAMPLES, seed: int = 0, *,
-                  poll=None) -> list:
+                  poll=None, counts=None) -> list:
     """Heuristic: greedy 2^{k-1}-center covering radius of the image of
     sampled ball points, for every k in ks, from one farthest-point run.
 
@@ -725,12 +858,14 @@ def cover_profile(matrix, p: float, q: float, ks,
     a single traversal.
     poll is passed to the traversal (called once per center after the
     first); when it stops the run, only the k whose 2^{k-1} centers were
-    reached are reported.
+    reached are reported.  counts, if given, takes the traversal's
+    distance-evaluation counts (see _farthest_point_run).
     """
     ks, points = _sampled_images(matrix, p, ks, samples, seed)
     method = f"greedy-cover(samples={samples})"
     return [EntropyEstimate(k, v, "heuristic", method, seed)
-            for k, v in _cover_radii(points, q, ks, poll=poll).items()]
+            for k, v in _cover_radii(points, q, ks, poll=poll,
+                                     counts=counts).items()]
 
 
 # -- combination calculus ----------------------------------------------------

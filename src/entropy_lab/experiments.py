@@ -202,10 +202,12 @@ def _run_schuett_regimes(params, seed, budget):
                      int(math.log2(samples)) + 1)
 
     heur = {}
+    counters = {}
     if budget.exceeded() is None:
         # a cap stops the traversal early; only the k it got through report
         prof = cover_profile(np.eye(nu), p, q, range(1, k_feas_max + 1),
-                             samples=samples, seed=seed, poll=budget.exceeded)
+                             samples=samples, seed=seed, poll=budget.exceeded,
+                             counts=counters)
         heur = {e.k: e.value for e in prof}
 
     ks = list(range(1, 2 * nu + 1)) + list(range(3 * nu, 10 * nu + 1, nu))
@@ -235,6 +237,7 @@ def _run_schuett_regimes(params, seed, budget):
         extra["max_decay_deviation"] = max(abs(s + 1.0) for s in steps)
         checks["decay_within_band"] = extra["max_decay_deviation"] <= 0.15
     extra["checks"] = checks
+    extra["counters"] = counters
     return rows, extra
 
 
@@ -372,8 +375,9 @@ def _witness_pool(tree, u, w, p, samples, seed, poll=None):
     thread draws them block by block straight into the result, and the
     calling thread normalizes each finished row block and maps it through
     apply in place while the worker draws the blocks after it (at p other
-    than 2 and inf, once the last block is drawn).  So the result is the only sample-sized array,
-    and at p = 2 the build takes about as long as the serial draw alone.
+    than 2 and inf, once the last block is drawn).  So the result is the
+    only sample-sized array, and at p = 2 the build takes about as long as
+    the serial draw alone.
     The generator's calls come in one fixed order, never from two threads
     at once, so no bit depends on the threads' timing.  poll, if given,
     is called on the calling thread between blocks; when it returns a cap
@@ -429,6 +433,7 @@ def _run_critical_scaling(kind, params, seed, budget):
     expo = 1.0 / q - 1.0 / p
 
     lows = {}
+    counters = {}
     if budget.exceeded() is None:
         basis = _basis_images(tree, u, w, int(params["per_level_cap"]), seed)
         n_basis, samples = basis[0].size - 1, int(params["samples"])
@@ -443,7 +448,8 @@ def _run_critical_scaling(kind, params, seed, budget):
         # polls are monotone: a cap that stopped the build trips this one
         if budget.exceeded() is None:
             _, radii = _farthest_point_run(pool, q, n_sel, start=0,
-                                           sparse=basis, poll=budget.exceeded)
+                                           sparse=basis, poll=budget.exceeded,
+                                           counts=counters)
             # the first 2^(n-1) + 1 centers lie pairwise at least the
             # running minimum of their radii apart; a cap stops the
             # traversal early, so keep the n it got through
@@ -472,6 +478,7 @@ def _run_critical_scaling(kind, params, seed, budget):
         extra["certificate_band"] = max(normalized) / min(normalized)
         checks["certificate_band_within_10"] = extra["certificate_band"] <= 10.0
     extra["checks"] = checks
+    extra["counters"] = counters
     return rows, extra
 
 
@@ -626,7 +633,9 @@ def run(config: ExperimentConfig, *, wall_cap_s: float = WALL_CAP_S,
 
     <experiment>.csv            deterministic rows, fixed header
     <experiment>_summary.json   slopes, margins, named checks, pass flag
-    <experiment>_manifest.json  timestamps, wall time, peak RSS, caps
+    <experiment>_manifest.json  timestamps, wall time, peak RSS, caps,
+                                counters (the traversals' distance
+                                evaluations, see _farthest_point_run)
 
     The summary is reproducible byte for byte for a fixed seed; anything
     wall-clock dependent is quarantined in the manifest.
@@ -645,6 +654,8 @@ def run(config: ExperimentConfig, *, wall_cap_s: float = WALL_CAP_S,
                   if r.lower is not None and r.upper is not None
                   and not r.lower <= r.upper]
     checks = {name: bool(v) for name, v in extra.pop("checks", {}).items()}
+    # work counts are the program's, not the result's: manifest only
+    counters = extra.pop("counters", {})
     passed = (not violations and cap_hit is None
               and all(checks.values()) and bool(checks))
     summary = {
@@ -676,6 +687,7 @@ def run(config: ExperimentConfig, *, wall_cap_s: float = WALL_CAP_S,
         "caps": {"wall_cap_s": budget.wall_cap_s,
                  "rss_cap_bytes": budget.rss_cap_bytes},
         "cap_hit": cap_hit,
+        "counters": counters,
         "files": [csv_path.name, summary_path.name],
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)

@@ -109,7 +109,7 @@ def balanced_partition(tree: Tree, weights: VertexWeight, n: int,
     marked[0] = True  # the leftover bundle at the root is the final part
 
     # every vertex belongs to the part closed at its nearest marked ancestor
-    part = _hanging_parts(tree, marked, 0, len(levels))
+    part = _hanging_parts(tree, marked)
     part.meta.update({"C": float(k + 2), "threshold": tau, "n": int(n),
                       "k": int(k)})
     return part

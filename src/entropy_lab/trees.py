@@ -363,17 +363,14 @@ class SubtreePartition:
         ])
 
 
-def _hanging_parts(tree: Tree, marked: np.ndarray, first: int,
-                   stop: int) -> SubtreePartition:
-    """Depth levels first .. stop - 1 split into the subtrees hanging from
-    the marked vertices (all of level first among them): each vertex joins
-    the part of its nearest marked ancestor."""
-    levels = tree.levels()[first:stop]
-    lo, hi = levels[0].ids.start, levels[-1].ids.stop
-    roots = lo + np.flatnonzero(marked[lo:hi])
+def _hanging_parts(tree: Tree, marked: np.ndarray) -> SubtreePartition:
+    """The tree split into the subtrees hanging from the marked vertices
+    (the root among them): each vertex joins the part of its nearest
+    marked ancestor."""
+    roots = np.flatnonzero(marked)
     label = np.full(tree.n + 1, -1, dtype=np.int64)
     label[roots] = np.arange(roots.size)
-    for level in levels[1:]:
+    for level in tree.levels()[1:]:
         label[level.ids] = np.where(marked[level.ids], label[level.ids],
                                     label[level.parent])
     return SubtreePartition(roots, label)

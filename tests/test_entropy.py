@@ -365,25 +365,40 @@ def _assert_matches_reference(points, q, n_select, start):
 # entry) is where the q = 2 Gram filter's error margin must hold: a common
 # offset or scale leaves a small separation under large norms, 1e153 puts
 # most squared norms past the filter's range, and NaN / inf rows must take
-# the exact path
-@settings(max_examples=80, deadline=None)
+# the exact path.  Every q but 2 runs the lazy traversal, where a NaN or
+# inf center must reach every row and a stale value equal to the best
+# must be refreshed; small lazy rounds (rows, pairs) leave rows stale
+# across steps in pools this small
+LAZY_ROUNDS = st.sampled_from([(1, 1), (2, 5), (16, 2 ** 14)])
+
+
+@settings(max_examples=120, deadline=None)
 @given(n=st.integers(1, 40), m=st.sampled_from([1, 3, 32, 9000]),
-       distinct=st.integers(1, 40),
-       q=st.sampled_from([1.5, 2.0, 4.0, math.inf]),
+       distinct=st.integers(1, 40), grid=st.booleans(),
+       q=st.sampled_from([1.5, 2.0, 3.0, 4.0, math.inf]),
        block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3, 5]),
+       lazy=LAZY_ROUNDS,
        warp=st.sampled_from([(1.0, 0.0, None), (1e150, 0.0, None),
                              (1e-150, 0.0, None), (1e153, 0.0, None),
                              (1.0, 1e3, None), (1.0, 0.0, math.nan),
                              (1.0, 0.0, math.inf), (1.0, 0.0, -math.inf)]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, q,
-                                                      block_rows, cpus, warp,
-                                                      seed):
+# a stale row whose value ties the best must be refreshed
+@example(n=5, m=1, distinct=16, grid=True, q=1.5, block_rows=0, cpus=1,
+         lazy=(1, 1), warp=(1.0, 0.0, None), seed=0)
+def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, grid,
+                                                      q, block_rows, cpus,
+                                                      lazy, warp, seed):
     # block_rows = 0 makes the block narrower than one row; rows drawn
     # from a few distinct points make ties that must break to the lowest
-    # index
+    # index, and points on a small integer grid make distinct pairs of
+    # points tie in distance too
     rng = np.random.default_rng(seed)
-    points = rng.standard_normal((distinct, m))[rng.integers(0, distinct, n)]
+    if grid:
+        distinct_points = rng.integers(-2, 3, (distinct, m)).astype(float)
+    else:
+        distinct_points = rng.standard_normal((distinct, m))
+    points = distinct_points[rng.integers(0, distinct, n)]
     scale, offset, bad = warp
     points = points * scale + offset
     if bad is not None:
@@ -391,6 +406,8 @@ def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, q,
     block_bytes = max(1, 8 * m * block_rows)
     with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(entropy, "_cpu_count", lambda: cpus), \
+            mock.patch.multiple(entropy, _LAZY_ROWS=lazy[0],
+                                _LAZY_PAIRS=lazy[1]), \
             np.errstate(invalid="ignore", over="ignore"):
         _assert_matches_reference(points, q, min(n, 12), int(seed % n))
 
@@ -455,18 +472,20 @@ def test_traversal_on_many_blocks_and_threads():
 
 
 def test_traversal_poll_stops_at_a_cap():
+    # q = 2 runs a pass per center, q = 4 the lazy refresh
     rng = np.random.default_rng(5)
     points = rng.standard_normal((300, 4))
-    calls = []
+    for q in (2.0, 4.0):
+        calls = []
 
-    def poll():
-        calls.append(1)
-        return "wall_clock" if len(calls) > 5 else None
+        def poll():
+            calls.append(1)
+            return "wall_clock" if len(calls) > 5 else None
 
-    sel, radii = _farthest_point_run(points, 2.0, 40, 0, poll=poll)
-    full_sel, full_radii = _farthest_point_run(points, 2.0, 40, 0)
-    assert len(calls) == 6
-    assert sel == full_sel[:6] and radii == full_radii[:5]
+        sel, radii = _farthest_point_run(points, q, 40, 0, poll=poll)
+        full_sel, full_radii = _farthest_point_run(points, q, 40, 0)
+        assert len(calls) == 6
+        assert sel == full_sel[:6] and radii == full_radii[:5]
 
 
 def test_farthest_point_radii_nonincreasing():
@@ -569,28 +588,37 @@ def _random_sparse(rng, n, m):
             rng.standard_normal(starts[-1]) * 10.0 ** rng.integers(-3, 4))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(n_sparse=st.integers(0, 25), n_dense=st.integers(0, 25),
        m=st.sampled_from([2, 5, 40, 9000]),
        q=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
        block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3]),
+       lazy=LAZY_ROUNDS, dense_exp=st.integers(-3, 3),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(n_sparse=18, n_dense=1, m=9000, q=2.0, block_rows=0, cpus=1, seed=7)
+@example(n_sparse=18, n_dense=1, m=9000, q=2.0, block_rows=0, cpus=1,
+         lazy=(16, 2 ** 14), dense_exp=0, seed=7)
+@example(n_sparse=6, n_dense=6, m=40, q=4.0, block_rows=1, cpus=2,
+         lazy=(16, 2 ** 14), dense_exp=3, seed=0)
 def test_sparse_traversal_matches_the_reference_on_the_materialized_pool(
-        n_sparse, n_dense, m, q, block_rows, cpus, seed):
+        n_sparse, n_dense, m, q, block_rows, cpus, lazy, dense_exp, seed):
     # continuous random rows leave no ties, so the selections agree, and
-    # every radius is the exact kernel's, bit for bit
+    # every radius is the exact kernel's, bit for bit; at q other than 2
+    # the dense rows are lazy, and large dense rows make one of them, up
+    # to date after the first center's pass, the first step's argmax (in
+    # the second example, which starts from a sparse row)
     n = n_sparse + n_dense
     if n == 0:
         return
     rng = np.random.default_rng(seed)
     sparse = _random_sparse(rng, n_sparse, m)
-    dense = rng.standard_normal((n_dense, m)) * 10.0 ** rng.integers(-3, 4)
+    dense = rng.standard_normal((n_dense, m)) * 10.0 ** dense_exp
     pool = np.concatenate([_materialize(sparse, m), dense])
     n_select, start = min(n, 12), int(seed % n)
     with mock.patch.object(entropy, "_BLOCK_BYTES",
                            max(1, 8 * m * block_rows)), \
-            mock.patch.object(entropy, "_cpu_count", lambda: cpus):
+            mock.patch.object(entropy, "_cpu_count", lambda: cpus), \
+            mock.patch.multiple(entropy, _LAZY_ROWS=lazy[0],
+                                _LAZY_PAIRS=lazy[1]):
         sel, radii = _farthest_point_run(dense, q, n_select, start,
                                          sparse=sparse)
     ref_sel, ref_radii, _ = _reference_farthest_point_run(

@@ -296,10 +296,39 @@ def test_critical_scaling_pool_counts_basis_and_sample_rows(tmp_path):
     assert [r.n_or_k for r in res.rows] == [3, 4]
 
 
+@pytest.mark.parametrize("kind, depth", [("power", 7), ("log", 31)])
+def test_critical_scaling_manifest_counts_the_distance_evaluations(
+        tmp_path, kind, depth):
+    # the sparse basis rows get a pass per center, the dense sample rows
+    # only the first center's pass and the refreshes that can still win
+    # a step; the counts stay out of the byte-stable summary
+    params = {"depth": depth, "per_level_cap": 32, "samples": 256,
+              "n_min": 3, "n_max": 6}
+    n_basis = []
+
+    def basis(*args):
+        out = _basis_images(*args)
+        n_basis.append(out[0].size - 1)
+        return out
+
+    with mock.patch.object(experiments, "_basis_images", basis):
+        res = run(ExperimentConfig(f"critical_scaling_{kind}",
+                                   params=params, seed=0,
+                                   output_dir=str(tmp_path)))
+    assert res.passed
+    counters = json.loads(Path(res.manifest_path).read_text())["counters"]
+    centers = 2 ** (6 - 1) + 1
+    assert counters["sparse_evals"] == centers * n_basis[0]
+    assert 256 <= counters["dense_evals"] < centers * 256 // 4
+    assert counters["replay_evals"] == centers * (centers - 1) // 2
+    assert "counters" not in Path(res.summary_path).read_text()
+
+
 def test_critical_scaling_packs_with_the_running_minimum_radius(tmp_path):
     # radii replayed exactly need not be nonincreasing; the first
     # 2^(n-1) + 1 centers are only as far apart as the least radius so far
-    def traversal(points, q, n_select, start, *, sparse=None, poll=None):
+    def traversal(points, q, n_select, start, *, sparse=None, poll=None,
+                  counts=None):
         radii = [1.0] * (n_select - 1)
         radii[2] = 0.25
         return list(range(n_select)), radii

@@ -390,7 +390,7 @@ def test_level_sweep_partition_matches_reference_exactly(tree, style, n, seed):
 def test_hanging_parts_match_the_former_tail_exactly(tree, density, seed):
     marked = np.random.default_rng(seed).random(tree.n) < density
     marked[0] = True
-    part = _hanging_parts(tree, marked, 0, tree.height + 1)
+    part = _hanging_parts(tree, marked)
     roots, parts = _ref_hanging_parts(tree, marked)
     assert np.array_equal(part.roots, roots)
     assert len(part.parts) == len(parts)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import CsrReference, labelled_partition, path_tree, trees
+from tree_cases import CsrReference, path_tree, trees
 
-from entropy_lab import Layering, SubtreePartition, Tree, full_tree, random_tree
+from entropy_lab import Layering, Tree, full_tree, random_tree
 from entropy_lab import trees as trees_module
-from entropy_lab.trees import _hanging_parts
 
 
 def random_parent(n, branching, rng):
@@ -49,20 +48,6 @@ def layer_of(layering, j):
     while j >= layering.depth_range(t)[1]:
         t += 1
     return t
-
-
-def layer_components(tree, layering, t):
-    """Connected components of layer t, each rooted at a vertex of the
-    layer's first depth level: the subtrees _hanging_parts hangs from
-    that level, cut at the layer's last depth."""
-    lo, hi = layering.depth_range(t)
-    stop = min(hi, tree.height + 1)
-    if lo >= stop:
-        return SubtreePartition(np.array([], dtype=np.int64),
-                                np.full(tree.n + 1, -1, dtype=np.int64))
-    marked = np.zeros(tree.n, dtype=bool)
-    marked[tree.level_slice(lo)] = True
-    return _hanging_parts(tree, marked, lo, stop)
 
 
 class TestConstruction:
@@ -175,67 +160,17 @@ class TestLayering:
         # m_* j = 4 j; layer of j=1 is floor(log2 4)+1 = 3
         assert layer_of(lay, 1) == 3
 
+    def test_below_t0_raises(self):
+        lay = Layering("linear", m_star=1)
+        with pytest.raises(ValueError, match="below t0=0"):
+            lay.depth_range(-1)
+
     def test_bad_rule(self):
         with pytest.raises(ValueError):
             Layering("cubic")
 
 
-class TestLayerComponents:
-    def test_path_single_component(self):
-        t = path_tree(7)
-        lay = Layering("linear", m_star=1)
-        part = layer_components(t, lay, 2)
-        assert part.n_parts() == 1
-        assert part.parts[0].tolist() == [2, 3]
-        part.validate(t)
-
-    def test_binary_depth4_layer2(self):
-        # components rooted at each depth-2 vertex, restricted to depths {2,3}
-        t = full_tree(2, 4)
-        lay = Layering("linear", m_star=1)
-        part = layer_components(t, lay, 2)
-        assert part.n_parts() == 4
-        assert sorted(int(r) for r in part.roots) == t.level(2).tolist()
-        part.validate(t)
-
-    def test_roots_have_parent_outside(self):
-        t = full_tree(3, 4)
-        lay = Layering("linear", m_star=1)
-        lo, hi = lay.depth_range(2)
-        part = layer_components(t, lay, 2)
-        for r in part.roots:
-            assert lo <= int(t.depth[r]) < hi
-            assert int(t.depth[t.parent[r]]) < lo
-
-    def test_below_t0_raises(self):
-        t = path_tree(4)
-        lay = Layering("linear", m_star=1)
-        with pytest.raises(ValueError, match="below t0=0"):
-            layer_components(t, lay, -1)
-
-    def test_empty_layer_empty_partition(self):
-        t = path_tree(3)  # height 2
-        lay = Layering("linear", m_star=1)
-        part = layer_components(t, lay, 4)
-        assert part.n_parts() == 0 and part.universe.size == 0
-
-    @given(st.integers(2, 150), st.integers(1, 3), st.integers(0, 10 ** 6))
-    @settings(max_examples=30, deadline=None)
-    def test_components_cover_layer(self, n, b, seed):
-        parent = random_parent(n, b, np.random.default_rng(seed))
-        t = Tree(parent)
-        lay = Layering("linear", m_star=1)
-        tmax = layer_of(lay, t.height)
-        for tt in range(tmax + 1):
-            part = layer_components(t, lay, tt)
-            part.validate(t)
-            lo, hi = lay.depth_range(tt)
-            size = sum(t.level(d).size for d in range(lo, min(hi, t.height + 1)))
-            assert part.universe.size == size
-
-
-# -- the level walks and _hanging_parts against the CSR walks and the
-# per-vertex loop they replaced --
+# -- the level walks against the CSR walks --
 
 
 def _same(a, b):
@@ -259,46 +194,6 @@ def test_level_walks_match_the_csr_walks_exactly(tree):
         assert all(pos[int(tree.parent[x])] < j
                    for j, x in enumerate(row) if j)
         assert _same(np.sort(row), ref.subtree(v))
-
-
-def _ref_layer_components(tree, layering, t):
-    """The per-vertex layer_components loop, kept as the reference."""
-    lo, hi = layering.depth_range(t)
-    lo_s = tree.level_slice(lo).start if lo <= tree.height else tree.n
-    hi_s = tree.level_slice(hi - 1).stop if hi - 1 <= tree.height else tree.n
-    universe = np.arange(lo_s, hi_s, dtype=np.int64)
-    if universe.size == 0:
-        return labelled_partition(tree.n, [], [])
-    comp = np.full(tree.n, -1, dtype=np.int64)
-    roots = []
-    groups = []
-    for v in universe:
-        p = int(tree.parent[v])
-        if v != 0 and p >= lo_s and comp[p] >= 0:
-            c = comp[p]
-        else:
-            c = len(roots)
-            roots.append(int(v))
-        comp[v] = c
-        if c == len(groups):
-            groups.append([])
-        groups[c].append(int(v))
-    return labelled_partition(tree.n, roots, groups)
-
-
-@settings(max_examples=150, deadline=None)
-@given(tree=trees(), rule=st.sampled_from(["linear", "doubly-exponential"]),
-       m_star=st.integers(1, 3))
-def test_layer_components_match_the_per_vertex_loop_exactly(tree, rule,
-                                                           m_star):
-    lay = Layering(rule, m_star=m_star)
-    # every layer the tree reaches, and the first one past it
-    for t in range(layer_of(lay, tree.height) + 2):
-        got = layer_components(tree, lay, t)
-        ref = _ref_layer_components(tree, lay, t)
-        assert _same(got.roots, ref.roots)
-        assert _same(got.label, ref.label)
-        got.validate(tree)
 
 
 class TestRandomTree:
