@@ -4,7 +4,6 @@ from inspect import ismodule as _ismodule
 
 from .certificate import Certificate, entropy_certificate
 from .entropy import (
-    BoundExpr,
     EntropyEstimate,
     combine_scale,
     combine_sum,

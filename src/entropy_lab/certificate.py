@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .entropy import BoundExpr, EntropyEstimate
+from .entropy import EntropyEstimate, combine_scale, combine_sum, schuett
 from .hset import HProfile, schedule_from_profile
 from .summation import (
     WeightScheme,
@@ -34,31 +35,22 @@ from .trees import Layering, Tree
 
 @dataclass
 class Certificate:
-    """Evaluated bound B(n) at index K(n), with its expression tree.
+    """Evaluated bound B(n) at index K(n).
 
     budgets holds the raw (t, l, k_{t,l}) triples actually spent; their
     (k - 1)-sum equals k_total - 1 exactly.  c_budget is the achieved
     (k_total - 1)/n, c_guarantee the analytic ceiling it must stay under.
+    meta["layers"] holds each kept block's depth window, dimension, index
+    budget and norm; meta["tail_value"] is the Hardy tail term (0 when the
+    tree stops short of j_tail).
     """
 
     bound: EntropyEstimate
     k_total: int
-    expr: BoundExpr
     budgets: list
     c_budget: float
     c_guarantee: float
     meta: dict
-
-    def to_json(self) -> dict:
-        return {
-            "bound_value": self.bound.value,
-            "k_total": self.k_total,
-            "c_budget": self.c_budget,
-            "c_guarantee": self.c_guarantee,
-            "budgets": [list(b) for b in self.budgets],
-            "meta": self.meta,
-            "expr": self.expr.to_dict(),
-        }
 
 
 def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
@@ -125,18 +117,18 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
         in_block = (tree.depth >= lo) & (tree.depth < hi_clip)
         cum = apply(tree, np.where(in_block, uq, 0.0), ones, ones)
         norm_t = _row_hoelder_upper(cum, w, q, q)
-        leaves.append(BoundExpr.scaled(
-            norm_t, BoundExpr.schuett_leaf(dim, k_block, p, q)))
+        leaves.append(combine_scale(norm_t, EntropyEstimate(
+            k_block, schuett(dim, k_block, p, q), "certified_upper",
+            f"schuett(nu={dim},stitched)")))
         layer_meta.append({"t": t, "lo": lo, "hi": hi_clip, "dim": dim,
                            "k_budget": k_block, "norm": norm_t})
 
     tail_value = 0.0
     if tree.height >= j_tail:
         tail_value = hardy_bound(scheme, h, p, q, j_tail)
-        leaves.append(BoundExpr.leaf(EntropyEstimate(
-            1, tail_value, "certified_upper", f"hardy-tail(j={j_tail})")))
-    expr = BoundExpr.sum_of(*leaves)
-    bound = expr.evaluate()
+        leaves.append(EntropyEstimate(
+            1, tail_value, "certified_upper", f"hardy-tail(j={j_tail})"))
+    bound = reduce(combine_sum, leaves)
 
     spent_total = sum(k - 1 for _, _, k in budgets)
     if bound.k - 1 != spent_total:
@@ -148,5 +140,4 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
     meta = {"n": n, "p": p, "q": q, "eps": eps, "t_star": t_star,
             "t_stop": t_stop, "j_tail": j_tail, "tail_value": tail_value,
             "layers": layer_meta}
-    return Certificate(bound, bound.k, expr, budgets, c_budget,
-                       c_guarantee, meta)
+    return Certificate(bound, bound.k, budgets, c_budget, c_guarantee, meta)

@@ -11,7 +11,7 @@ provide the leaves of composite bounds; the combination rules
     e_{k+l-1}(S+T) <= e_k(S) + e_l(T)
     e_k(ST)       <= ||S|| e_k(T)
 
-are tracked as an explicit expression tree with exact index bookkeeping.
+are applied with exact index bookkeeping.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -893,68 +893,3 @@ def combine_scale(norm: float, est: EntropyEstimate) -> EntropyEstimate:
     _require_upper(est, "combine_scale")
     return EntropyEstimate(est.k, norm * est.value, est.kind,
                            f"scale[{norm:g} * {est.method}]", est.seed)
-
-
-# -- expression trees ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundExpr:
-    """Expression tree over entropy estimates and norm constants.
-
-    ops: "leaf" (estimate), "sum" and "scale" (the payload's norm
-    constant times the child).  evaluate() is deterministic and routes
-    every combination through the calculus functions, so index bookkeeping
-    is exact by construction.
-    """
-
-    op: str
-    children: tuple = ()
-    payload: dict = field(default_factory=dict)
-
-    @staticmethod
-    def leaf(est: EntropyEstimate) -> "BoundExpr":
-        return BoundExpr("leaf", payload={"estimate": est})
-
-    @staticmethod
-    def schuett_leaf(nu: int, k: int, p: float, q: float) -> "BoundExpr":
-        return BoundExpr.leaf(EntropyEstimate(
-            int(k), schuett(nu, k, p, q), "certified_upper",
-            f"schuett(nu={int(nu)},stitched)"))
-
-    @staticmethod
-    def sum_of(*exprs: "BoundExpr") -> "BoundExpr":
-        if not exprs:
-            raise ValueError("sum_of needs at least one term")
-        out = exprs[0]
-        for e in exprs[1:]:
-            out = BoundExpr("sum", (out, e))
-        return out
-
-    @staticmethod
-    def scaled(norm: float, entropy_expr: "BoundExpr") -> "BoundExpr":
-        if not (norm >= 0):
-            raise ValueError("norm constant must be nonnegative")
-        return BoundExpr("scale", (entropy_expr,), {"norm": float(norm)})
-
-    def evaluate(self) -> EntropyEstimate:
-        if self.op == "leaf":
-            return self.payload["estimate"]
-        if self.op == "sum":
-            a, b = self.children
-            return combine_sum(a.evaluate(), b.evaluate())
-        if self.op == "scale":
-            (child,) = self.children
-            return combine_scale(self.payload["norm"], child.evaluate())
-        raise ValueError(f"unknown op {self.op!r}")
-
-    def to_dict(self) -> dict:
-        pl = {}
-        for key, val in self.payload.items():
-            if isinstance(val, EntropyEstimate):
-                pl[key] = {"k": val.k, "value": val.value, "kind": val.kind,
-                           "method": val.method, "seed": val.seed}
-            else:
-                pl[key] = val
-        return {"op": self.op, "payload": pl,
-                "children": [c.to_dict() for c in self.children]}

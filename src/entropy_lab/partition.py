@@ -11,7 +11,6 @@ cross-level intersection counts stay bounded.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -163,14 +162,6 @@ class PartitionFamily:
                 raise AssertionError(
                     f"a level-{l + 1} part meets {int(hits.max())} level-{l} "
                     f"parts, above the reported cross constant")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n0": int(self.n0),
-            "meta": {k: (v if not isinstance(v, float) else float(v))
-                     for k, v in self.meta.items()},
-            "levels": [json.loads(level.to_json()) for level in self.levels],
-        })
 
 
 def _coarsen_once(tree: Tree, prev: SubtreePartition, cap: int):

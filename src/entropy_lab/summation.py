@@ -22,6 +22,7 @@ from .trees import Tree
 _TAIL_REL = 1e-12
 _TAIL_CAP = 10 ** 6
 _ORACLE_TOL = 1e-10
+_ORACLE_STEPS = 10_000
 _GRID_POINTS = 200_000
 
 
@@ -32,6 +33,12 @@ def _check_pq(p: float, q: float):
 
 def _conj(p: float) -> float:
     return p / (p - 1.0)
+
+
+def _positive(x) -> bool:
+    """Whether every entry is finite and > 0 (NaN fails the comparison)."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all((x > 0) & (x < math.inf)))
 
 
 def _require_critical(scheme: WeightScheme, h: HProfile, p: float,
@@ -84,8 +91,8 @@ class WeightScheme:
         else:
             if len(self.u) == 0 or len(self.u) != len(self.w):
                 raise ValueError("explicit scheme needs equal-length u, w")
-            if np.any(np.asarray(self.u) <= 0) or np.any(np.asarray(self.w) <= 0):
-                raise ValueError("weights must be strictly positive")
+            if not (_positive(self.u) and _positive(self.w)):
+                raise ValueError("weights must be finite and strictly positive")
 
     def params(self, h: HProfile | None = None, p=None, q=None) -> dict:
         """Parameter pack for validate_critical."""
@@ -272,7 +279,8 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     vector plus seeded random starts.  Each restart stops on its own once
     ||Sf||_q changes by at most _ORACLE_TOL relative in one step; its
     iterate and value are frozen there, and later steps apply S and S^T
-    to the live restarts only.  Every iterate is a feasible point, so the
+    to the live restarts only; the ascent ends after _ORACLE_STEPS steps
+    at most.  Every iterate is a feasible point, so the
     ratio ||Sf||_q / ||f||_p recomputed at the best restart's iterate is a
     certified lower bound even when the ascent is not provably globally
     optimal.
@@ -289,7 +297,6 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     """
     cfg = dict(cfg or {})
     restarts = int(cfg.pop("restarts", 16))
-    max_iter = int(cfg.pop("max_iter", 10_000))
     seed = int(cfg.pop("seed", 0))
     if cfg:
         raise ValueError(f"unknown cfg keys: {sorted(cfg)}")
@@ -298,8 +305,8 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     w = np.asarray(w, dtype=float)
     if u.shape != (tree.n,) or w.shape != (tree.n,):
         raise ValueError("u, w must be per-vertex arrays")
-    if np.any(u <= 0) or np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
+    if not (_positive(u) and _positive(w)):
+        raise ValueError("weights must be finite and strictly positive")
 
     cols = max(1, restarts)
     if tree.n == 1:
@@ -331,7 +338,7 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     vals = np.zeros(cols)
     stopped = np.zeros(cols, dtype=np.int64)
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _ORACLE_STEPS + 1):
         if poll is not None and poll() is not None:
             break
         iterations = it

@@ -128,10 +128,6 @@ class Tree:
     def n_children(self) -> np.ndarray:
         return np.bincount(self.parent[1:], minlength=self.n)
 
-    def branching(self) -> int:
-        """max_v card V_1(v), the branching bound k."""
-        return int(self.n_children().max()) if self.n > 1 else 0
-
     def level_slice(self, d: int) -> slice:
         """Ids of the vertices at depth d, as a contiguous slice."""
         if d < 0 or d > self.height:
@@ -355,12 +351,6 @@ class SubtreePartition:
             raise AssertionError(
                 f"part rooted at {int(roots[own[cut[0]]])} is not connected "
                 f"at vertex {v}")
-
-    def to_json(self) -> str:
-        return json.dumps([
-            {"root": int(r), "vertices": p.tolist()}
-            for r, p in zip(self.roots, self.parts)
-        ])
 
 
 def _hanging_parts(tree: Tree, marked: np.ndarray) -> SubtreePartition:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from tree_cases import trees
 
 from entropy_lab.certificate import Certificate, entropy_certificate
 from entropy_lab.entropy import schuett
+from entropy_lab.experiments import _EXPERIMENTS, _critical_pack
 from entropy_lab.hset import HProfile, generate_hset_tree
 from entropy_lab.summation import (
     WeightScheme,
@@ -47,20 +47,40 @@ def test_certificate_structure_power_pack():
     assert cert.bound.value > 0 and math.isfinite(cert.bound.value)
 
 
-def test_certificate_value_composition():
-    tree = full_tree(2, 12)
-    cert = entropy_certificate(tree, POWER, H_POWER, 8, p=2, q=4)
-    total = cert.meta["tail_value"]
+def _fold(cert):
+    """B(n) folded left: the scaled reference value of each layer in
+    order, then the tail (adding a missing tail's 0.0 is exact)."""
+    p, q = cert.meta["p"], cert.meta["q"]
+    total = 0.0
     for layer in cert.meta["layers"]:
-        total += layer["norm"] * schuett(layer["dim"], layer["k_budget"], 2, 4)
-    assert cert.bound.value == pytest.approx(total, rel=1e-12)
+        total += layer["norm"] * schuett(layer["dim"], layer["k_budget"], p, q)
+    return total + cert.meta["tail_value"]
+
+
+def test_certificate_value_composition():
+    # the critical_scaling packs, at every n of their sweeps
+    for kind in ("power", "log"):
+        params = _EXPERIMENTS[f"critical_scaling_{kind}"][1]
+        h, scheme = _critical_pack(kind, params)
+        if kind == "power":
+            tree = full_tree(params["arity"], params["depth"])
+        else:
+            tree = generate_hset_tree(h, scheme.m_star, params["depth"],
+                                      seed=params["tree_seed"])
+        for n in range(params["n_min"], params["n_max"] + 1):
+            cert = entropy_certificate(tree, scheme, h, n, p=2, q=4)
+            assert cert.bound.value == _fold(cert)
+            assert cert.bound.k == 1 + sum(layer["k_budget"] - 1
+                                           for layer in cert.meta["layers"])
+    cert = entropy_certificate(full_tree(2, 12), POWER, H_POWER, 8, p=2, q=4)
     assert cert.meta["tail_value"] == pytest.approx(TAIL_AT_4, rel=1e-12)
     assert cert.meta["j_tail"] == 4
 
 
 def test_certificate_single_vertex_reduces_to_one_scale_leaf():
     cert = entropy_certificate(full_tree(2, 0), POWER, H_POWER, 8, p=2, q=4)
-    assert cert.expr.op == "scale"
+    [layer] = cert.meta["layers"]
+    assert (layer["dim"], layer["k_budget"], layer["norm"]) == (1, 8, 1.0)
     assert cert.meta["tail_value"] == 0.0
     assert cert.bound.k == 8
     # root weights are u = w = 1, so the bound is the bare reference value
@@ -70,18 +90,15 @@ def test_certificate_single_vertex_reduces_to_one_scale_leaf():
 def test_certificate_tail_switches_on_tree_height():
     deep = entropy_certificate(full_tree(2, 12), POWER, H_POWER, 8, p=2, q=4)
     assert deep.meta["tail_value"] > 0
+    assert deep.meta["j_tail"] <= 12
     shallow = entropy_certificate(full_tree(2, 3), POWER, H_POWER, 8, p=2, q=4)
     assert shallow.meta["tail_value"] == 0.0
-    # no hardy leaf: every leaf of the fold is a scaled reference curve
-    def leaf_ops(expr, out):
-        if expr.op == "sum":
-            for ch in expr.children:
-                leaf_ops(ch, out)
-        else:
-            out.append(expr.op)
-        return out
-    assert leaf_ops(shallow.expr, []) == ["scale"] * len(shallow.meta["layers"])
-    assert leaf_ops(deep.expr, []).count("leaf") == 1
+    assert shallow.meta["j_tail"] > 3
+    # one hardy leaf below the layers of the deep tree, none in the shallow
+    assert deep.bound.method.count("hardy-tail") == 1
+    assert "hardy-tail" not in shallow.bound.method
+    for cert in (deep, shallow):
+        assert cert.bound.value == _fold(cert)
 
 
 def test_certificate_budget_identity_across_n():
@@ -209,7 +226,7 @@ def test_certificate_deterministic():
     a = entropy_certificate(tree, POWER, H_POWER, 16, p=2, q=4)
     b = entropy_certificate(tree, POWER, H_POWER, 16, p=2, q=4)
     assert a.bound.value == b.bound.value and a.k_total == b.k_total
-    assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+    assert a == b
 
 
 def test_certificate_normalized_band_is_moderate():

@@ -113,6 +113,32 @@ def test_gen_tree_rejects_unknown_profile_field(tmp_path, capsys):
     assert "colour" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_norm_rejects_non_finite_weights(tmp_path, capsys, token):
+    # json reads NaN and Infinity, so a tree file can carry them
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text(f'{{"parent": [-1, 0, 0], "u": [1.0, {token}, 1.0]}}')
+    rc = main(["norm", "--tree", str(tree_file), "--p", "2", "--q", "4"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_gen_tree_rejects_non_finite_explicit_weights(tmp_path, capsys,
+                                                       token):
+    profile = tmp_path / "p.json"
+    profile.write_text(
+        '{"theta": 1.0, "scheme": {"kind": "explicit", '
+        f'"u": [1.0, {token}, 1.0], "w": [1.0, 1.0, 1.0]}}}}')
+    tree_file = tmp_path / "t.json"
+    rc = main(["gen-tree", "--profile", str(profile),
+               "--depth", "2", "--out", str(tree_file)])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert not tree_file.exists()
+
+
 def test_norm_missing_file_is_usage_error(tmp_path, capsys):
     rc = main(["norm", "--tree", str(tmp_path / "nope.json"),
                "--p", "2", "--q", "2"])

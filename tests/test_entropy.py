@@ -1,4 +1,3 @@
-import json
 import math
 import threading
 import warnings
@@ -12,7 +11,6 @@ from tree_cases import trees
 
 from entropy_lab import entropy
 from entropy_lab.entropy import (
-    BoundExpr,
     EntropyEstimate,
     _farthest_point_run,
     _cover_radii,
@@ -871,6 +869,15 @@ def test_combine_scale():
         combine_scale(2.0, _upper(4, 0.8, "certified_lower"))
 
 
+def test_combine_scale_then_sum():
+    leaf = EntropyEstimate(3, schuett(8, 3, 2, 4), "certified_upper",
+                           "schuett(nu=8,stitched)")
+    est = combine_sum(combine_scale(2.0, leaf), _upper(2, 0.1))
+    assert est.k == 3 + 2 - 1
+    assert est.value == 2.0 * schuett(8, 3, 2, 4) + 0.1
+    assert est.kind == "certified_upper"
+
+
 @given(st.integers(1, 50), st.integers(1, 50),
        st.floats(0, 10), st.floats(0, 10))
 @settings(max_examples=50, deadline=None)
@@ -878,42 +885,6 @@ def test_combine_sum_property(k, l, a, b):
     out = combine_sum(_upper(k, a), _upper(l, b))
     assert out.k == k + l - 1
     assert out.value == pytest.approx(a + b, abs=1e-12)
-
-
-# -- expression trees ---------------------------------------------------------
-
-
-def test_bound_expr_schuett_leaf():
-    leaf = BoundExpr.schuett_leaf(16, 16, 1, 2)
-    est = leaf.evaluate()
-    assert est.k == 16 and est.value == pytest.approx(SQRT_LN2_OVER_16)
-    assert est.kind == "certified_upper"
-
-
-def test_bound_expr_composition():
-    expr = BoundExpr.sum_of(
-        BoundExpr.scaled(2.0, BoundExpr.schuett_leaf(8, 3, 2, 4)),
-        BoundExpr.leaf(_upper(2, 0.1)))
-    est = expr.evaluate()
-    assert est.k == 3 + 2 - 1
-    assert est.value == pytest.approx(2.0 * schuett(8, 3, 2, 4) + 0.1)
-    assert est.kind == "certified_upper"
-    # evaluation is deterministic
-    assert expr.evaluate() == est
-
-
-def test_bound_expr_errors_and_serialization():
-    with pytest.raises(ValueError):
-        BoundExpr("bogus").evaluate()
-    with pytest.raises(ValueError):
-        BoundExpr.scaled(-1.0, BoundExpr.leaf(_upper(1, 1.0)))
-    expr = BoundExpr.sum_of(
-        BoundExpr.scaled(1.5, BoundExpr.schuett_leaf(4, 2, 2, 4)),
-        BoundExpr.leaf(_upper(1, 0.5)))
-    blob = json.dumps(expr.to_dict())
-    data = json.loads(blob)
-    assert data["op"] == "sum"
-    assert data["children"][0]["payload"]["norm"] == 1.5
 
 
 # -- estimate type ------------------------------------------------------------

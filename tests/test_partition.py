@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,22 +201,15 @@ def test_family_counts_within_reported_constant():
             assert lv.n_parts() <= fam.meta["C"] * 16 * 2.0 ** (-l)
 
 
-def test_family_json_export():
-    t = path_tree(8)
-    fam = dyadic_family(t, VertexWeight.uniform(8), 4, 1)
-    doc = json.loads(fam.to_json())
-    assert doc["n0"] == 4
-    assert len(doc["levels"]) == 3
-    assert doc["levels"][2][0]["vertices"] == list(range(8))
-
-
 def test_family_deterministic():
     rng = np.random.default_rng(9)
     t = bounded_random_tree(80, 2, rng)
     w = VertexWeight(rng.integers(1, 5, 80).astype(float))
     a = dyadic_family(t, w, 8, 2)
     b = dyadic_family(t, w, 8, 2)
-    assert a.to_json() == b.to_json()
+    assert a.meta == b.meta and a.n_levels() == b.n_levels()
+    for x, y in zip(a.levels, b.levels):
+        assert np.array_equal(x.label, y.label)
 
 
 # -- the per-vertex sweeps the level sweeps replaced, kept as references ------
@@ -374,7 +365,7 @@ WEIGHT_STYLES = ["uniform", "exponential", "pareto", "zero-heavy"]
        n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
 def test_level_sweep_partition_matches_reference_exactly(tree, style, n, seed):
     wts = _weights(style, tree.n, np.random.default_rng(seed))
-    k = max(1, tree.branching())
+    k = max(1, int(tree.n_children().max()))
     part = balanced_partition(tree, wts, n, k)
     roots, parts = _ref_balanced_partition(tree, wts, n, k)
     assert np.array_equal(part.roots, roots)
@@ -407,7 +398,8 @@ def test_hanging_parts_match_the_former_tail_exactly(tree, density, seed):
 def test_coarsening_matches_the_per_part_loops_exactly(tree, style, n, cap,
                                                        seed):
     wts = _weights(style, tree.n, np.random.default_rng(seed))
-    prev = balanced_partition(tree, wts, n, max(1, tree.branching()))
+    prev = balanced_partition(tree, wts, n,
+                              max(1, int(tree.n_children().max())))
     # every coarser level on the way to a single part
     while True:
         groups, gmax = _coarsen_once(tree, prev, cap)
@@ -427,7 +419,7 @@ def test_validators_agree_with_reference_on_families(tree, style, n0, seed):
     may differ when the edit breaks more than one invariant)."""
     rng = np.random.default_rng(seed)
     fam = dyadic_family(tree, _weights(style, tree.n, rng), n0,
-                        max(1, tree.branching()))
+                        max(1, int(tree.n_children().max())))
     fam.validate(tree)
     _ref_family_validate(fam, tree)
     l = int(rng.integers(0, fam.n_levels()))

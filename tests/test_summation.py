@@ -271,6 +271,17 @@ def _ref_norm_oracle(tree, u, w, p, q, cfg):
                          "restart_iterations": stopped})
 
 
+def _poll_after(steps):
+    """A budget poll that lets the oracle take `steps` ascent steps, then
+    stops it, as a step cap would."""
+    calls = []
+
+    def poll():
+        calls.append(1)
+        return "steps" if len(calls) > steps else None
+    return poll
+
+
 def _block(rng, n, cols):
     """A vector (cols == 0) or an (n, cols) block spanning many magnitudes."""
     shape = (n,) if cols == 0 else (n, cols)
@@ -377,6 +388,14 @@ def test_explicit_scheme():
         WeightScheme("explicit", u=(1.0, -2.0), w=(0.5, 0.5))
     with pytest.raises(ValueError, match="kind"):
         WeightScheme("mystery")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_explicit_scheme_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        WeightScheme("explicit", u=(1.0, bad), w=(0.5, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        WeightScheme("explicit", u=(1.0, 2.0), w=(bad, 0.5))
 
 
 def _reference_depth_weights(scheme, depth):
@@ -595,6 +614,20 @@ def test_norm_rejects_bad_inputs():
         norm_oracle(t, ones * 0, ones, 2, 2)
     with pytest.raises(ValueError, match="cfg"):
         norm_oracle(t, ones, ones, 2, 2, {"bogus": 1})
+    # the step cap is fixed; a caller cuts the ascent through poll
+    with pytest.raises(ValueError, match="cfg"):
+        norm_oracle(t, ones, ones, 2, 2, {"max_iter": 3})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_norm_rejects_non_finite_weights(bad):
+    t = path_tree(3)
+    ones = np.ones(3)
+    odd = np.array([1.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        norm_oracle(t, odd, ones, 2, 4)
+    with pytest.raises(ValueError, match="finite"):
+        norm_oracle(t, ones, odd, 2, 4)
 
 
 def test_norm_deterministic_given_seed():
@@ -615,9 +648,9 @@ def test_norm_oracle_matches_reference_exactly(tree, pq, restarts, max_iter,
                                                seed):
     rng = np.random.default_rng(seed)
     u, w = rand_weights(tree.n, rng)
-    cfg = {"restarts": restarts, "max_iter": max_iter, "seed": seed}
-    got = norm_oracle(tree, u, w, *pq, cfg)
-    ref = _ref_norm_oracle(tree, u, w, *pq, cfg)
+    cfg = {"restarts": restarts, "seed": seed}
+    got = norm_oracle(tree, u, w, *pq, cfg, poll=_poll_after(max_iter))
+    ref = _ref_norm_oracle(tree, u, w, *pq, {**cfg, "max_iter": max_iter})
     assert got.lower == ref.lower and got.upper == ref.upper
     assert np.array_equal(got.witness, ref.witness)
     assert got.meta["iterations"] == ref.meta["iterations"]
@@ -694,8 +727,8 @@ def test_norm_oracle_restart_iterations():
     assert len(stopped) == 5 and all(isinstance(s, int) for s in stopped)
     assert max(stopped) == est.meta["iterations"] < 10_000
     assert min(stopped) < max(stopped)
-    capped = norm_oracle(t, u, w, 1.5, 3.0,
-                         {"restarts": 5, "seed": 2, "max_iter": 3})
+    capped = norm_oracle(t, u, w, 1.5, 3.0, {"restarts": 5, "seed": 2},
+                         poll=_poll_after(3))
     assert capped.meta["restart_iterations"] == [3] * 5
 
 
@@ -772,7 +805,7 @@ def test_hardy_dominates_oracle_on_binary_subtree():
     # subtree of the binary tree rooted at depth 4, gauged weights
     t = full_tree(2, 6)
     u, w = weights_for_tree(SUPER, t, start_depth=4)
-    est = norm_oracle(t, u, w, 2, 4, {"restarts": 4, "max_iter": 2000})
+    est = norm_oracle(t, u, w, 2, 4, {"restarts": 4}, poll=_poll_after(2000))
     bound = hardy_bound(SUPER, H_POWER, 2, 4, 4)
     assert est.lower <= 5.0 * bound
     assert est.lower > 0.05 * bound

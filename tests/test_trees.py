@@ -53,7 +53,7 @@ def layer_of(layering, j):
 class TestConstruction:
     def test_single_vertex(self):
         t = Tree([-1])
-        assert t.n == 1 and t.height == 0 and t.branching() == 0
+        assert t.n == 1 and t.height == 0 and t.n_children().max() == 0
 
     def test_path_depths(self):
         t = path_tree(5)
@@ -86,7 +86,7 @@ class TestConstruction:
         t = full_tree(2, 4)
         assert t.n == 31
         assert [t.level(d).size for d in range(5)] == [1, 2, 4, 8, 16]
-        assert t.branching() == 2
+        assert t.n_children().max() == 2
 
 
 class TestStructureOps:
@@ -120,7 +120,7 @@ class TestStructureOps:
             depth[v] = depth[parent[v]] + 1
         assert t.depth.tolist() == depth
         assert t.height == max(depth)
-        assert t.branching() <= b or n <= 2
+        assert t.n_children().max() <= b or n <= 2
 
 
 class TestLayering:
@@ -201,7 +201,7 @@ class TestRandomTree:
         for seed in range(6):
             t = random_tree(500, 3, seed)
             assert t.n == 500
-            assert t.branching() <= 3
+            assert t.n_children().max() <= 3
             assert np.all(np.diff(t.depth) >= 0)
 
     def test_deterministic(self):
