@@ -19,13 +19,10 @@ from .entropy import (
 )
 from .hset import (
     HProfile,
-    Schedule,
     TauFn,
     TAU_CONST,
     generate_hset_tree,
     h_level_target,
-    schedule_from_profile,
-    validate_critical,
 )
 from .partition import (
     PartitionFamily,
@@ -41,6 +38,7 @@ from .summation import (
     hardy_bound,
     norm_oracle,
     operator_matrix,
+    validate_critical,
     weights_for_tree,
 )
 from .trees import (

@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .entropy import EntropyEstimate, combine_scale, combine_sum, schuett
-from .hset import HProfile, schedule_from_profile
+from .hset import HProfile
 from .summation import (
     WeightScheme,
     _conj,
@@ -30,7 +30,7 @@ from .summation import (
     hardy_bound,
     weights_for_tree,
 )
-from .trees import Layering, Tree
+from .trees import Tree
 
 
 @dataclass
@@ -68,15 +68,13 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
         raise ValueError("eps must be positive")
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    sched = schedule_from_profile(h)
-    t_star = sched.t_star(n)
-    t_stop = sched.t_star_star(n)
+    t_star = h.t_star(n)
+    t_stop = h.t_star_star(n)
     if t_stop < 1:
         raise ValueError(
             f"n too small: t_**({n}) = 0, nothing is kept past layer t0")
 
-    rule = "linear" if h.theta > 0 else "doubly-exponential"
-    lay = Layering(rule, m_star=scheme.m_star)
+    lay = h.layering(scheme.m_star)
     j_tail = lay.depth_range(t_stop)[0]
     u, w = weights_for_tree(scheme, tree)
     uq = u ** _conj(q)

@@ -2,9 +2,10 @@
 
 S f(xi) = w(xi) * sum_{xi' <= xi} u(xi') f(xi'), the sum running along the
 root path.  The module provides the operator itself, critical weight
-schemes, a norm oracle (certified lower bound by multiplicative ascent,
-certified upper bound by row-wise Hoelder), and the explicit Hardy-type
-norm bounds for subtrees rooted at a given depth.
+schemes and their validator against a profile, a norm oracle (certified
+lower bound by multiplicative ascent, certified upper bound by row-wise
+Hoelder), and the explicit Hardy-type norm bounds for subtrees rooted at a
+given depth.
 
 The regime is 1 < p <= q < infinity throughout.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hset import HProfile, validate_critical
+from .hset import HProfile
 from .trees import Tree
 
 _TAIL_REL = 1e-12
@@ -41,16 +42,88 @@ def _positive(x) -> bool:
     return bool(np.all((x > 0) & (x < math.inf)))
 
 
+@dataclass
+class CriticalReport:
+    """validate_critical's verdict: the label, each condition checked, and
+    whether a power pack sits at the boundary kappa = theta/q."""
+
+    label: str
+    conditions: list = field(default_factory=list)
+    boundary: bool = False
+
+    def ok(self, name, holds, detail=""):
+        self.conditions.append({"name": name, "holds": bool(holds),
+                                "detail": detail})
+        return bool(holds)
+
+    @property
+    def valid(self):
+        return self.label in ("critical-power", "critical-log")
+
+
+_EQ_TOL = 1e-12
+
+
+def validate_critical(scheme: WeightScheme, h: HProfile, p: float,
+                      q: float) -> CriticalReport:
+    """Label a weight scheme and profile per the critical-case hypotheses.
+
+    The scheme's kind must match the profile: power-critical for theta > 0,
+    log-critical for theta = 0.  Power packs need kappa >= theta/q with the
+    sum identity alpha_u + alpha_w = 1/p - 1/q (supercritical kappa) or
+    = 1/p together with the strict tail condition alpha_w > (1-gamma)/q
+    (boundary kappa).  Log packs need kappa > 0, gamma <= 0 and lambda_u +
+    lambda_w = 1/p - 1/q.  Labels: critical-power, critical-log,
+    non-critical (valid family, non-critical sum), invalid.
+    """
+    rep = CriticalReport(label="invalid")
+    if not rep.ok("indices", 1 < p <= q, f"need 1 < p <= q, got p={p}, q={q}"):
+        return rep
+    power = h.theta > 0
+    kind = "power-critical" if power else "log-critical"
+    if not rep.ok("kind matches theta", scheme.kind == kind,
+                  f"theta={h.theta} needs {kind!r}, got {scheme.kind!r}"):
+        return rep
+    kappa, gamma, theta = scheme.kappa, h.gamma, h.theta
+    if power:
+        if not rep.ok("kappa >= theta/q", kappa >= theta / q - _EQ_TOL,
+                      f"kappa={kappa}, theta/q={theta / q}"):
+            return rep
+        rep.boundary = abs(kappa - theta / q) <= _EQ_TOL
+        aw = scheme.alpha_w
+        if rep.boundary and not rep.ok(
+                "alpha_w > (1-gamma)/q strictly",
+                aw - (1.0 - gamma) / q > _EQ_TOL,
+                f"alpha_w={aw}, (1-gamma)/q={(1.0 - gamma) / q}"):
+            return rep
+        name = "alpha_u + alpha_w = 1/p" + ("" if rep.boundary else " - 1/q")
+        total = scheme.alpha_u + aw
+    else:
+        if not (rep.ok("kappa > 0", kappa > 0, f"kappa={kappa}")
+                and rep.ok("gamma <= 0", gamma <= 0, f"gamma={gamma}")):
+            return rep
+        name = "lambda_u + lambda_w = 1/p - 1/q"
+        total = scheme.lambda_u + scheme.lambda_w
+    target = 1.0 / p if rep.boundary else 1.0 / p - 1.0 / q
+    if rep.ok(name, abs(total - target) <= _EQ_TOL,
+              f"sum={total}, target={target}"):
+        rep.label = "critical-power" if power else "critical-log"
+    else:
+        rep.label = "non-critical"
+    return rep
+
+
 def _require_critical(scheme: WeightScheme, h: HProfile, p: float,
-                      q: float):
-    """Raise ValueError naming the failing conditions unless (scheme, h) is
-    a critical pack for 1 < p <= q < inf."""
+                      q: float) -> CriticalReport:
+    """The report on (scheme, h); raise ValueError naming the failing
+    conditions unless it is a critical pack for 1 < p <= q < inf."""
     _check_pq(p, q)
-    rep = validate_critical(scheme.params(h=h, p=p, q=q))
+    rep = validate_critical(scheme, h, p, q)
     if not rep.valid:
         failing = [c["name"] for c in rep.conditions if not c["holds"]]
         raise ValueError(f"scheme is not a critical pack (label {rep.label}; "
                          f"failing: {failing})")
+    return rep
 
 
 # -- weight schemes -------------------------------------------------------
@@ -86,7 +159,7 @@ class WeightScheme:
         if self.kind not in ("power-critical", "log-critical", "explicit"):
             raise ValueError(f"unknown weight scheme kind {self.kind!r}")
         if self.kind != "explicit":
-            if self.m_star < 1:
+            if self.m_star < 1 or self.m_star != int(self.m_star):
                 raise ValueError("m_star must be a positive integer")
         else:
             if len(self.u) == 0 or len(self.u) != len(self.w):
@@ -94,15 +167,6 @@ class WeightScheme:
             if not (_positive(self.u) and _positive(self.w)):
                 raise ValueError("weights must be finite and strictly positive")
 
-    def params(self, h: HProfile | None = None, p=None, q=None) -> dict:
-        """Parameter pack for validate_critical."""
-        d = dict(p=p, q=q, kappa=self.kappa, m_star=self.m_star,
-                 theta=h.theta if h else 0.0, gamma=h.gamma if h else 0.0)
-        if self.kind == "power-critical":
-            d.update(alpha_u=self.alpha_u, alpha_w=self.alpha_w)
-        elif self.kind == "log-critical":
-            d.update(lambda_u=self.lambda_u, lambda_w=self.lambda_w)
-        return d
 
 
 def _depth_weights(scheme: WeightScheme, first: int, count: int):
@@ -406,16 +470,14 @@ def hardy_bound(scheme: WeightScheme, h: HProfile, p: float, q: float,
     Raises ValueError naming the failing Assumption condition when the
     scheme is not a valid critical pack.
     """
-    _require_critical(scheme, h, p, q)
+    rep = _require_critical(scheme, h, p, q)
     if j < 1:
         raise ValueError("start depth j must be >= 1 (Hardy normalization)")
 
     m = scheme.m_star
     scan_hi = max(8 * j, j + 128)
 
-    supercritical = (scheme.kind == "log-critical"
-                     or scheme.kappa > h.theta / q + 1e-12)
-    if supercritical:
+    if not rep.boundary:
         s = np.arange(j, scan_hi + 1, dtype=float)
         if scheme.kind == "power-critical":
             uw = (m * s) ** (-(scheme.alpha_u + scheme.alpha_w))

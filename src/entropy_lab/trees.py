@@ -19,6 +19,15 @@ import numpy as np
 MAX_VERTICES = 1 << 22  # keeps every tree, JSON-loaded too, at desk scale
 
 
+def _check_size(n) -> None:
+    """Raise ValueError if a tree of at least n vertices is past the cap;
+    the builders call it before they allocate."""
+    if n > MAX_VERTICES:
+        # n may be inf, or an int past float range: show it clipped
+        raise ValueError(f"tree has at least {min(n, 2 ** 63):.0f} vertices, "
+                         f"cap is {MAX_VERTICES}")
+
+
 class Level(NamedTuple):
     """One depth level of a tree: its id range and their parent ids."""
 
@@ -87,8 +96,7 @@ class Tree:
         if parent.ndim != 1 or parent.size == 0:
             raise ValueError("parent must be a non-empty 1-d array")
         n = parent.size
-        if n > MAX_VERTICES:
-            raise ValueError(f"tree has {n} vertices, cap is {MAX_VERTICES}")
+        _check_size(n)
         if parent[0] != -1:
             raise ValueError("parent[0] must be -1 (root)")
         if n > 1:
@@ -219,6 +227,10 @@ class Tree:
 
 def full_tree(arity: int, height: int) -> Tree:
     """Complete rooted tree where every vertex has `arity` children."""
+    # 1 + arity + ... + arity^height; a branching tree taller than the
+    # cap's bit length is past the cap, so the sum stops there
+    _check_size(height + 1 if arity == 1 else sum(
+        arity ** d for d in range(min(height, MAX_VERTICES.bit_length()) + 1)))
     sizes = [arity ** d for d in range(height + 1)]
     parent = [-1]
     first_of_level = [0]
@@ -242,6 +254,7 @@ def random_tree(n: int, max_children: int, seed: int) -> Tree:
         raise ValueError("need at least one vertex")
     if max_children < 1:
         raise ValueError("max_children must be >= 1")
+    _check_size(n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x74726e64]))
     parent = np.full(n, -1, dtype=np.int64)
     size = 1

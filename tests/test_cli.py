@@ -1,10 +1,13 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import entropy_lab
 from entropy_lab.cli import main
 from entropy_lab.experiments import _EXPERIMENTS, ResourceBudget, Row
 from entropy_lab.trees import Tree
@@ -153,3 +156,40 @@ def test_module_invocation_works(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "kuhn_consistency.csv").exists()
+
+
+def _cli_under_memory_limit(args, cwd):
+    """The CLI in a fresh interpreter limited to 3 GB of address space and
+    60 s, so a tree built past the vertex cap fails instead of filling the
+    machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(Path(entropy_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "entropy_lab.cli", *args],
+                          cwd=cwd, env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_gen_tree_past_the_vertex_cap_exits_1_before_building(tmp_path):
+    # theta = 1 doubles each level: depth 40 is 2^41 - 1 vertices
+    (tmp_path / "p.json").write_text(json.dumps({"theta": 1.0}))
+    proc = _cli_under_memory_limit(
+        ["gen-tree", "--profile", "p.json", "--depth", "40",
+         "--out", "t.json"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_run_past_the_vertex_cap_exits_1_before_building(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "experiment": "critical_scaling_power", "params": {"depth": 40}}))
+    proc = _cli_under_memory_limit(
+        ["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from tree_cases import CsrReference
 
 from entropy_lab.hset import (
     HProfile,
-    Schedule,
     TauFn,
     generate_hset_tree,
     h_level_target,
-    schedule_from_profile,
-    validate_critical,
 )
+from entropy_lab.summation import WeightScheme, validate_critical
+from entropy_lab import hset as hset_module
+from entropy_lab import trees as trees_module
+from entropy_lab.trees import Layering
 
 
 def h_eval(h, t):
@@ -153,6 +155,22 @@ class TestGenerate:
         t = generate_hset_tree(HProfile(theta=1.0), 1, 0, seed=0)
         assert t.n == 1
 
+    def test_vertex_cap_fires_before_the_tree_is_built(self):
+        h = HProfile(theta=1.0)
+        with mock.patch.object(trees_module, "MAX_VERTICES", 127):
+            assert generate_hset_tree(h, 1, 6, seed=0).n == 127
+            # the level targets alone are past the cap
+            with pytest.raises(ValueError, match="cap is 127"):
+                generate_hset_tree(h, 1, 40, seed=0)
+        # targets 1, 2, ..., 128 sum to 255, less 1 per level for rounding:
+        # a cap of 250 passes that bound, and the running count catches
+        # the last level before the tree is built
+        with mock.patch.object(trees_module, "MAX_VERTICES", 250), \
+                mock.patch.object(hset_module, "Tree",
+                                  side_effect=AssertionError("built")):
+            with pytest.raises(ValueError, match="at least 255 vertices, cap"):
+                generate_hset_tree(h, 1, 7, seed=0)
+
     def test_log_profile_layer_sizes(self):
         # theta=0, gamma=-1: level sizes track ln(e+2^j)/ln(e+1) ~ m_* j
         h = HProfile(theta=0.0, gamma=-1.0)
@@ -227,60 +245,105 @@ class TestGenerate:
             assert ref.descendants_at_distance(v, l).size == bfs_census(t, v, l)
 
 
-def flat_schedule(gamma_star):
-    return Schedule(gamma_star=gamma_star, psi_star=lambda lx: 0.0, c3=1.0)
+class ScheduleReference:
+    """Reference schedule built from separate parts: nu_bar_t =
+    c3 2^{gamma_* 2^t} psi_*(2^t), with gamma_* and the function psi_*
+    chosen by the profile's type, scanned for its first layers past n and
+    2^n."""
+
+    def __init__(self, h):
+        self.c3 = h.c3
+        if h.theta > 0:
+            self.rule = "linear"
+            self.gamma_star = h.theta
+
+            def psi_star(lx):
+                return -h.gamma * math.log2(lx) \
+                    - math.log2(float(h.tau(lx))) if lx >= 1 else 0.0
+        else:
+            if h.gamma > 1:
+                raise ValueError("theta = 0 needs gamma <= 1")
+            self.rule = "doubly-exponential"
+            self.gamma_star = 1.0 - h.gamma
+
+            def psi_star(lx):
+                return -h.tau.log2_at_log2_arg(lx)
+        self.psi_star = psi_star
+
+    def nu_bar_log2(self, t):
+        return math.log2(self.c3) + self.gamma_star * 2.0 ** t \
+            + float(self.psi_star(2.0 ** t))
+
+    def first_t(self, threshold_log2):
+        for t in range(65):
+            if self.nu_bar_log2(t) >= threshold_log2:
+                return t
+        return "cap"
+
+
+def _first_t_or_cap(scan, n):
+    try:
+        return scan(n)
+    except ValueError as exc:
+        assert "too slowly" in str(exc)
+        return "cap"
 
 
 class TestSchedule:
     def test_doubling_example(self):
-        sch = flat_schedule(1.0)
-        assert sch.t_star(16) == 2
-        assert sch.t_star_star(16) == 4
+        h = HProfile(theta=1.0, c3=1)
+        assert h.t_star(16) == 2
+        assert h.t_star_star(16) == 4
 
     def test_n2(self):
-        sch = flat_schedule(1.0)
-        assert sch.t_star(2) == 0
-        assert sch.t_star_star(2) == 1
+        h = HProfile(theta=1.0, c3=1)
+        assert h.t_star(2) == 0
+        assert h.t_star_star(2) == 1
 
     def test_two_t_star_tracks_log(self):
-        sch = flat_schedule(1.0)
+        h = HProfile(theta=1.0, c3=1)
         lo, hi = np.inf, 0.0
         for n in np.unique(np.logspace(math.log10(4), 6, 60).astype(int)):
-            r = 2.0 ** sch.t_star(int(n)) / math.log2(n)
+            r = 2.0 ** h.t_star(int(n)) / math.log2(n)
             lo, hi = min(lo, r), max(hi, r)
         assert 0.5 <= lo and hi <= 2.0
 
     @given(st.floats(0.25, 4.0), st.integers(2, 10 ** 6))
     @settings(max_examples=50, deadline=None)
     def test_minimality(self, gs, n):
-        sch = flat_schedule(gs)
-        t1, t2 = sch.t_star(n), sch.t_star_star(n)
-        assert sch.nu_bar_log2(t1) >= math.log2(n)
+        h = HProfile(theta=gs, c3=1)
+        t1, t2 = h.t_star(n), h.t_star_star(n)
+        assert h.nu_bar_log2(t1) >= math.log2(n)
         if t1 > 0:
-            assert sch.nu_bar_log2(t1 - 1) < math.log2(n)
-        assert sch.nu_bar_log2(t2) >= n
+            assert h.nu_bar_log2(t1 - 1) < math.log2(n)
+        assert h.nu_bar_log2(t2) >= n
         if t2 > 0:
-            assert sch.nu_bar_log2(t2 - 1) < n
+            assert h.nu_bar_log2(t2 - 1) < n
 
     def test_scan_cap_fires(self):
         # nu_bar_t = c3 = 1 for every t: no layer reaches n
         with pytest.raises(ValueError, match="too slowly"):
-            flat_schedule(0.0).t_star(4)
+            HProfile(theta=0.0, gamma=1.0, c3=1).t_star(4)
 
     def test_small_n_rejected(self):
-        sch = flat_schedule(1.0)
+        h = HProfile(theta=1.0, c3=1)
         with pytest.raises(ValueError):
-            sch.t_star(1)
+            h.t_star(1)
+        with pytest.raises(ValueError):
+            h.t_star_star(1)
 
     def test_from_profile_power(self):
-        sch = schedule_from_profile(HProfile(theta=1.0, c3=1.0))
-        assert sch.t_star(16) == 2 and sch.t_star_star(16) == 4
+        h = HProfile(theta=1.0, c3=1.0)
+        assert h.t_star(16) == 2 and h.t_star_star(16) == 4
+        assert h.layering(3) == Layering("linear", m_star=3)
 
     def test_from_profile_log(self):
-        sch = schedule_from_profile(
-            HProfile(theta=0.0, gamma=-1.0, c3=1.0))
+        h = HProfile(theta=0.0, gamma=-1.0, c3=1.0)
         # nu_bar_log2(t) = 2 * 2^t
-        assert sch.t_star_star(10) == 3
+        assert h.t_star_star(10) == 3
+        assert h.layering(2) == Layering("doubly-exponential", m_star=2)
+        with pytest.raises(ValueError, match="gamma <= 1"):
+            HProfile(theta=0.0, gamma=1.5).t_star(4)
 
     @pytest.mark.parametrize("tau", [TauFn("log-power", nu=2.0),
                                      TauFn("iterated-log")])
@@ -291,15 +354,36 @@ class TestSchedule:
                 return tau.nu * math.log2(inner)
             return math.log2(math.log(math.e + inner))
 
-        sch = schedule_from_profile(
-            HProfile(theta=0.0, gamma=-1.0, c3=1.0, tau=tau))
         for lx in (1, 49, 51, 1000):
             got = tau.log2_at_log2_arg(lx)
             assert got == pytest.approx(log2_tau(lx), rel=1e-15, abs=0.0)
-            assert sch.psi_star(lx) == -got
+        h = HProfile(theta=0.0, gamma=-1.0, c3=1.0, tau=tau)
+        for t in range(10):
+            assert h.nu_bar_log2(t) == 2.0 * 2.0 ** t \
+                - tau.log2_at_log2_arg(2.0 ** t)
         # past 2^1024 only the log-space form stays finite
         assert math.isfinite(tau.log2_at_log2_arg(5000))
-        assert math.isfinite(sch.psi_star(5000))
+        assert math.isfinite(h.nu_bar_log2(13))
+
+    def test_matches_the_reference_schedule(self):
+        taus = [TauFn("const"), TauFn("log-power", nu=2.0),
+                TauFn("iterated-log")]
+        ns = sorted({2, 3, 4, 5, 16, 17, 10 ** 6} | set(
+            np.logspace(0.5, 6, 14).astype(int).tolist()))
+        for theta in (0.0, 0.5, 1.0, 2.0):
+            for gamma in (-1.0, 0.0, 0.5, 1.0):
+                for c3 in (1.0, 4.0):
+                    for tau in taus:
+                        h = HProfile(theta=theta, gamma=gamma, tau=tau, c3=c3)
+                        ref = ScheduleReference(h)
+                        assert h.layering(1).rule == ref.rule
+                        for t in range(12):
+                            assert h.nu_bar_log2(t) == ref.nu_bar_log2(t)
+                        for n in ns:
+                            assert _first_t_or_cap(h.t_star, n) \
+                                == ref.first_t(math.log2(n))
+                            assert _first_t_or_cap(h.t_star_star, n) \
+                                == ref.first_t(float(n))
 
 
 class TestSlowlyVarying:
@@ -322,52 +406,72 @@ class TestSlowlyVarying:
             slowly_varying_check(TauFn("const"), 0.0)
 
 
+def _power(kappa, alpha_u, alpha_w):
+    return WeightScheme("power-critical", kappa=kappa, alpha_u=alpha_u,
+                        alpha_w=alpha_w)
+
+
+def _log(kappa, lambda_u, lambda_w):
+    return WeightScheme("log-critical", kappa=kappa, lambda_u=lambda_u,
+                        lambda_w=lambda_w)
+
+
 class TestValidateCritical:
     def test_power_supercritical(self):
-        rep = validate_critical(dict(p=2, q=4, theta=1.0, gamma=0.0, kappa=1.0,
-                                     alpha_u=0.125, alpha_w=0.125, m_star=1))
+        rep = validate_critical(_power(1.0, 0.125, 0.125), HProfile(theta=1.0),
+                                2, 4)
         assert rep.label == "critical-power" and rep.valid
+        assert not rep.boundary
 
     def test_log_critical(self):
-        rep = validate_critical(dict(p=2, q=4, theta=0.0, gamma=-1.0, kappa=1.0,
-                                     lambda_u=0.125, lambda_w=0.125, m_star=1))
+        rep = validate_critical(_log(1.0, 0.125, 0.125),
+                                HProfile(theta=0.0, gamma=-1.0), 2, 4)
         assert rep.label == "critical-log" and rep.valid
+        assert not rep.boundary
 
     def test_boundary_kappa_strictness(self):
         # kappa = theta/q with alpha_w = (1-gamma)/q exactly: invalid
-        p, q, theta, gamma = 2.0, 4.0, 1.0, 0.0
-        aw = (1.0 - gamma) / q
-        rep = validate_critical(dict(p=p, q=q, theta=theta, gamma=gamma,
-                                     kappa=theta / q, alpha_u=1.0 / p - aw,
-                                     alpha_w=aw, m_star=1))
+        p, q, h = 2.0, 4.0, HProfile(theta=1.0, gamma=0.0)
+        aw = (1.0 - h.gamma) / q
+        rep = validate_critical(_power(h.theta / q, 1.0 / p - aw, aw), h, p, q)
         assert rep.label == "invalid"
 
     def test_boundary_kappa_valid(self):
-        p, q, theta, gamma = 2.0, 4.0, 1.0, 0.0
+        p, q, h = 2.0, 4.0, HProfile(theta=1.0, gamma=0.0)
         aw = 0.3  # > (1-gamma)/q = 0.25
-        rep = validate_critical(dict(p=p, q=q, theta=theta, gamma=gamma,
-                                     kappa=theta / q, alpha_u=1.0 / p - aw,
-                                     alpha_w=aw, m_star=1))
-        assert rep.label == "critical-power"
+        rep = validate_critical(_power(h.theta / q, 1.0 / p - aw, aw), h, p, q)
+        assert rep.label == "critical-power" and rep.boundary
 
     def test_non_critical_sum(self):
-        rep = validate_critical(dict(p=2, q=4, theta=1.0, gamma=0.0, kappa=1.0,
-                                     alpha_u=0.5, alpha_w=0.125, m_star=1))
+        rep = validate_critical(_power(1.0, 0.5, 0.125), HProfile(theta=1.0),
+                                2, 4)
         assert rep.label == "non-critical"
 
     def test_kappa_below_theta_over_q(self):
-        rep = validate_critical(dict(p=2, q=4, theta=1.0, gamma=0.0, kappa=0.1,
-                                     alpha_u=0.125, alpha_w=0.125, m_star=1))
+        rep = validate_critical(_power(0.1, 0.125, 0.125), HProfile(theta=1.0),
+                                2, 4)
         assert rep.label == "invalid"
 
     def test_p_above_q_invalid(self):
-        rep = validate_critical(dict(p=4, q=2, theta=1.0, gamma=0.0, kappa=1.0,
-                                     alpha_u=0.125, alpha_w=0.125, m_star=1))
+        rep = validate_critical(_power(1.0, 0.125, 0.125), HProfile(theta=1.0),
+                                4, 2)
         assert rep.label == "invalid"
 
     def test_report_carries_conditions(self):
-        rep = validate_critical(dict(p=2, q=4, theta=0.0, gamma=1.0, kappa=1.0,
-                                     lambda_u=0.125, lambda_w=0.125, m_star=1))
+        rep = validate_critical(_log(1.0, 0.125, 0.125),
+                                HProfile(theta=0.0, gamma=1.0), 2, 4)
         assert rep.label == "invalid"
         names = [c["name"] for c in rep.conditions if not c["holds"]]
         assert "gamma <= 0" in names
+
+    @pytest.mark.parametrize("scheme, theta", [
+        (_power(1.0, 0.125, 0.125), 0.0),
+        (_log(1.0, 0.125, 0.125), 1.0),
+        (WeightScheme("explicit", u=(1.0,), w=(1.0,)), 1.0),
+        (WeightScheme("explicit", u=(1.0,), w=(1.0,)), 0.0)])
+    def test_kind_must_match_theta(self, scheme, theta):
+        rep = validate_critical(scheme, HProfile(theta=theta, gamma=-1.0),
+                                2, 4)
+        assert rep.label == "invalid" and not rep.valid
+        names = [c["name"] for c in rep.conditions if not c["holds"]]
+        assert names == ["kind matches theta"]

@@ -21,6 +21,7 @@ from entropy_lab.summation import (
     hardy_bound,
     norm_oracle,
     operator_matrix,
+    validate_critical,
     weights_for_tree,
 )
 from entropy_lab.trees import Tree, full_tree, random_tree
@@ -388,6 +389,9 @@ def test_explicit_scheme():
         WeightScheme("explicit", u=(1.0, -2.0), w=(0.5, 0.5))
     with pytest.raises(ValueError, match="kind"):
         WeightScheme("mystery")
+    for m_star in (0, 1.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            WeightScheme("power-critical", m_star=m_star)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -773,6 +777,27 @@ def test_hardy_boundary_tail_divergence_rejected():
                        alpha_u=0.25, alpha_w=0.25)  # alpha_w = (1-gamma)/q
     with pytest.raises(ValueError, match="critical"):
         hardy_bound(bad, H_POWER, 2, 4, 1)
+
+
+@pytest.mark.parametrize("offset", [-1e-13, 0.0, 1e-13, 1e-11])
+@pytest.mark.parametrize("alphas", [(0.15, 0.35), (0.125, 0.125)])
+def test_hardy_takes_the_boundary_branch_the_report_names(offset, alphas):
+    # kappa = theta/q up to the validator's tolerance is the boundary case;
+    # alphas summing to 1/p fit it, alphas summing to 1/p - 1/q fit the
+    # supercritical case, whose bound at j = 2 is 2^{-(alpha_u + alpha_w)}
+    s = WeightScheme("power-critical", kappa=0.25 + offset, m_star=1,
+                     alpha_u=alphas[0], alpha_w=alphas[1])
+    rep = validate_critical(s, H_POWER, 2, 4)
+    assert rep.boundary == (offset != 1e-11)
+    if not rep.valid:
+        assert rep.boundary == (sum(alphas) != 0.5)
+        with pytest.raises(ValueError, match="critical"):
+            hardy_bound(s, H_POWER, 2, 4, 2)
+        return
+    supercritical = 2.0 ** -sum(alphas)
+    took_boundary = hardy_bound(s, H_POWER, 2, 4, 2) != pytest.approx(
+        supercritical, rel=1e-9)
+    assert took_boundary == rep.boundary
 
 
 def test_hardy_rejects_bad_packs():

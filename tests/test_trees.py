@@ -82,6 +82,19 @@ class TestConstruction:
             with pytest.raises(ValueError, match="cap is 50"):
                 Tree.from_json(json.dumps({"parent": list(range(-1, 99))}))
 
+    def test_builders_check_the_cap_before_allocating(self):
+        with mock.patch.object(trees_module, "MAX_VERTICES", 50):
+            assert full_tree(2, 4).n == 31 and full_tree(1, 49).n == 50
+            assert random_tree(50, 3, seed=0).n == 50
+            # the closed-form size stops summing past the cap
+            for arity, height in ((2, 5), (1, 50), (2, 10 ** 9), (1, 10 ** 9),
+                                  (10 ** 15, 30)):
+                with pytest.raises(ValueError, match="cap is 50"):
+                    full_tree(arity, height)
+            for n in (51, 10 ** 400):
+                with pytest.raises(ValueError, match="cap is 50"):
+                    random_tree(n, 3, seed=0)
+
     def test_full_binary_counts(self):
         t = full_tree(2, 4)
         assert t.n == 31
