@@ -42,7 +42,6 @@ from .summation import (
     weights_for_tree,
 )
 from .trees import (
-    Layering,
     SubtreePartition,
     Tree,
     full_tree,

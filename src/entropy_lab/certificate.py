@@ -74,18 +74,16 @@ def entropy_certificate(tree: Tree, scheme: WeightScheme, h: HProfile,
         raise ValueError(
             f"n too small: t_**({n}) = 0, nothing is kept past layer t0")
 
-    lay = h.layering(scheme.m_star)
-    j_tail = lay.depth_range(t_stop)[0]
+    j_tail = h.depth_range(t_stop, scheme.m_star)[0]
     u, w = weights_for_tree(scheme, tree)
     uq = u ** _conj(q)
     ones = np.ones(tree.n)
     depth_counts = np.bincount(tree.depth, minlength=tree.height + 1)
 
     head_t = min(t_star, t_stop - 1)
-    blocks = [(head_t, 0, lay.depth_range(head_t)[1])]
-    for t in range(head_t + 1, t_stop):
-        lo, hi = lay.depth_range(t)
-        blocks.append((t, lo, hi))
+    blocks = [(head_t, 0, h.depth_range(head_t, scheme.m_star)[1])]
+    blocks += [(t, *h.depth_range(t, scheme.m_star))
+               for t in range(head_t + 1, t_stop)]
 
     leaves = []
     budgets = []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run
+from .experiments import EXPERIMENT_NAMES, ExperimentConfig, _whole, run
 from .hset import HProfile, generate_hset_tree
 from .summation import WeightScheme, norm_oracle, weights_for_tree
 from .trees import Tree
@@ -92,10 +92,10 @@ def _cmd_gen_tree(args) -> int:
     h = HProfile(theta=float(profile.get("theta", 0.0)),
                  gamma=float(profile.get("gamma", 0.0)),
                  c3=float(profile.get("c3", 4.0)))
-    m_star = int(profile.get("m_star", 1))
-    start_depth = int(profile.get("start_depth", 0))
-    tree = generate_hset_tree(h, m_star, int(args.depth),
-                              seed=int(profile.get("seed", 0)),
+    m_star = _whole("m_star", profile.get("m_star", 1))
+    start_depth = _whole("start_depth", profile.get("start_depth", 0))
+    tree = generate_hset_tree(h, m_star, args.depth,
+                              seed=_whole("seed", profile.get("seed", 0)),
                               start_depth=start_depth)
     u = w = None
     if "scheme" in profile:

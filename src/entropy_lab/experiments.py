@@ -532,6 +532,13 @@ def _run_kuhn_consistency(params, seed, budget):
 # -- registry and the run entry point -----------------------------------------
 
 
+def _whole(name, value) -> int:
+    """value as an int; ValueError if it has a fraction int() would drop."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 _EXPERIMENTS = {
     "schuett_regimes": (_run_schuett_regimes, {
         "nu": 32, "p": 1.0, "q": 2.0, "samples": 2 ** 14, "cover_k_cap": 14}),
@@ -580,6 +587,11 @@ class ExperimentConfig:
                              f"{unknown}; allowed: {sorted(allowed)}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        # an int param, or a list of them, is read through int()
+        for name, value in self.params.items():
+            if np.ravel(allowed[name]).dtype.kind == "i":
+                for v in np.ravel(value):
+                    _whole(f"param {name}", v)
 
     def resolved_params(self) -> dict:
         out = dict(_EXPERIMENTS[self.experiment][1])
@@ -609,7 +621,8 @@ class ExperimentConfig:
         return cls(
             experiment=name,
             params=data.get("params", {}),
-            seed=int(seed if seed is not None else data.get("seed", 0)),
+            seed=_whole("seed", seed if seed is not None
+                        else data.get("seed", 0)),
             output_dir=str(output_dir if output_dir is not None
                            else data.get("output_dir", ".")))
 

@@ -2,7 +2,8 @@
 
 The profile drives everything downstream: generated trees realize the
 two-sided per-vertex cardinality bounds, and the profile's own layering
-and growth rate give the certificate its layer indices t_*(n), t_**(n).
+and growth rate give the certificate its depth windows and its layer
+indices t_*(n), t_**(n).
 
 |log t| is implemented as log(e + 1/t) on (0, 1]: same asymptotics near 0,
 no zero at t = 1 (documented reparametrization).
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import Layering, Tree, _check_size
+from .trees import Tree, _check_size
 
 _T_CAP = 64  # last layer index a schedule scan visits
 
@@ -82,11 +83,17 @@ class HProfile:
 
     # -- multiscale schedule: the profile's own layering and layer indices
 
-    def layering(self, m_star: int) -> Layering:
-        """Power type (theta > 0) layers linearly, log type (theta = 0)
-        doubly-exponentially."""
-        rule = "linear" if self.theta > 0 else "doubly-exponential"
-        return Layering(rule, m_star=m_star)
+    def depth_range(self, t: int, m_star: int) -> tuple[int, int]:
+        """Half-open depth window [j_lo, j_hi) of layer t.  Power type
+        (theta > 0) layers linearly, 2^(t-1) <= m_* j < 2^t, log type
+        (theta = 0) doubly-exponentially, 2^(2^(t-1)) <= m_* j < 2^(2^t);
+        layer t0 = 0 also holds the depths below the first breakpoint."""
+        if t < 0:
+            raise ValueError(f"layer {t} below t0=0")
+        scale = (lambda s: s) if self.theta > 0 else (lambda s: 2 ** s)
+        lo_m, hi_m = (0 if t == 0 else 2 ** scale(t - 1)), 2 ** scale(t)
+        # depths j with lo_m <= m_* j < hi_m
+        return int(-(-lo_m // m_star)), int(-(-hi_m // m_star))
 
     def nu_bar_log2(self, t: int) -> float:
         """log2 of nu_bar_t, the cardinality scale of layer t (2^{2^t}
@@ -165,16 +172,19 @@ def generate_hset_tree(h: HProfile, m_star: int, depth: int, seed: int,
     if depth == 0:
         return Tree([-1])
 
-    targets = h_level_target(h, m_star, np.arange(depth + 1), start_depth)
-    ratios = targets[1:] / targets[:-1]
-    if np.any(ratios < 1.0 - 1e-9):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # targets past float range are inf (their ratios NaN); the cap
+        # check rejects them before the ratios are read
+        targets = h_level_target(h, m_star, np.arange(depth + 1), start_depth)
+        ratios = targets[1:] / targets[:-1]
+        # a level holds at least its real-valued target less 1
+        _check_size(targets.sum() - depth)
+    if not np.all(ratios >= 1.0 - 1e-9):
         raise ValueError("infeasible profile: target layer shrinks "
                          f"(min growth ratio {ratios.min():.4f} < 1)")
-    # a level holds at least its real-valued target less 1
-    _check_size(targets.sum() - depth)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x68736574]))
-    parent = [-1]
+    parents = [np.array([-1])]  # one parent array per level
     shares = np.array([1.0])
     level_first = 0
     for j in range(depth):
@@ -190,11 +200,10 @@ def generate_hset_tree(h: HProfile, m_star: int, depth: int, seed: int,
             counts[i] = c
             carry += x - c
         _check_size(level_first + m_level + counts.sum())
-        new_shares = np.repeat((shares * rho) / counts, counts)
-        parent.extend(np.repeat(np.arange(level_first, level_first + m_level),
-                                counts).tolist())
+        parents.append(np.repeat(np.arange(level_first, level_first + m_level),
+                                 counts))
+        shares = np.repeat((shares * rho) / counts, counts)
         level_first += m_level
-        shares = new_shares
-    return Tree(np.asarray(parent, dtype=np.int64))
+    return Tree(np.concatenate(parents))
 
 

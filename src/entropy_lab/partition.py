@@ -10,7 +10,6 @@ cross-level intersection counts stay bounded.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -164,55 +163,41 @@ class PartitionFamily:
                     f"parts, above the reported cross constant")
 
 
-def _coarsen_once(tree: Tree, prev: SubtreePartition, cap: int):
-    """Merge groups of adjacent parts (connected in the quotient tree).
+def _coarsen_once(tree: Tree, prev: SubtreePartition, cap: int) -> np.ndarray:
+    """Group adjacent parts (connected in the quotient tree) for merging.
 
-    Post-order greedy: a part with pending children absorbs up to cap-1 of
-    them into one group.  Returns (groups as lists of prev-part indices,
-    largest group size).
+    Greedy from the leaves up: a part with pending quotient children heads
+    a group and takes the first cap-1 of them, in index order.  A part
+    stays pending until it heads a group, because only its quotient parent
+    can absorb it.  Returns each part's group label: the index of the
+    group's first part, its head.
     """
-    n_parts = prev.n_parts()
     # the root's parent id -1 reads label -1: the top part has no parent
-    q_parent = prev.label[tree.parent[prev.roots]]
-    q_children = [[] for _ in range(n_parts)]
+    q_parent = prev.label[tree.parent[prev.roots]].tolist()
+    n_parts = len(q_parent)
+    # a part's quotient children have larger roots, hence larger indices,
+    # so walking the indices down meets each part after its children
+    pending = [0] * (n_parts + 1)  # pending children; slot -1 for no part
+    for i in range(n_parts - 1, -1, -1):
+        if not pending[i]:
+            pending[q_parent[i]] += 1
+    room = [cap - 1] * n_parts + [0]  # the top part joins no group
+    head = list(range(n_parts))
     for i, qp in enumerate(q_parent):
-        if qp >= 0:
-            q_children[qp].append(i)
-
-    root_depth = tree.depth[prev.roots]
-    order = np.argsort(-root_depth, kind="stable")
-    group_of = np.full(n_parts, -1, dtype=np.int64)
-    groups = []
-    for i in order:
-        pend = [c for c in q_children[i] if group_of[c] < 0]
-        if not pend:
-            continue
-        take = pend[:cap - 1]
-        gid = len(groups)
-        groups.append([int(i)] + [int(c) for c in take])
-        group_of[i] = gid
-        for c in take:
-            group_of[c] = gid
-    for i in range(n_parts):
-        if group_of[i] < 0:
-            groups.append([i])
-    return groups, max(len(g) for g in groups)
+        if not pending[i] and room[qp]:
+            head[i] = qp
+            room[qp] -= 1
+    return np.array(head, dtype=np.int64)
 
 
-def _merge_level(prev: SubtreePartition, groups) -> SubtreePartition:
-    """Merge each group of prev's parts (every part in one group) into one
-    part; the merged parts are numbered in root order."""
-    sizes = [len(g) for g in groups]
-    members = np.fromiter(itertools.chain.from_iterable(groups),
-                          dtype=np.int64, count=sum(sizes))
-    starts = np.cumsum([0] + sizes[:-1])
-    roots = np.minimum.reduceat(prev.roots[members], starts)
-    order = np.argsort(roots)
-    rank = np.argsort(order)
+def _merge_level(prev: SubtreePartition, group) -> SubtreePartition:
+    """Merge the parts of prev that share a group label, the index of the
+    group's first part, into one part; the merged parts come in root
+    order, since prev's roots increase with the index."""
+    first = group == np.arange(group.size)
     # part -> merged part; the slot -1 stays -1
-    merged = np.full(prev.n_parts() + 1, -1, dtype=np.int64)
-    merged[members] = np.repeat(rank, sizes)
-    return SubtreePartition(roots[order], merged[prev.label])
+    merged = np.append(np.cumsum(first)[group] - 1, -1)
+    return SubtreePartition(prev.roots[first], merged[prev.label])
 
 
 def dyadic_family(tree: Tree, weights: VertexWeight, n0: int,
@@ -233,15 +218,14 @@ def dyadic_family(tree: Tree, weights: VertexWeight, n0: int,
     relaxed = False
     for l in range(1, n_levels + 1):
         prev = levels[-1]
-        groups, gmax = _coarsen_once(tree, prev, cap)
-        if l == n_levels and len(groups) > 1:
+        group = _coarsen_once(tree, prev, cap)
+        if l == n_levels and np.any(group):
             # the top level must be the whole tree; merging everything at
             # the last step is a cap relaxation only when the group is big
-            groups = [list(range(prev.n_parts()))]
-            gmax = prev.n_parts()
-            relaxed = gmax > cap
-        levels.append(_merge_level(prev, groups))
-        cross = max(cross, gmax)
+            group = np.zeros_like(group)
+            relaxed = prev.n_parts() > cap
+        levels.append(_merge_level(prev, group))
+        cross = max(cross, int(np.bincount(group).max()))
 
     achieved = max(
         level.n_parts() / (n0 * 2.0 ** (-l)) for l, level in enumerate(levels))

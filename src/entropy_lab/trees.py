@@ -1,8 +1,8 @@
-"""Finite rooted trees with depth layerings.
+"""Finite rooted trees, their depth levels and subtree partitions.
 
 Vertices are dense integers in BFS order: the root is 0, ``parent[i] < i``
 for every non-root vertex, and depths are non-decreasing along ids.  This
-makes every depth level a contiguous id range, so layer slicing is O(1)
+makes every depth level a contiguous id range, so level slicing is O(1)
 and iteration order is reproducible.
 
 Trees are immutable after construction and safe to share across workers.
@@ -229,17 +229,11 @@ def full_tree(arity: int, height: int) -> Tree:
     """Complete rooted tree where every vertex has `arity` children."""
     # 1 + arity + ... + arity^height; a branching tree taller than the
     # cap's bit length is past the cap, so the sum stops there
-    _check_size(height + 1 if arity == 1 else sum(
-        arity ** d for d in range(min(height, MAX_VERTICES.bit_length()) + 1)))
-    sizes = [arity ** d for d in range(height + 1)]
-    parent = [-1]
-    first_of_level = [0]
-    for d in range(1, height + 1):
-        first_of_level.append(len(parent))
-        prev_first = first_of_level[d - 1]
-        for i in range(sizes[d]):
-            parent.append(prev_first + i // arity)
-    return Tree(np.array(parent, dtype=np.int64))
+    n = height + 1 if arity == 1 else sum(
+        arity ** d for d in range(min(height, MAX_VERTICES.bit_length()) + 1))
+    _check_size(n)
+    # in BFS order vertex v's children are arity v + 1, ..., arity v + arity
+    return Tree(np.arange(-1, n - 1) // max(arity, 1))
 
 
 def random_tree(n: int, max_children: int, seed: int) -> Tree:
@@ -276,44 +270,6 @@ def random_tree(n: int, max_children: int, seed: int) -> Tree:
         frontier = kids
         size += total
     return Tree(parent)
-
-
-# -- layerings ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Layering:
-    """Grouping of depth levels into layers Gamma_t.
-
-    rule "linear": layer t collects depths with 2^(t-1) <= m_* j < 2^t
-    (power-type profiles); rule "doubly-exponential": 2^(2^(t-1)) <= m_* j
-    < 2^(2^t) (log-type profiles).  The root j = 0 sits in layer t0 = 0,
-    as do the depths below the first breakpoint.
-    """
-
-    rule: str
-    m_star: int = 1
-
-    def __post_init__(self):
-        if self.rule not in ("linear", "doubly-exponential"):
-            raise ValueError(f"unknown layering rule {self.rule!r}")
-        if self.m_star < 1:
-            raise ValueError("m_star must be a positive integer")
-
-    def depth_range(self, t: int) -> tuple[int, int]:
-        """Half-open depth interval [j_lo, j_hi) forming layer t."""
-        if t < 0:
-            raise ValueError(f"layer {t} below t0=0")
-        if self.rule == "linear":
-            lo_m = 0 if t == 0 else 2 ** (t - 1)
-            hi_m = 2 ** t
-        else:
-            lo_m = 0 if t == 0 else 2 ** (2 ** (t - 1))
-            hi_m = 2 ** (2 ** t)
-        # depths j with lo_m <= m_* j < hi_m
-        lo = -(-lo_m // self.m_star)
-        hi = -(-hi_m // self.m_star)
-        return int(lo), int(hi)
 
 
 @dataclass

@@ -193,3 +193,57 @@ def test_run_past_the_vertex_cap_exits_1_before_building(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("hardy_consistency", {"m_star": 1.5}),
+    ("hardy_consistency", {"j_values": [16, 32.5]}),
+    ("partition_stress", {"n_trees": 2.5}),
+    ("kuhn_consistency", {"n_max": float("inf")}),
+])
+def test_run_rejects_non_integral_integer_params(tmp_path, capsys,
+                                                  experiment, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "params": params}))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_run_accepts_integral_floats_and_rejects_a_fractional_seed(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "kuhn_consistency",
+                               "params": {"n_max": 3.0}, "seed": 1.5}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "seed must be an integer" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"experiment": "kuhn_consistency",
+                               "params": {"n_max": 3.0}, "seed": 2.0}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("field", ["m_star", "seed", "start_depth"])
+def test_gen_tree_rejects_non_integral_integer_fields(tmp_path, capsys,
+                                                      field):
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({"theta": 1.0, field: 1.5}))
+    tree_file = tmp_path / "t.json"
+    rc = main(["gen-tree", "--profile", str(profile),
+               "--depth", "3", "--out", str(tree_file)])
+    assert rc == 1
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not tree_file.exists()
+
+
+def test_gen_tree_past_float_range_prints_only_the_cap_error(tmp_path):
+    # theta = 1 at depth 2000: the level targets overflow to inf
+    (tmp_path / "p.json").write_text(json.dumps({"theta": 1.0}))
+    proc = _cli_under_memory_limit(
+        ["gen-tree", "--profile", "p.json", "--depth", "2000",
+         "--out", "t.json"], tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ")
+    assert lines[0].endswith("cap is 4194304")

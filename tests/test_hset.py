@@ -16,7 +16,6 @@ from entropy_lab.hset import (
 from entropy_lab.summation import WeightScheme, validate_critical
 from entropy_lab import hset as hset_module
 from entropy_lab import trees as trees_module
-from entropy_lab.trees import Layering
 
 
 def h_eval(h, t):
@@ -83,6 +82,34 @@ def bfs_census(tree, v, l):
         if a == v:
             count += 1
     return count
+
+
+def ref_generate_hset_tree(h, m_star, depth, seed, start_depth=0):
+    """generate_hset_tree with its parent array grown as one Python list."""
+    if depth == 0:
+        return np.array([-1], dtype=np.int64)
+    targets = h_level_target(h, m_star, np.arange(depth + 1), start_depth)
+    ratios = targets[1:] / targets[:-1]
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x68736574]))
+    parent = [-1]
+    shares = np.array([1.0])
+    level_first = 0
+    for j in range(depth):
+        rho = ratios[j]
+        carry = float(rng.uniform(-0.5, 0.5))
+        m_level = shares.size
+        counts = np.empty(m_level, dtype=np.int64)
+        for i in range(m_level):
+            x = shares[i] * rho
+            c = max(1, int(math.floor(x + carry + 0.5)))
+            counts[i] = c
+            carry += x - c
+        new_shares = np.repeat((shares * rho) / counts, counts)
+        parent.extend(np.repeat(np.arange(level_first, level_first + m_level),
+                                counts).tolist())
+        level_first += m_level
+        shares = new_shares
+    return np.asarray(parent, dtype=np.int64)
 
 
 class TestHEval:
@@ -200,6 +227,21 @@ class TestGenerate:
         a = generate_hset_tree(h, 1, 30, seed=42)
         b = generate_hset_tree(h, 1, 30, seed=42)
         assert np.array_equal(a.parent, b.parent)
+
+    @pytest.mark.parametrize("h, depth, seed, start_depth", [
+        # the two critical packs' profiles at their default depths
+        (HProfile(theta=1.0, c3=2.0), 11, 0, 0),
+        (HProfile(theta=0.0, gamma=-1.0, c3=1.0), 127, 2, 0),
+        # hardy_consistency's start depths, seeds and height
+        *[(HProfile(theta=1.0), 10, idx, j)
+          for idx, j in enumerate([16, 32, 64, 128, 256, 512])],
+        (HProfile(theta=0.0, gamma=-1.0), 0, 0, 0),
+    ])
+    def test_matches_the_list_building_reference(self, h, depth, seed,
+                                                 start_depth):
+        got = generate_hset_tree(h, 1, depth, seed, start_depth).parent
+        ref = ref_generate_hset_tree(h, 1, depth, seed, start_depth)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_infeasible_profile(self):
         # gamma > 0 with theta = 0 makes the target layer shrink
@@ -335,13 +377,17 @@ class TestSchedule:
     def test_from_profile_power(self):
         h = HProfile(theta=1.0, c3=1.0)
         assert h.t_star(16) == 2 and h.t_star_star(16) == 4
-        assert h.layering(3) == Layering("linear", m_star=3)
+        # linear windows: ceil(2^(t-1) / 3) <= j < ceil(2^t / 3)
+        assert [h.depth_range(t, 3) for t in range(5)] == [
+            (0, 1), (1, 1), (1, 2), (2, 3), (3, 6)]
 
     def test_from_profile_log(self):
         h = HProfile(theta=0.0, gamma=-1.0, c3=1.0)
         # nu_bar_log2(t) = 2 * 2^t
         assert h.t_star_star(10) == 3
-        assert h.layering(2) == Layering("doubly-exponential", m_star=2)
+        # doubly-exponential: ceil(2^(2^(t-1)) / 2) <= j < ceil(2^(2^t) / 2)
+        assert [h.depth_range(t, 2) for t in range(5)] == [
+            (0, 1), (1, 2), (2, 8), (8, 128), (128, 32768)]
         with pytest.raises(ValueError, match="gamma <= 1"):
             HProfile(theta=0.0, gamma=1.5).t_star(4)
 
@@ -376,7 +422,9 @@ class TestSchedule:
                     for tau in taus:
                         h = HProfile(theta=theta, gamma=gamma, tau=tau, c3=c3)
                         ref = ScheduleReference(h)
-                        assert h.layering(1).rule == ref.rule
+                        assert h.depth_range(3, 1) == {
+                            "linear": (4, 8),
+                            "doubly-exponential": (16, 256)}[ref.rule]
                         for t in range(12):
                             assert h.nu_bar_log2(t) == ref.nu_bar_log2(t)
                         for n in ns:

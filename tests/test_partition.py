@@ -262,8 +262,10 @@ def _ref_hanging_parts(tree, marked):
 
 
 def _ref_coarsen_once(tree, prev, cap):
-    """_coarsen_once with its part map and quotient parents built by
-    per-part Python loops, as before they were read off prev.label."""
+    """The coarsening greedy in per-part Python loops, over a part map and
+    quotient parents rebuilt from the parts, walking the parts deepest
+    root first: returns (groups as lists of prev-part indices, largest
+    group size)."""
     n_parts = prev.n_parts()
     part_of = np.full(tree.n, -1, dtype=np.int64)
     for i, p in enumerate(prev.parts):
@@ -294,6 +296,19 @@ def _ref_coarsen_once(tree, prev, cap):
         if group_of[i] < 0:
             groups.append([i])
     return groups, max(len(g) for g in groups)
+
+
+def _ref_merge_level(prev, groups):
+    """_merge_level for groups given as lists of prev-part indices."""
+    sizes = [len(g) for g in groups]
+    members = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
+    starts = np.cumsum([0] + sizes[:-1])
+    roots = np.minimum.reduceat(prev.roots[members], starts)
+    order = np.argsort(roots)
+    rank = np.argsort(order)
+    merged = np.full(prev.n_parts() + 1, -1, dtype=np.int64)
+    merged[members] = np.repeat(rank, sizes)
+    return SubtreePartition(roots[order], merged[prev.label])
 
 
 def _ref_part_validate(part, tree):
@@ -402,11 +417,21 @@ def test_coarsening_matches_the_per_part_loops_exactly(tree, style, n, cap,
                               max(1, int(tree.n_children().max())))
     # every coarser level on the way to a single part
     while True:
-        groups, gmax = _coarsen_once(tree, prev, cap)
-        assert (groups, gmax) == _ref_coarsen_once(tree, prev, cap)
+        group = _coarsen_once(tree, prev, cap)
+        groups, gmax = _ref_coarsen_once(tree, prev, cap)
+        # the grouping the labels induce, each label its group's first part
+        labels = np.unique(group)
+        induced = [np.flatnonzero(group == g).tolist() for g in labels]
+        assert [m[0] for m in induced] == labels.tolist()
+        assert induced == sorted(groups)
+        assert np.bincount(group).max() == gmax
+        merged = _merge_level(prev, group)
+        ref = _ref_merge_level(prev, groups)
+        assert np.array_equal(merged.roots, ref.roots)
+        assert np.array_equal(merged.label, ref.label)
         if len(groups) == 1:
             break
-        prev = _merge_level(prev, groups)
+        prev = merged
 
 
 @settings(max_examples=100, deadline=None)
@@ -560,7 +585,7 @@ def test_family_counts_are_held_to_the_a_priori_constant(monkeypatch):
     merges nothing, a level keeps more parts than C * 2^-l * n0 allows."""
     monkeypatch.setattr(
         "entropy_lab.partition._coarsen_once",
-        lambda tree, prev, cap: ([[i] for i in range(prev.n_parts())], 1))
+        lambda tree, prev, cap: np.arange(prev.n_parts()))
     t = path_tree(64)
     fam = dyadic_family(t, VertexWeight.uniform(64), 16, 1)
     assert [lv.n_parts() for lv in fam.levels] == [16, 16, 16, 16, 1]

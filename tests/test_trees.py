@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tree_cases import CsrReference, path_tree, trees
 
-from entropy_lab import Layering, Tree, full_tree, random_tree
+from entropy_lab import HProfile, Tree, full_tree, random_tree
 from entropy_lab import trees as trees_module
 
 
@@ -42,12 +42,25 @@ def random_parent(n, branching, rng):
     return np.asarray(parent, dtype=np.int64)
 
 
-def layer_of(layering, j):
-    """The layer whose depth_range holds depth j."""
+def layer_of(h, m_star, j):
+    """The layer whose depth window holds depth j."""
     t = 0
-    while j >= layering.depth_range(t)[1]:
+    while j >= h.depth_range(t, m_star)[1]:
         t += 1
     return t
+
+
+def ref_full_tree_parent(arity, height):
+    """full_tree's parent array built one vertex at a time, level by level."""
+    sizes = [arity ** d for d in range(height + 1)]
+    parent = [-1]
+    first_of_level = [0]
+    for d in range(1, height + 1):
+        first_of_level.append(len(parent))
+        prev_first = first_of_level[d - 1]
+        for i in range(sizes[d]):
+            parent.append(prev_first + i // arity)
+    return np.array(parent, dtype=np.int64)
 
 
 class TestConstruction:
@@ -101,6 +114,13 @@ class TestConstruction:
         assert [t.level(d).size for d in range(5)] == [1, 2, 4, 8, 16]
         assert t.n_children().max() == 2
 
+    def test_full_tree_matches_the_per_vertex_loop(self):
+        for arity in range(1, 5):
+            for height in range(10):
+                got = full_tree(arity, height).parent
+                ref = ref_full_tree_parent(arity, height)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
 
 class TestStructureOps:
     def test_subtree_of_path(self):
@@ -137,50 +157,46 @@ class TestStructureOps:
 
 
 class TestLayering:
+    """HProfile.depth_range: power profiles (theta > 0) layer linearly,
+    log profiles (theta = 0) doubly-exponentially."""
+
     def test_linear_buckets(self):
-        lay = Layering("linear", m_star=1)
-        ts = [layer_of(lay, j) for j in range(17)]
+        h = HProfile(theta=1.0)
+        ts = [layer_of(h, 1, j) for j in range(17)]
         assert ts == [0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5]
 
     def test_linear_depth_range_consistent(self):
         # the ranges tile the depths, layer t >= 1 holding 2^(t-1) <= j < 2^t
-        lay = Layering("linear", m_star=1)
+        h = HProfile(theta=0.5)
         prev_hi = 0
         for t in range(6):
-            lo, hi = lay.depth_range(t)
+            lo, hi = h.depth_range(t, 1)
             assert lo == prev_hi and lo < hi
             for j in range(lo, hi):
                 assert (j == 0) if t == 0 else 2 ** (t - 1) <= j < 2 ** t
             prev_hi = hi
 
     def test_doubly_exponential_buckets(self):
-        lay = Layering("doubly-exponential", m_star=1)
-        assert layer_of(lay, 1) == 0
-        assert layer_of(lay, 2) == 1
-        assert layer_of(lay, 3) == 1
-        assert layer_of(lay, 4) == 2
-        assert layer_of(lay, 15) == 2
-        assert layer_of(lay, 16) == 3
-        assert layer_of(lay, 255) == 3
-        assert layer_of(lay, 256) == 4
+        h = HProfile(theta=0.0, gamma=-1.0)
+        assert layer_of(h, 1, 1) == 0
+        assert layer_of(h, 1, 2) == 1
+        assert layer_of(h, 1, 3) == 1
+        assert layer_of(h, 1, 4) == 2
+        assert layer_of(h, 1, 15) == 2
+        assert layer_of(h, 1, 16) == 3
+        assert layer_of(h, 1, 255) == 3
+        assert layer_of(h, 1, 256) == 4
 
     def test_doubly_exponential_range(self):
-        lay = Layering("doubly-exponential", m_star=1)
-        assert lay.depth_range(3) == (16, 256)
+        assert HProfile(theta=0.0).depth_range(3, 1) == (16, 256)
 
     def test_m_star_scaling(self):
-        lay = Layering("linear", m_star=4)
         # m_* j = 4 j; layer of j=1 is floor(log2 4)+1 = 3
-        assert layer_of(lay, 1) == 3
+        assert layer_of(HProfile(theta=1.0), 4, 1) == 3
 
     def test_below_t0_raises(self):
-        lay = Layering("linear", m_star=1)
         with pytest.raises(ValueError, match="below t0=0"):
-            lay.depth_range(-1)
-
-    def test_bad_rule(self):
-        with pytest.raises(ValueError):
-            Layering("cubic")
+            HProfile(theta=1.0).depth_range(-1, 1)
 
 
 # -- the level walks against the CSR walks --
