@@ -194,10 +194,18 @@ def _slope(extra, checks, name, xs, ys, target=None, tol=None):
         checks[f"{name}_slope_in_band"] = abs(slope - target) <= tol
 
 
+def _count(params, name, least):
+    """int(params[name]); ValueError naming it if it is below least."""
+    value = int(params[name])
+    if value < least:
+        raise ValueError(f"param {name} must be >= {least}, got {value}")
+    return value
+
+
 def _run_schuett_regimes(params, seed, budget):
     nu = int(params["nu"])
     p, q = float(params["p"]), float(params["q"])
-    samples = int(params["samples"])
+    samples = _count(params, "samples", 1)
     k_feas_max = min(nu, int(params["cover_k_cap"]),
                      int(math.log2(samples)) + 1)
 
@@ -371,6 +379,10 @@ def _basis_images(tree, u, w, per_level_cap, seed):
 def _witness_pool(tree, u, w, p, samples, seed, poll=None):
     """Images of `samples` random l_p unit-sphere vectors, one per row.
 
+    The critical packings take these rows next to the basis images; at
+    their default `samples` of 0 the pool has no row and the packing is
+    basis-only.
+
     The rows are sample_lp_sphere's, from entropy._sphere_blocks: a worker
     thread draws them block by block straight into the result, and the
     calling thread normalizes each finished row block and maps it through
@@ -421,6 +433,19 @@ def _certificate_sweep(tree, scheme, h, ns, p, q, eps, budget):
 
 
 def _run_critical_scaling(kind, params, seed, budget):
+    """Packing lower bounds and certificates for e_n, n_min <= n <= n_max,
+    of a power or log critical pack.
+
+    The packing's witnesses are the stratified basis images (sparse rows)
+    and `samples` sphere-sample images (dense rows, which the traversal
+    serves lazily at q other than 2).  Any finite subset of S(B_p) certifies a packing
+    bound (Carl & Stephani 1990), so the default of no samples packs the
+    basis images alone; the seed then only picks the basis columns of
+    the levels wider than per_level_cap.
+    """
+    n_min = _count(params, "n_min", 1)
+    n_max = _count(params, "n_max", n_min)
+    samples = _count(params, "samples", 0)
     p, q = float(params["p"]), float(params["q"])
     h, scheme = _critical_pack(kind, params)
     if kind == "power":
@@ -429,14 +454,13 @@ def _run_critical_scaling(kind, params, seed, budget):
         tree = generate_hset_tree(h, scheme.m_star, int(params["depth"]),
                                   seed=int(params["tree_seed"]))
     u, w = weights_for_tree(scheme, tree)
-    n_min, n_max = int(params["n_min"]), int(params["n_max"])
     expo = 1.0 / q - 1.0 / p
 
     lows = {}
     counters = {}
     if budget.exceeded() is None:
         basis = _basis_images(tree, u, w, int(params["per_level_cap"]), seed)
-        n_basis, samples = basis[0].size - 1, int(params["samples"])
+        n_basis = basis[0].size - 1
         n_sel = 2 ** (n_max - 1) + 1
         if n_sel > n_basis + samples:
             raise ValueError(
@@ -549,12 +573,12 @@ _EXPERIMENTS = {
         "p": 2.0, "q": 4.0, "m_star": 1, "theta": 1.0, "kappa": 1.0,
         "alpha_u": 0.125, "alpha_w": 0.125, "restarts": 8}),
     "critical_scaling_power": (partial(_run_critical_scaling, "power"), {
-        "depth": 11, "arity": 2, "per_level_cap": 256, "samples": 2048,
+        "depth": 11, "arity": 2, "per_level_cap": 256, "samples": 0,
         "n_min": 3, "n_max": 10, "p": 2.0, "q": 4.0, "eps": 0.1,
         "m_star": 1, "theta": 1.0, "c3": 2.0, "kappa": 1.0,
         "alpha_u": 0.125, "alpha_w": 0.125}),
     "critical_scaling_log": (partial(_run_critical_scaling, "log"), {
-        "depth": 127, "tree_seed": 2, "per_level_cap": 256, "samples": 2048,
+        "depth": 127, "tree_seed": 2, "per_level_cap": 256, "samples": 0,
         "n_min": 3, "n_max": 10, "p": 2.0, "q": 4.0, "eps": 0.1,
         "m_star": 1, "gamma": -1.0, "c3": 1.0, "kappa": 1.0,
         "alpha": 0.5, "lambda_u": 0.125, "lambda_w": 0.125}),

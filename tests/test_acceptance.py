@@ -1,10 +1,13 @@
 """Acceptance gate: nine end-to-end criteria at their stated tolerances.
 
-Each test emits one pass/fail line (visible with `pytest -s`).  The five
-reporting experiments run once in a module fixture; the determinism
-criterion re-runs them with the same seeds and compares bytes.
+Each criterion emits one pass/fail line (visible with `pytest -s`).  The
+five reporting experiments run once in a module fixture; the determinism
+criterion re-runs them with the same seeds and compares bytes, and one
+more test pins the critical packings' basis-only default on the same
+runs.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -133,6 +136,25 @@ def test_criterion_5_critical_scaling(experiment_runs):
                        f"(target -0.25 +-0.20), band {s['certificate_band']:.2f}"
                        f" <= 10")
     _verdict(5, ok, "; ".join(details) + f"; wall {wall:.0f}s < 600s")
+
+
+# the power pack's packing bounds at n = 3..10, seed 0, when its witness
+# pool also held 2,048 sphere samples: a basis-only pool reaches them
+SAMPLED_POWER_LOWER = (0.40315129484794376, 0.37281987383487075,
+                       0.3532828041946102, 0.3386783227798311,
+                       0.3260991731641825, 0.31435988650984803,
+                       0.30477712310499283, 0.2942803280019029)
+
+
+def test_default_critical_packings_are_basis_only(experiment_runs):
+    for name in ("critical_scaling_power", "critical_scaling_log"):
+        res, _ = experiment_runs[name]
+        manifest = json.loads(Path(res.manifest_path).read_text())
+        assert manifest["counters"]["dense_evals"] == 0, name
+    res, _ = experiment_runs["critical_scaling_power"]
+    assert [r.n_or_k for r in res.rows] == list(range(3, 11))
+    assert all(r.lower >= low
+               for r, low in zip(res.rows, SAMPLED_POWER_LOWER))
 
 
 def test_criterion_6_budget_identity():

@@ -195,6 +195,16 @@ def test_run_past_the_vertex_cap_exits_1_before_building(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_with_n_min_zero_exits_1_naming_it(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "experiment": "critical_scaling_power", "params": {"n_min": 0}}))
+    proc = _cli_under_memory_limit(
+        ["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: param n_min must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, params", [
     ("hardy_consistency", {"m_star": 1.5}),
     ("hardy_consistency", {"j_values": [16, 32.5]}),

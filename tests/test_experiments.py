@@ -296,6 +296,31 @@ def test_critical_scaling_pool_counts_basis_and_sample_rows(tmp_path):
     assert [r.n_or_k for r in res.rows] == [3, 4]
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("critical_scaling_power", {"n_min": 0}, "n_min must be >= 1, got 0"),
+    ("critical_scaling_power", {"n_min": 0, "n_max": 0},
+     "n_min must be >= 1, got 0"),
+    ("critical_scaling_log", {"n_max": 2}, "n_max must be >= 3, got 2"),
+    ("critical_scaling_power", {"samples": -1},
+     "samples must be >= 0, got -1"),
+    ("critical_scaling_log", {"samples": -1}, "samples must be >= 0, got -1"),
+    ("schuett_regimes", {"samples": 0}, "samples must be >= 1, got 0"),
+    ("schuett_regimes", {"samples": -2}, "samples must be >= 1, got -2"),
+])
+def test_count_params_below_their_least_value_are_named(
+        tmp_path, monkeypatch, name, params, message):
+    built = []
+    for builder in ("full_tree", "generate_hset_tree", "cover_profile"):
+        monkeypatch.setattr(experiments, builder,
+                            lambda *a, **k: built.append(1))
+    with pytest.raises(ValueError, match=message):
+        run(ExperimentConfig(name, params=params, seed=0,
+                             output_dir=str(tmp_path)))
+    # refused before any tree, pool or traversal is built
+    assert built == []
+    assert not (tmp_path / f"{name}.csv").exists()
+
+
 @pytest.mark.parametrize("kind, depth", [("power", 7), ("log", 31)])
 def test_critical_scaling_manifest_counts_the_distance_evaluations(
         tmp_path, kind, depth):
