@@ -32,8 +32,7 @@ _SPHERE_TAG = 0x6c7073
 _NET_CAP = 4_000_000
 _GRAM_MAX = 2.0 ** 1018   # squared norms the q = 2 filter takes
 _GRAM_PAD = 2.0 ** -1070  # 16 least subnormals, per column
-_LAZY_ROWS = 16           # stale rows a lazy step first refreshes
-_LAZY_PAIRS = 2 ** 14     # (row, center) pairs one pairs call takes at most
+_REPLAY_PAIRS = 2 ** 14   # (row, center) pairs one replay call takes at most
 
 
 @dataclass(frozen=True)
@@ -162,104 +161,50 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
     gamma draw, sign draw or power: a normalized Gaussian vector is
     exactly uniform on the l_2 sphere, because its law is rotation
     invariant (Muller 1959).  Counter-based generator keyed by (seed, tag)
-    for reproducibility.  The rows come from _sphere_blocks: a worker
-    thread draws them straight into the result while the calling thread
-    normalizes each finished row block, so the only sample-sized array is
-    the result, and the stream is the one-shot draw's whatever the
-    threads' timing.
+    for reproducibility.  Every coordinate is drawn straight into the
+    result in one call; then, one _block_rows row block at a time, the
+    signs are drawn (at p other than 2 and inf) and the rows normalized
+    through reused block-sized scratch, so the only sample-sized array is
+    the result.  A Philox stream is a function of its key and a counter,
+    consumed in sequence, so the per-block sign draws give the numbers of
+    one call over the whole array (Salmon et al., SC 2011; test_entropy
+    pins this for each call used here).
     """
     out = np.empty((n_samples, nu))
-    for _ in _sphere_blocks(out, p, seed, tag):
-        pass
-    return out
-
-
-def _sphere_blocks(out: np.ndarray, p: float, seed: int,
-                   tag: int = _SPHERE_TAG):
-    """Fill `out` with sample_lp_sphere's rows and yield its _block_rows
-    row blocks in order, each once it holds its final values.
-
-    Each block's fill (standard_normal at p = 2, random at p = inf,
-    standard_gamma otherwise) is submitted to one worker thread, which
-    runs them in submission order; the calling thread waits for each
-    block's fill, scales and normalizes the block in place and yields it,
-    so while the caller works on block b (the witness pool also maps it
-    through `apply`), the worker fills the blocks after it.  At other p
-    the stream holds every fill before the first sign draw (`integers`,
-    one per block), so the caller only raises each block to the power 1/p
-    as it arrives; once the worker has returned, the caller draws the
-    signs block by block, then finishes and yields each block.  (Sign
-    arrays drawn on the worker thread left about one block more memory
-    resident after the draw.)  So the generator is never used by two
-    threads at once and its calls come in one fixed order, one block per
-    call; a Philox stream is a function of its key and a counter, consumed
-    in sequence, so these calls give the numbers of one call over the
-    whole array (Salmon et al., SC 2011; test_entropy pins this for each
-    call used here), and no bit depends on the threads' timing.  The
-    fills run under the caller's np.errstate (see _submit) and call numpy
-    alone.  A fill's error reaches the caller from that block's future.
-    A caller that may leave its loop early wraps the generator in
-    contextlib.closing: closing it cancels the fills not yet started and
-    joins the running one, as an error or running it to the end does.
-    """
-    n, nu = out.shape
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
+    if p == 2:
+        rng.standard_normal(out=out)
+    elif math.isinf(p):
+        rng.random(out=out)
+    else:
+        rng.standard_gamma(1.0 / p, out=out)
     rows = _block_rows(nu)
-    starts = range(0, n, rows)
-    signed = not (p == 2 or math.isinf(p))
-
-    def fill(x):
-        if p == 2:
-            rng.standard_normal(out=x)
-        elif math.isinf(p):
-            rng.random(out=x)
-        else:
-            rng.standard_gamma(1.0 / p, out=x)
-
-    buf = np.empty((min(rows, n), nu))
-    norms = np.empty(min(rows, n))
-
-    def normalize(x):
+    buf = np.empty((min(rows, n_samples), nu))
+    norms = np.empty(min(rows, n_samples))
+    for s in range(0, n_samples, rows):
+        x = out[s:s + rows]
         block, norm = buf[:x.shape[0]], norms[:x.shape[0]]
         if math.isinf(p):
+            x *= 2.0
+            x -= 1.0
             np.max(np.abs(x, out=block), axis=1, out=norm)
         elif p == 2:
             np.multiply(x, x, out=block)
             np.sum(block, axis=1, out=norm)
             np.sqrt(norm, out=norm)
         else:
+            x **= 1.0 / p
+            signs = rng.integers(0, 2, x.shape)
+            signs *= 2
+            signs -= 1
+            x *= signs
             np.abs(x, out=block)
             block **= p
             np.sum(block, axis=1, out=norm)
             norm **= 1.0 / p
         norm[norm == 0] = 1.0
         x /= norm[:, None]
-        return x
-
-    with ThreadPoolExecutor(1) as worker:
-        fills = [_submit(worker, fill, out[s:s + rows]) for s in starts]
-        try:
-            for s, filled in zip(starts, fills):
-                filled.result()
-                x = out[s:s + rows]
-                if math.isinf(p):
-                    x *= 2.0
-                    x -= 1.0
-                elif signed:
-                    x **= 1.0 / p
-                    continue
-                yield normalize(x)
-        finally:
-            for filled in fills:
-                filled.cancel()
-    if signed:
-        for s in starts:
-            x = out[s:s + rows]
-            signs = rng.integers(0, 2, x.shape)
-            signs *= 2
-            signs -= 1
-            x *= signs
-            yield normalize(x)
+    return out
 
 
 def sample_lp_ball(nu: int, p: float, n_samples: int, seed: int) -> np.ndarray:
@@ -302,12 +247,13 @@ class _LqPasses:
 
     A pass min-folds each row's distance to one center into the caller's
     `dist` (a first pass folds into +inf); `pairs` min-folds the
-    distances of given (row, center) pairs, so one call can bring one row
-    up to date against many centers.  Rows go through the per-row
-    arithmetic in blocks of about _BLOCK_BYTES: each block's x - c goes
-    into a reused scratch buffer (a pair block gathers its rows into one
-    and their centers into another), is reduced per row, and is folded,
-    so no pass allocates anything pool-sized.  The blocks are split into contiguous
+    distances of given (row, center) pairs, so one call can fold one
+    row's distances to many centers (the radius replay of _exact_radii).
+    Rows go through the per-row arithmetic in blocks of about
+    _BLOCK_BYTES: each block's x - c goes into a reused scratch buffer (a
+    pair block gathers its rows into one and their centers into another),
+    is reduced per row, and is folded, so no pass allocates anything
+    pool-sized.  The blocks are split into contiguous
     chunks, one per CPU and never more than there are blocks; the calling
     thread runs the first chunk and a thread pool the others, in parallel
     because numpy's ufuncs and einsum release the GIL, and under the
@@ -578,20 +524,11 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     rows of `points`, "sparse_evals" through _SparsePasses on the sparse
     rows and "replay_evals" through _exact_radii.
 
-    Each row's distance to the centers so far only falls as centers are
-    added, so a value folded over some of them bounds the up-to-date one
-    from above (Gonzalez, Theoret. Comput. Sci. 38, 1985; the lazy
-    greedy of Minoux, LNCIS 7, 1978).  The first center goes through one
-    full _LqPasses pass; after it, at q other than 2 the rows of `points`
-    are lazy: a step brings up to date only the rows that can still win
-    the argmax (see _refresh), against only the centers added since their
-    last refresh, through the pass's own per-row arithmetic, so the
-    selection and radii are the eager traversal's bit for bit.  A center
-    holding a non-finite entry, which may turn distances NaN, goes through
-    a full pass at once.  At q = 2 every center gets a full pass, which
-    the Gram filter of _LqPasses makes cheap: it recomputes only the rows
-    whose distance may fall, far fewer than the (row, center) pairs a
-    lazy refresh recomputes.
+    Each center gets one _LqPasses pass over the rows of `points`, so
+    every row holds its distance to all centers so far and the argmax is
+    the greedy traversal's pick (Gonzalez, Theoret. Comput. Sci. 38,
+    1985).  At q = 2 the pass's Gram filter recomputes only the rows whose
+    distance may fall.
 
     sparse, if given, is a (starts, indices, data) triple of rows as wide
     as `points` and stored sparsely (see _SparsePasses).  They come first:
@@ -612,10 +549,6 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     n_sparse = 0 if sparse is None else len(sparse[0]) - 1
     dist = np.full(n_sparse + points.shape[0], np.inf)
     dense = dist[n_sparse:]
-    lazy = q != 2.0
-    if lazy:
-        # dense[r] is folded over centers[:done[r]] and the non-finite ones
-        done = np.ones(points.shape[0], dtype=np.int64)
     centers = np.zeros((max(n_select, 1), points.shape[1]))
     evals = dict.fromkeys(("dense_evals", "sparse_evals", "replay_evals"), 0)
     selected = []
@@ -634,9 +567,7 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
             if n_sparse:
                 sparse_pass(center, dist[:n_sparse])
                 evals["sparse_evals"] += n_sparse
-            if (not lazy or len(selected) == 1
-                    or not np.isfinite(center).all()):
-                evals["dense_evals"] += lq_pass(center, dense)
+            evals["dense_evals"] += lq_pass(center, dense)
             if c < n_sparse:
                 # the sparse arithmetic leaves a center's own row near
                 # 0, not at it, and that row must not be picked again
@@ -644,9 +575,6 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
             if len(selected) >= n_select or (poll is not None
                                              and poll() is not None):
                 break
-            if lazy:
-                evals["dense_evals"] += _refresh(
-                    lq_pass, centers[:len(selected)], dist, n_sparse, done)
             c = int(np.argmax(dist))
             radii.append(float(dist[c]))
     del lq_pass  # its scratch goes before the replay takes its own
@@ -658,63 +586,11 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     return selected, radii
 
 
-def _refresh(lq_pass, centers: np.ndarray, dist: np.ndarray, n_sparse: int,
-             done: np.ndarray) -> int:
-    """Bring up to date every row of dist[n_sparse:] that can still win
-    np.argmax(dist) over `centers`; returns the distances computed.
-
-    Row r of the lazy part holds the minimum over centers[:done[r]] and
-    the non-finite centers, so centers[done[r]:] are finite, and from a
-    row without NaN a finite center is a number or +inf away: the value
-    held bounds the up-to-date one from above.  A NaN, once folded in, is
-    final.  The other entries (the sparse rows, the NaN rows and the rows
-    up to date) are exact; let best be their maximum.  While some stale
-    row holds a value >= best (a NaN best ranks above all), those rows
-    are refreshed through lq_pass.pairs and best is taken again.  A round
-    takes the _LAZY_ROWS largest of them, twice as many each round after
-    (argpartition), so that a refreshed row still far from the centers
-    raises best and spares the rest, and at most _LAZY_PAIRS pairs (bar
-    one row with more).  At the end each stale row holds less than best,
-    and so will its up-to-date value: the first entry equal to best,
-    which np.argmax picks, is exact, and is the eager traversal's pick.
-    (>= rather than > matters: a stale row equal to best and earlier than
-    every exact entry equal to it would win the tie on a value that may
-    be too large.)
-    """
-    t = centers.shape[0]
-    dense = dist[n_sparse:]
-    best_sparse = np.max(dist[:n_sparse], initial=-np.inf)
-    evals = 0
-    size = _LAZY_ROWS
-    while True:
-        stale = done < t
-        stale &= ~np.isnan(dense)
-        best = np.max(dense, where=~stale, initial=best_sparse)
-        stale &= dense >= best
-        cand = np.flatnonzero(stale)
-        if cand.size == 0:
-            return evals
-        if cand.size > size:
-            cand = cand[np.argpartition(dense[cand], -size)[-size:]]
-            size *= 2
-        # each candidate against each center since its last refresh
-        pending = t - done[cand]
-        ends = np.cumsum(pending)
-        keep = max(1, np.searchsorted(ends, _LAZY_PAIRS, side="right"))
-        cand, pending, ends = cand[:keep], pending[:keep], ends[:keep]
-        rows = np.repeat(cand, pending)
-        cols = np.arange(ends[-1]) - np.repeat(ends - pending - done[cand],
-                                               pending)
-        lq_pass.pairs(rows, cols, centers, dense)
-        done[cand] = t
-        evals += rows.size
-
-
 def _exact_radii(centers: np.ndarray, q: float) -> list:
     """[min over i < k of the _LqPasses distance from centers[k] to
     centers[i] for k >= 1], from one _LqPasses over the centers: row k
-    is paired with each earlier center, at most about _LAZY_PAIRS pairs
-    at once.  The pool has at least 2 rows, so no block reduces a lone
+    is paired with each earlier center, at most about _REPLAY_PAIRS
+    pairs at once.  The pool has at least 2 rows, so no block reduces a lone
     row, which einsum rounds differently for wide rows; and the kernel is
     symmetric in its two vectors, since |fl(a - b)| = |fl(b - a)|."""
     n = centers.shape[0]
@@ -723,7 +599,7 @@ def _exact_radii(centers: np.ndarray, q: float) -> list:
         k = 1
         while k < n:
             # rows k .. stop - 1 hold k + (k + 1) + ... + (stop - 1) pairs
-            stop = min(n, max(k + 1, math.isqrt(k * k + 2 * _LAZY_PAIRS)))
+            stop = min(n, max(k + 1, math.isqrt(k * k + 2 * _REPLAY_PAIRS)))
             ks = np.arange(k, stop)
             rows = np.repeat(ks, ks)
             ends = np.cumsum(ks)

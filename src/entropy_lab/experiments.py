@@ -23,7 +23,6 @@ import math
 import os
 import resource
 import time
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -32,10 +31,12 @@ import numpy as np
 
 from .certificate import entropy_certificate
 from .entropy import (
+    _block_rows,
+    _check_pq_wide,
     _farthest_point_run,
-    _sphere_blocks,
     cover_profile,
     kuhn_value,
+    sample_lp_sphere,
     schuett,
     volumetric_lower,
 )
@@ -43,6 +44,7 @@ from .hset import HProfile, generate_hset_tree
 from .partition import VertexWeight, balanced_partition, dyadic_family
 from .summation import (
     WeightScheme,
+    _require_critical,
     apply,
     basis_images,
     hardy_bound,
@@ -203,10 +205,11 @@ def _count(params, name, least):
 
 
 def _run_schuett_regimes(params, seed, budget):
-    nu = int(params["nu"])
+    nu = _count(params, "nu", 1)
     p, q = float(params["p"]), float(params["q"])
+    _check_pq_wide(p, q)
     samples = _count(params, "samples", 1)
-    k_feas_max = min(nu, int(params["cover_k_cap"]),
+    k_feas_max = min(nu, _count(params, "cover_k_cap", 1),
                      int(math.log2(samples)) + 1)
 
     heur = {}
@@ -381,30 +384,20 @@ def _witness_pool(tree, u, w, p, samples, seed, poll=None):
 
     The critical packings take these rows next to the basis images; at
     their default `samples` of 0 the pool has no row and the packing is
-    basis-only.
-
-    The rows are sample_lp_sphere's, from entropy._sphere_blocks: a worker
-    thread draws them block by block straight into the result, and the
-    calling thread normalizes each finished row block and maps it through
-    apply in place while the worker draws the blocks after it (at p other
-    than 2 and inf, once the last block is drawn).  So the result is the
-    only sample-sized array, and at p = 2 the build takes about as long as
-    the serial draw alone.
-    The generator's calls come in one fixed order, never from two threads
-    at once, so no bit depends on the threads' timing.  poll, if given,
-    is called on the calling thread between blocks; when it returns a cap
-    name the build stops, the fills not yet started are cancelled, and
-    only the rows mapped so far are returned.
+    basis-only.  The sphere points come from sample_lp_sphere and are
+    mapped through apply in place, one _block_rows row block at a time,
+    so the result is the only sample-sized array.  poll, if given, is
+    called between blocks; when it returns a cap name the build stops
+    and only the rows mapped so far are returned.
     """
-    pool = np.empty((samples, tree.n))
-    done = 0
-    with closing(_sphere_blocks(pool, p, seed)) as blocks:
-        for rows in blocks:
-            rows[:] = apply(tree, u, w, rows.T).T
-            done += rows.shape[0]
-            if done < samples and poll is not None and poll() is not None:
-                break
-    return pool[:done]
+    pool = sample_lp_sphere(tree.n, p, samples, seed)
+    rows = _block_rows(tree.n)
+    for s in range(0, samples, rows):
+        block = pool[s:s + rows]
+        block[:] = apply(tree, u, w, block.T).T
+        if s + rows < samples and poll is not None and poll() is not None:
+            return pool[:s + rows]
+    return pool
 
 
 def _certificate_sweep(tree, scheme, h, ns, p, q, eps, budget):
@@ -437,17 +430,20 @@ def _run_critical_scaling(kind, params, seed, budget):
     of a power or log critical pack.
 
     The packing's witnesses are the stratified basis images (sparse rows)
-    and `samples` sphere-sample images (dense rows, which the traversal
-    serves lazily at q other than 2).  Any finite subset of S(B_p) certifies a packing
+    and `samples` sphere-sample images (dense rows, which get a distance
+    pass per center).  Any finite subset of S(B_p) certifies a packing
     bound (Carl & Stephani 1990), so the default of no samples packs the
     basis images alone; the seed then only picks the basis columns of
-    the levels wider than per_level_cap.
+    the levels wider than per_level_cap.  The counts, (p, q) and the pack
+    are validated before the tree is built.
     """
     n_min = _count(params, "n_min", 1)
     n_max = _count(params, "n_max", n_min)
     samples = _count(params, "samples", 0)
+    per_level_cap = _count(params, "per_level_cap", 0)
     p, q = float(params["p"]), float(params["q"])
     h, scheme = _critical_pack(kind, params)
+    _require_critical(scheme, h, p, q)
     if kind == "power":
         tree = full_tree(int(params["arity"]), int(params["depth"]))
     else:
@@ -459,7 +455,7 @@ def _run_critical_scaling(kind, params, seed, budget):
     lows = {}
     counters = {}
     if budget.exceeded() is None:
-        basis = _basis_images(tree, u, w, int(params["per_level_cap"]), seed)
+        basis = _basis_images(tree, u, w, per_level_cap, seed)
         n_basis = basis[0].size - 1
         n_sel = 2 ** (n_max - 1) + 1
         if n_sel > n_basis + samples:

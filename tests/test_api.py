@@ -76,7 +76,8 @@ def test_traced_functions_stay_imported_where_the_benchmark_wraps_them():
     # the tracer rebinds every module-level reference to a traced function;
     # these modules call it through their own import
     users = {"summation.apply": ("certificate", "experiments"),
-             "entropy.traverse": ("experiments",)}
+             "entropy.traverse": ("experiments",),
+             "entropy.sample": ("experiments",)}
     for span, mod, attr, _ in _tracing_targets():
         if span not in users:
             continue

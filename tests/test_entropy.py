@@ -263,8 +263,9 @@ def test_sphere_sampler_matches_one_shot_reference(nu, n_samples, p, seed,
        seed=st.integers(0, 2 ** 32 - 1))
 def test_row_blocks_draw_the_numbers_of_one_call(nu, rows, cuts, shape,
                                                  seed):
-    # the sphere sampler draws one row block per call: a numpy whose
-    # numbers depended on that split would move every sample silently
+    # the sphere sampler draws every magnitude in one call, then the signs
+    # one row block per call: a numpy whose numbers depended on that split
+    # would move every sample silently
     edges = sorted({0, rows} | {c for c in cuts if c < rows})
     blocks = list(zip(edges, edges[1:]))
 
@@ -272,28 +273,20 @@ def test_row_blocks_draw_the_numbers_of_one_call(nu, rows, cuts, shape,
         return np.random.Generator(np.random.Philox(
             np.random.SeedSequence([seed, 0x6c7073])))
 
-    for fill in ("standard_normal", "random"):
-        one = getattr(rng(), fill)((rows, nu))
-        gen, got = rng(), np.empty((rows, nu))
-        for a, b in blocks:
-            getattr(gen, fill)(out=got[a:b])
-        assert np.array_equal(got, one)
-    # the gamma path: every magnitude first, then the signs block by block
     gen = rng()
     mags, signs = (gen.standard_gamma(shape, (rows, nu)),
                    gen.integers(0, 2, (rows, nu)))
     gen, got = rng(), np.empty((rows, nu))
-    for a, b in blocks:
-        gen.standard_gamma(shape, out=got[a:b])
+    gen.standard_gamma(shape, out=got)
     got_signs = np.concatenate([gen.integers(0, 2, (b - a, nu))
                                 for a, b in blocks])
     assert np.array_equal(got, mags) and np.array_equal(got_signs, signs)
 
 
 def test_a_failed_draw_reaches_the_caller():
-    # the draws run on a worker thread: its error must surface in the
-    # caller, not leave it waiting, and the worker must be gone (p = -1
-    # asks for a gamma shape of -1)
+    # a draw's error must surface in the caller, not leave it waiting,
+    # and no thread may outlive the call (p = -1 asks for a gamma shape
+    # of -1)
     threads, errors = threading.active_count(), []
 
     def call():
@@ -363,11 +356,7 @@ def _assert_matches_reference(points, q, n_select, start):
 # entry) is where the q = 2 Gram filter's error margin must hold: a common
 # offset or scale leaves a small separation under large norms, 1e153 puts
 # most squared norms past the filter's range, and NaN / inf rows must take
-# the exact path.  Every q but 2 runs the lazy traversal, where a NaN or
-# inf center must reach every row and a stale value equal to the best
-# must be refreshed; small lazy rounds (rows, pairs) leave rows stale
-# across steps in pools this small
-LAZY_ROUNDS = st.sampled_from([(1, 1), (2, 5), (16, 2 ** 14)])
+# the exact path
 
 
 @settings(max_examples=120, deadline=None)
@@ -375,18 +364,17 @@ LAZY_ROUNDS = st.sampled_from([(1, 1), (2, 5), (16, 2 ** 14)])
        distinct=st.integers(1, 40), grid=st.booleans(),
        q=st.sampled_from([1.5, 2.0, 3.0, 4.0, math.inf]),
        block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3, 5]),
-       lazy=LAZY_ROUNDS,
        warp=st.sampled_from([(1.0, 0.0, None), (1e150, 0.0, None),
                              (1e-150, 0.0, None), (1e153, 0.0, None),
                              (1.0, 1e3, None), (1.0, 0.0, math.nan),
                              (1.0, 0.0, math.inf), (1.0, 0.0, -math.inf)]),
        seed=st.integers(0, 2 ** 32 - 1))
-# a stale row whose value ties the best must be refreshed
+# rows that tie in distance, where the lowest index must win
 @example(n=5, m=1, distinct=16, grid=True, q=1.5, block_rows=0, cpus=1,
-         lazy=(1, 1), warp=(1.0, 0.0, None), seed=0)
+         warp=(1.0, 0.0, None), seed=0)
 def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, grid,
                                                       q, block_rows, cpus,
-                                                      lazy, warp, seed):
+                                                      warp, seed):
     # block_rows = 0 makes the block narrower than one row; rows drawn
     # from a few distinct points make ties that must break to the lowest
     # index, and points on a small integer grid make distinct pairs of
@@ -404,8 +392,6 @@ def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, grid,
     block_bytes = max(1, 8 * m * block_rows)
     with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(entropy, "_cpu_count", lambda: cpus), \
-            mock.patch.multiple(entropy, _LAZY_ROWS=lazy[0],
-                                _LAZY_PAIRS=lazy[1]), \
             np.errstate(invalid="ignore", over="ignore"):
         _assert_matches_reference(points, q, min(n, 12), int(seed % n))
 
@@ -470,7 +456,7 @@ def test_traversal_on_many_blocks_and_threads():
 
 
 def test_traversal_poll_stops_at_a_cap():
-    # q = 2 runs a pass per center, q = 4 the lazy refresh
+    # q = 2 runs the Gram-filtered pass, q = 4 the plain one
     rng = np.random.default_rng(5)
     points = rng.standard_normal((300, 4))
     for q in (2.0, 4.0):
@@ -591,19 +577,17 @@ def _random_sparse(rng, n, m):
        m=st.sampled_from([2, 5, 40, 9000]),
        q=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
        block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3]),
-       lazy=LAZY_ROUNDS, dense_exp=st.integers(-3, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
+       dense_exp=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
 @example(n_sparse=18, n_dense=1, m=9000, q=2.0, block_rows=0, cpus=1,
-         lazy=(16, 2 ** 14), dense_exp=0, seed=7)
+         dense_exp=0, seed=7)
 @example(n_sparse=6, n_dense=6, m=40, q=4.0, block_rows=1, cpus=2,
-         lazy=(16, 2 ** 14), dense_exp=3, seed=0)
+         dense_exp=3, seed=0)
 def test_sparse_traversal_matches_the_reference_on_the_materialized_pool(
-        n_sparse, n_dense, m, q, block_rows, cpus, lazy, dense_exp, seed):
+        n_sparse, n_dense, m, q, block_rows, cpus, dense_exp, seed):
     # continuous random rows leave no ties, so the selections agree, and
-    # every radius is the exact kernel's, bit for bit; at q other than 2
-    # the dense rows are lazy, and large dense rows make one of them, up
-    # to date after the first center's pass, the first step's argmax (in
-    # the second example, which starts from a sparse row)
+    # every radius is the exact kernel's, bit for bit; large dense rows
+    # make one of them the first step's argmax (in the second example,
+    # which starts from a sparse row)
     n = n_sparse + n_dense
     if n == 0:
         return
@@ -614,9 +598,7 @@ def test_sparse_traversal_matches_the_reference_on_the_materialized_pool(
     n_select, start = min(n, 12), int(seed % n)
     with mock.patch.object(entropy, "_BLOCK_BYTES",
                            max(1, 8 * m * block_rows)), \
-            mock.patch.object(entropy, "_cpu_count", lambda: cpus), \
-            mock.patch.multiple(entropy, _LAZY_ROWS=lazy[0],
-                                _LAZY_PAIRS=lazy[1]):
+            mock.patch.object(entropy, "_cpu_count", lambda: cpus):
         sel, radii = _farthest_point_run(dense, q, n_select, start,
                                          sparse=sparse)
     ref_sel, ref_radii, _ = _reference_farthest_point_run(
@@ -647,6 +629,18 @@ def test_sparse_radii_are_the_exact_pairwise_distances_of_the_centers(q):
             _reference_lq_dist(centers[:k], centers[k], q))
         assert np.minimum.accumulate(radii)[k - 1] == np.min(
             pair[:k + 1, :k + 1][np.triu_indices(k + 1, 1)])
+
+
+@pytest.mark.parametrize("pairs", [1, 5, 40])
+@pytest.mark.parametrize("q", [2.0, 4.0])
+def test_radius_replay_in_small_chunks_matches_the_reference(q, pairs):
+    # the replay pairs each center with every earlier one, about
+    # _REPLAY_PAIRS pairs per call; how they are cut must not move a bit
+    centers = np.random.default_rng(8).standard_normal((30, 9))
+    ref = [float(np.min(_reference_lq_dist(centers[:k], centers[k], q)))
+           for k in range(1, 30)]
+    with mock.patch.object(entropy, "_REPLAY_PAIRS", pairs):
+        assert entropy._exact_radii(centers, q) == ref
 
 
 def test_a_selected_sparse_row_is_not_selected_again():

@@ -306,6 +306,20 @@ def test_critical_scaling_pool_counts_basis_and_sample_rows(tmp_path):
     ("critical_scaling_log", {"samples": -1}, "samples must be >= 0, got -1"),
     ("schuett_regimes", {"samples": 0}, "samples must be >= 1, got 0"),
     ("schuett_regimes", {"samples": -2}, "samples must be >= 1, got -2"),
+    ("schuett_regimes", {"nu": -3}, "nu must be >= 1, got -3"),
+    ("schuett_regimes", {"cover_k_cap": 0}, "cover_k_cap must be >= 1, got 0"),
+    ("critical_scaling_power", {"per_level_cap": -1},
+     "per_level_cap must be >= 0, got -1"),
+    ("critical_scaling_log", {"per_level_cap": -1},
+     "per_level_cap must be >= 0, got -1"),
+    # (p, q) outside a stage's range is refused before the first stage
+    ("schuett_regimes", {"p": 0}, "need 1 <= p <= q, got p=0.0, q=2.0"),
+    ("schuett_regimes", {"p": 3.0, "q": 2.0},
+     "need 1 <= p <= q, got p=3.0, q=2.0"),
+    ("critical_scaling_power", {"q": 1.5},
+     "need 1 < p <= q < inf, got p=2.0, q=1.5"),
+    ("critical_scaling_log", {"q": 1.5},
+     "need 1 < p <= q < inf, got p=2.0, q=1.5"),
 ])
 def test_count_params_below_their_least_value_are_named(
         tmp_path, monkeypatch, name, params, message):
@@ -324,9 +338,8 @@ def test_count_params_below_their_least_value_are_named(
 @pytest.mark.parametrize("kind, depth", [("power", 7), ("log", 31)])
 def test_critical_scaling_manifest_counts_the_distance_evaluations(
         tmp_path, kind, depth):
-    # the sparse basis rows get a pass per center, the dense sample rows
-    # only the first center's pass and the refreshes that can still win
-    # a step; the counts stay out of the byte-stable summary
+    # the sparse basis rows and the dense sample rows each get a pass per
+    # center; the counts stay out of the byte-stable summary
     params = {"depth": depth, "per_level_cap": 32, "samples": 256,
               "n_min": 3, "n_max": 6}
     n_basis = []
@@ -344,7 +357,7 @@ def test_critical_scaling_manifest_counts_the_distance_evaluations(
     counters = json.loads(Path(res.manifest_path).read_text())["counters"]
     centers = 2 ** (6 - 1) + 1
     assert counters["sparse_evals"] == centers * n_basis[0]
-    assert 256 <= counters["dense_evals"] < centers * 256 // 4
+    assert counters["dense_evals"] == centers * 256
     assert counters["replay_evals"] == centers * (centers - 1) // 2
     assert "counters" not in Path(res.summary_path).read_text()
 
