@@ -17,11 +17,11 @@ are applied with exact index bookkeeping.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .summation import apply
 
 _KINDS = ("certified_lower", "certified_upper", "heuristic")
 _SAMPLED_K_CAP = 24
@@ -32,7 +32,8 @@ _SPHERE_TAG = 0x6c7073
 _NET_CAP = 4_000_000
 _GRAM_MAX = 2.0 ** 1018   # squared norms the q = 2 filter takes
 _GRAM_PAD = 2.0 ** -1070  # 16 least subnormals, per column
-_REPLAY_PAIRS = 2 ** 14   # (row, center) pairs one replay call takes at most
+_ETA = 2.0 ** -1074       # the least subnormal
+_UNIT = 1 << 1127         # exact sums count in units of 2^-1127
 
 
 @dataclass(frozen=True)
@@ -223,72 +224,55 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
+def _round_down(x, k: int, a):
+    """A float at most max(x / (1 + gamma_k) - a, 0), elementwise, for
+    x >= 0 and a >= 0 (NaN stays NaN); gamma_k = k u / (1 - k u) with
+    u = 2^-53 (Higham 2002, section 3).
 
-
-def _submit(executor, fn, *args):
-    """executor.submit(fn, *args), run under the calling thread's numpy
-    floating-point error settings: np.errstate is thread-local, so a worker
-    thread would otherwise warn (or raise) by numpy's defaults."""
-    err, call = np.geterr(), np.geterrcall()
-
-    def task():
-        with np.errstate(call=call, **err):
-            return fn(*args)
-    return executor.submit(task)
+    f = fl((1 - 2ku) / (1 - ku)), its numerator and denominator exact,
+    stepped once toward 0 is at most 1 - gamma_k <= 1 / (1 + gamma_k).
+    For z >= 0, fl(z) <= z (1 + u), or z + eta / 2 in the subnormal range
+    (eta = 2^-1074), and one np.nextafter step toward 0 takes off at least
+    u fl(z), or eta, so the step lands at or below z: once after x f and
+    once after subtracting a.
+    """
+    f = math.nextafter((1.0 - k * 2.0 ** -52) / (1.0 - k * 2.0 ** -53), 0.0)
+    y = np.nextafter(np.multiply(x, f), 0.0)
+    return np.maximum(np.nextafter(y - a, 0.0), 0.0)
 
 
 class _LqPasses:
     """l_q distance passes from centers to the rows of a fixed pool.
 
     A pass min-folds each row's distance to one center into the caller's
-    `dist` (a first pass folds into +inf); `pairs` min-folds the
-    distances of given (row, center) pairs, so one call can fold one
-    row's distances to many centers (the radius replay of _exact_radii).
-    Rows go through the per-row arithmetic in blocks of about
-    _BLOCK_BYTES: each block's x - c goes into a reused scratch buffer (a
-    pair block gathers its rows into one and their centers into another),
-    is reduced per row, and is folded, so no pass allocates anything
-    pool-sized.  The blocks are split into contiguous
-    chunks, one per CPU and never more than there are blocks; the calling
-    thread runs the first chunk and a thread pool the others, in parallel
-    because numpy's ufuncs and einsum release the GIL, and under the
-    caller's np.errstate (see _submit).  Per row the arithmetic is the
-    one-shot expression's (same subtraction, same reduction over a 2-D
-    block of at least min_rows rows, same final power; the |x - c| is
-    skipped where q = 2 or 4 squares it, since IEEE squaring is
-    sign-blind), so every distance is bit-identical to it, bar the sign
-    bit of a NaN, whichever block, pass or pair it is computed in, and
-    none depends on the thread count.
+    `dist` (a first pass folds into +inf).  Rows go through the per-row
+    arithmetic in blocks of about _BLOCK_BYTES: each block's x - c goes
+    into one reused scratch buffer (a filtered pass gathers its rows into
+    it), is reduced per row, and is folded, so no pass allocates anything
+    pool-sized.  Passes run serially in the calling thread.  Per row the
+    arithmetic is the one-shot expression's (same subtraction, same
+    reduction over a 2-D block of at least min_rows rows, same final
+    power; the |x - c| is skipped where q = 2 or 4 squares it, since IEEE
+    squaring is sign-blind), so every distance is bit-identical to it, bar
+    the sign bit of a NaN, whichever block or pass it is computed in.
 
     At q = 2 a pass first runs the Gram filter of _candidates and sends
     only the rows it cannot rule out through that arithmetic, gathered
     into the same blocks; every other row provably keeps its `dist` bits.
-    Use as a context manager: the threads live until exit.
     """
 
     def __init__(self, points: np.ndarray, q: float):
         n, m = points.shape
         self.points, self.q = points, q
-        # capped at n: a pass never needs more, and the pairs of a pairs
-        # call, which may outnumber the rows, must fit the buffers
+        # capped at n: a pass never needs more
         self.rows = max(1, min(_block_rows(m), n))
-        n_cpus = max(1, min(_cpu_count(), -(-n // self.rows)))
         # einsum sums a lone row in one loop but the rows of a taller
         # operand in buffer-sized pieces, which rounds differently for wide
         # rows; reducing over >= 2 rows whenever the pool has them keeps a
         # one-row block rounding like that row inside the whole pool
         self.min_rows = min(n, 2)
         buf_rows = max(self.rows, self.min_rows)
-        # a pair block gathers its centers into the third buffer
-        self.scratch = [(np.zeros((buf_rows, m)), np.empty(buf_rows),
-                         np.empty((buf_rows, m))) for _ in range(n_cpus)]
-        self.executor = (ThreadPoolExecutor(n_cpus - 1)
-                         if n_cpus > 1 else None)
+        self.buf, self.red = np.zeros((buf_rows, m)), np.empty(buf_rows)
         if q == 2.0:
             self.pad = m * _GRAM_PAD
             self.coef = 8.0 * (m + 2) * 2.0 ** -53
@@ -299,45 +283,46 @@ class _LqPasses:
             self.lo = np.empty(n)
             self.skip = np.empty(n, dtype=bool)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.executor is not None:
-            self.executor.shutdown()
-
     def __call__(self, center: np.ndarray, dist: np.ndarray) -> int:
         """dist = min(dist, distances to `center`); returns the number of
         rows whose distance was computed."""
         idx = self._candidates(center, dist) if self.q == 2.0 else None
         if idx is not None and idx.size == dist.size:
             idx = None
-        self._split(center, dist, idx, None)
-        return dist.size if idx is None else idx.size
-
-    def pairs(self, rows: np.ndarray, cols: np.ndarray, centers: np.ndarray,
-              dist: np.ndarray):
-        """dist[r] = min(dist[r], distance of row r to centers[c]) for each
-        pair (r, c) of `rows` and `cols`; a row may appear in many pairs.
-        A block gathers its rows, as a filtered q = 2 pass does, and the
-        centers they pair with."""
-        out = np.empty(rows.size)
-        self._split(centers, out, rows, cols)
-        np.minimum.at(dist, rows, out)
-
-    def _split(self, center, dist, idx, cols):
-        """Run _chunk over all rows (or all of idx) on the threads."""
+        q, buf, red = self.q, self.buf, self.red
         k = dist.size if idx is None else idx.size
-        n_blocks = -(-k // self.rows)
-        n_parts = max(1, min(len(self.scratch), n_blocks))
-        edges = [min(k, n_blocks * i // n_parts * self.rows)
-                 for i in range(n_parts + 1)]
-        futures = [_submit(self.executor, self._chunk, i, edges[i],
-                           edges[i + 1], center, dist, idx, cols)
-                   for i in range(1, n_parts)]
-        self._chunk(0, edges[0], edges[1], center, dist, idx, cols)
-        for f in futures:
-            f.result()
+        for s in range(0, k, self.rows):
+            e = min(s + self.rows, k)
+            if idx is None:
+                rows = slice(s, e)
+                diff = np.subtract(self.points[rows], center,
+                                   out=buf[:e - s])
+            else:
+                rows = idx[s:e]
+                diff = np.take(self.points, rows, axis=0, out=buf[:e - s],
+                               mode="clip")
+                diff -= center
+            # rows past e - s are stale or zero; their sums are discarded
+            wide = buf[:max(e - s, self.min_rows)]
+            out = red[:wide.shape[0]]
+            if math.isinf(q):
+                np.abs(diff, out=diff)
+                np.max(wide, axis=1, out=out)
+            elif q == 2.0:
+                np.einsum("ij,ij->i", wide, wide, out=out)
+                np.sqrt(out, out=out)
+            elif q == 4.0:
+                diff *= diff
+                np.einsum("ij,ij->i", wide, wide, out=out)
+                out **= 0.25
+            else:
+                np.abs(diff, out=diff)
+                diff **= q
+                np.sum(wide, axis=1, out=out)
+                out **= 1.0 / q
+            out = np.minimum(dist[rows], out[:e - s], out=out[:e - s])
+            dist[rows] = out
+        return k
 
     def _candidates(self, center, dist):
         """Rows whose distance to `center` may fall below their `dist`.
@@ -384,134 +369,131 @@ class _LqPasses:
         np.logical_not(skip, out=skip)
         return np.flatnonzero(skip)
 
-    def _chunk(self, i, start, stop, center, dist, idx, cols):
-        """Fold rows start:stop (of idx, when given) into dist.  With cols,
-        item j is the pair (idx[j], cols[j]), `center` holds the centers,
-        and the distance goes to dist[j] unfolded."""
-        q = self.q
-        buf, red, cbuf = self.scratch[i]
-        for s in range(start, stop, self.rows):
-            e = min(s + self.rows, stop)
-            if idx is None:
-                rows = slice(s, e)
-                diff = np.subtract(self.points[rows], center,
-                                   out=buf[:e - s])
-            else:
-                rows = idx[s:e]
-                diff = np.take(self.points, rows, axis=0, out=buf[:e - s],
-                               mode="clip")
-                if cols is None:
-                    diff -= center
-                else:
-                    diff -= np.take(center, cols[s:e], axis=0,
-                                    out=cbuf[:e - s], mode="clip")
-            # rows past e - s are stale or zero; their sums are discarded
-            wide = buf[:max(e - s, self.min_rows)]
-            out = red[:wide.shape[0]]
-            if math.isinf(q):
-                np.abs(diff, out=diff)
-                np.max(wide, axis=1, out=out)
-            elif q == 2.0:
-                np.einsum("ij,ij->i", wide, wide, out=out)
-                np.sqrt(out, out=out)
-            elif q == 4.0:
-                diff *= diff
-                np.einsum("ij,ij->i", wide, wide, out=out)
-                out **= 0.25
-            else:
-                np.abs(diff, out=diff)
-                diff **= q
-                np.sum(wide, axis=1, out=out)
-                out **= 1.0 / q
-            if cols is not None:
-                dist[s:e] = out[:e - s]
-                continue
-            out = np.minimum(dist[rows], out[:e - s], out=out[:e - s])
-            dist[rows] = out
+
+def _exact_units(x: np.ndarray) -> np.ndarray:
+    """Finite floats x >= 0 as exact Python ints, in units of 2^-1127:
+    x = m 2^e with 2^53 m a whole number below 2^53 and e >= -1073."""
+    m, e = np.frexp(x)
+    return (np.ldexp(m, 53).astype(np.int64).astype(object)
+            << (e + 1074).astype(object))
 
 
-def _lq_dist(points: np.ndarray, center: np.ndarray, q: float) -> np.ndarray:
-    """l_q distance of every row of `points` to `center`."""
-    dist = np.full(points.shape[0], np.inf)
-    with _LqPasses(points, q) as lq_pass:
-        lq_pass(center, dist)
-    return dist
-
-
-class _SparsePasses:
-    """l_q distance passes from a dense center to rows stored sparsely.
-
-    Row r is zero but for data[starts[r]:starts[r + 1]] at the columns
-    indices[starts[r]:starts[r + 1]].  For a center c,
-        ||x - c||_q^q = ||c||_q^q + sum_{j in row} (|x_j - c_j|^q - |c_j|^q),
-    clamped at 0, so a pass costs O(nnz + width) through one reused
-    nnz-sized buffer; it min-folds the distances into the caller's `dist`
-    as _LqPasses does.  The value rounds differently from the dense
-    kernel's and loses relative accuracy where the distance is small next
-    to the norms, so it serves selection, never a certified radius.
-    q must be finite.
+class _BasisRows:
+    """The images S e_v of the vertices vs of a tree under the summation
+    operator, in closed form: S e_v is u_v w on the subtree T_v, so with
+    W_v = sum over T_v of |w_x|^q, ||S e_a - S e_b||_q^q is
+        |u_a|^q W_a + |u_b|^q W_b                 (T_a, T_b disjoint)
+        |u_a|^q (W_a - W_b) + |u_a - u_b|^q W_b   (T_b within T_a),
+    and containment compares preorder ranges (Tree.preorder): a row is
+    (u_v, W_v, preorder range) and a distance costs O(1).  One bottom-up
+    sweep sums t_x = fl(|w_x|^q) over every subtree exactly, in Python
+    integers, and keeps W_v as hi_v = fl(S_v), lo_v = fl(S_v - hi_v): the
+    t_x of T_b then cancel exactly in W_a - W_b, as they would not between
+    two rounded sums.  q must be finite and >= 1.
     """
 
-    def __init__(self, starts, indices, data, q: float, width: int):
+    def __init__(self, tree, u, w, vs, q: float):
         if not 1.0 <= q < math.inf:
-            raise ValueError(f"sparse rows need a finite q >= 1, got {q}")
-        self.starts = np.asarray(starts, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=float)
-        nnz = int(self.starts[-1])
-        if self.indices.shape != (nnz,) or self.data.shape != (nnz,):
-            raise ValueError(f"sparse rows need {nnz} indices and data")
-        if nnz and not 0 <= self.indices.min() <= self.indices.max() < width:
-            raise ValueError(f"sparse row indices must lie in [0, {width})")
-        self.q = q
-        counts = np.diff(self.starts)
-        # reduceat sums from one head to the next, so empty rows take none
-        self.rows = slice(None) if counts.all() else np.flatnonzero(counts)
-        self.heads = self.starts[:-1][self.rows]
-        self.buf = np.empty(nnz)
-        self.part = np.empty(self.heads.size)
-        self.cq = np.empty(width)
-        self.out = np.empty(counts.size)
+            raise ValueError(f"basis rows need a finite q >= 1, got {q}")
+        self.tree, self.u, self.w, self.q = tree, u, w, q
+        self.vs = np.asarray(vs, dtype=np.int64)
+        pre, size = tree.preorder()
+        self.first, self.end = pre[self.vs], pre[self.vs] + size[self.vs]
+        self.uv = np.asarray(u, dtype=float)[self.vs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.uq = np.abs(self.uv) ** q
+            t = np.abs(np.asarray(w, dtype=float)) ** q
+            # bounds every product and sum lower() forms, NaN included
+            top = (2.0 * np.max(np.abs(self.uv), initial=0.0)) ** q * t.sum()
+        if not top < 2.0 ** 1000:
+            raise ValueError("basis images too large for float64 distances")
+        exact = _exact_units(t)
+        for level in tree.levels()[:0:-1]:
+            np.add.at(exact, level.parent, exact[level.ids])
+        exact = exact[self.vs]
+        # int / int true division is correctly rounded
+        self.hi = (exact / _UNIT).astype(float)
+        self.lo = ((exact - _exact_units(self.hi)) / _UNIT).astype(float)
+        self.k = math.ceil(q) + 27
+        self.pad = (4 * tree.n + 16) * _ETA
+        self.k_dense = tree.n + math.ceil(q) + 15
+        self.slack = 2.0 * (8 * (tree.n + 1) * _ETA) ** (1.0 / q)
+        self.err = 2.0 ** -52 * (self.uq * self.hi + 2.0 ** -1000) ** (1.0 / q)
 
-    def _abs_pow(self, x):
-        """x = |x|^q in place; squaring is sign-blind."""
-        if self.q == 2.0 or self.q == 4.0:
-            x *= x
-            if self.q == 4.0:
-                x *= x
-        else:
-            np.abs(x, out=x)
-            x **= self.q
+    def lower(self, c: int) -> np.ndarray:
+        """Certified lower bounds of ||S e_r - S e_c||_q, for every row r.
 
-    def row(self, r: int, out: np.ndarray):
-        """Scatter row r into `out`, which holds zeros."""
-        s, e = self.starts[r], self.starts[r + 1]
-        out[self.indices[s:e]] = self.data[s:e]
+        Per pair, o is the row whose subtree holds the other's (r when
+        neither does) and i the other: A = fl(|u_o|^q), Y = hi_i and,
+        nested, X = fl(fl(hi_o - hi_i) + fl(lo_o - lo_i)), B =
+        fl(|fl(u_o - u_i)|^q), or, disjoint, X = hi_o, B = fl(|u_i|^q);
+        D' = fl(fl(A X) + fl(B Y)) stands for D = d^q.  Model (u = 2^-53,
+        eta = 2^-1074, n = |V|): +, -, x round to nearest with gradual
+        underflow, and a power is within 4 ulp, 8u relative plus 4 eta
+        (assumed of the platform's pow: glibc's is within 1 ulp; squares
+        and square roots round correctly).  Then
+          t_x      is |w_x|^q to 8u plus 4 eta, so S_o - S_i is W_o - W_i
+                   to 8u plus 4 n eta, and hi_v + lo_v is S_v to
+                   u^2 S_v + eta;
+          X        is W_o - W_i (or W_o) to gamma_10, plus
+                   4u^2 (S_o + S_i) + (4n + 3) eta;
+          A, B, Y  are |u_o|^q, |u_o - u_i|^q (or |u_i|^q) and W_i to
+                   gamma_{ceil(q) + 9}, plus 4 eta or (4n + 3) eta;
+          D'       is D to gamma_K, K = ceil(q) + 19, plus at most
+                   T = 9u^2 A hi_o + (4n + 9) eta (A + B + hi_r + hi_c + 1).
+        The relative part needs both terms of D >= 0, so the margin is
+        taken per case: one magnitude for all pairs, such as
+        max(u_a, u_b)^q (W_a + W_b), would swallow the small nested
+        distances.  16u^2 and (4n + 16) eta cover T and its own rounding,
+        so L = max(D' - T, 0), stepped toward 0, is at most D (1 + gamma_K),
+        fl(L^{1/q}) at most d (1 + gamma_{K+8}) + 4 eta, and
+        _round_down(., K + 8, 4 eta) at most d.  __init__'s check keeps
+        every value below 2^1003.
+        """
+        first, end, hi, lo = self.first, self.end, self.hi, self.lo
+        inner = (first >= first[c]) & (first < end[c])  # T_r in T_c
+        outer = (first[c] >= first) & (first[c] < end)  # T_c in T_r
+        diff = (hi - hi[c]) + (lo - lo[c])
+        a = np.where(inner, self.uq[c], self.uq)
+        x = np.where(inner, -diff, np.where(outer, diff, hi))
+        b = np.where(inner | outer, np.abs(self.uv - self.uv[c]) ** self.q,
+                     self.uq[c])
+        y = np.where(inner, hi, hi[c])
+        margin = (2.0 ** -102 * (a * np.where(inner, hi[c], hi))
+                  + self.pad * (((a + b) + (hi + hi[c])) + 1.0))
+        dq = np.maximum(np.nextafter(a * x + b * y - margin, 0.0), 0.0)
+        return _round_down(dq ** (1.0 / self.q), self.k, 4 * _ETA)
 
-    def __call__(self, center: np.ndarray, dist: np.ndarray):
-        """dist = min(dist, distances to `center`)."""
-        buf, part, out, cq = self.buf, self.part, self.out, self.cq
-        np.copyto(cq, center)
-        self._abs_pow(cq)
-        out.fill(np.sum(cq))
-        if part.size:
-            # the indices are checked, so clipping (which takes without
-            # buffering) changes none of them
-            np.take(cq, self.indices, out=buf, mode="clip")
-            np.add.reduceat(buf, self.heads, out=part)
-            out[self.rows] -= part
-            np.take(center, self.indices, out=buf, mode="clip")
-            np.subtract(self.data, buf, out=buf)
-            self._abs_pow(buf)
-            np.add.reduceat(buf, self.heads, out=part)
-            out[self.rows] += part
-        np.maximum(out, 0.0, out=out)
-        out **= 1.0 / self.q
-        np.minimum(dist, out, out=dist)
+    def dense(self, ids) -> np.ndarray:
+        """Rows ids as dense vectors: summation.apply's columns, each entry
+        fl(u_v w_x)."""
+        cols = np.zeros((self.tree.n, len(ids)))
+        cols[self.vs[ids], np.arange(len(ids))] = 1.0
+        return apply(self.tree, self.u, self.w, cols).T
+
+    def fold(self, lq_pass, center, dist, err) -> int:
+        """dist = min(dist, certified lower bounds of the exact distances
+        from lq_pass's rows to `center`); returns the rows computed.
+
+        err covers ||fl(S e_v) - S e_v||_q <= u ||S e_v||_q for a row from
+        dense() (self.err[v]; 0 otherwise).  With lower()'s model, the
+        kernel's sum of m = |V| terms |x - c|^q, each to (1 + u)^q (1 + 8u)
+        plus 4 eta, is D to gamma_{m + ceil(q) + 7} plus 5 m eta in any
+        order; with the root's 8u and 4 eta and (s + t)^{1/q} <= s^{1/q} +
+        t^{1/q}, the distance is at most d (1 + gamma_{m + ceil(q) + 15})
+        + (1 + 8u)(5 m eta)^{1/q} + 4 eta.  self.slack = 2 fl((8 (m + 1)
+        eta)^{1/q}) covers the last two terms and what underflow in dense()
+        adds to err, (eta / 2) m^{1/q}.
+        """
+        d = np.full(dist.size, np.inf)
+        count = lq_pass(center, d)
+        np.minimum(dist, _round_down(d, self.k_dense, self.slack + err),
+                   out=dist)
+        return count
 
 
 def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
-                        start: int, *, sparse=None, poll=None, counts=None):
+                        start: int, *, basis=None, poll=None, counts=None):
     """Select n_select points by farthest-point traversal from `start`.
 
     Returns (selected indices, radii): radii[i] is the distance of
@@ -520,93 +502,64 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     is called once before each selection after the first; when it returns
     a cap name the run stops and returns what it has selected so far.
     counts, if given, is a dict that receives the numbers of (row, center)
-    distances the run computes: "dense_evals" through _LqPasses on the
-    rows of `points`, "sparse_evals" through _SparsePasses on the sparse
-    rows and "replay_evals" through _exact_radii.
+    distances the run computes: "dense_evals" through the _LqPasses
+    kernel and "closed_form_evals" between basis rows.
 
-    Each center gets one _LqPasses pass over the rows of `points`, so
-    every row holds its distance to all centers so far and the argmax is
-    the greedy traversal's pick (Gonzalez, Theoret. Comput. Sci. 38,
-    1985).  At q = 2 the pass's Gram filter recomputes only the rows whose
-    distance may fall.
+    Each center gets one pass over the rows, so every row holds its
+    distance to all centers so far and the argmax is the greedy
+    traversal's pick, which needs nothing but pairwise distances
+    (Gonzalez, Theoret. Comput. Sci. 38, 1985).  Over `points` alone a
+    pass is one _LqPasses pass (at q = 2 its Gram filter recomputes only
+    the rows whose distance may fall), and the radii are the kernel's
+    distances, nonincreasing.
 
-    sparse, if given, is a (starts, indices, data) triple of rows as wide
-    as `points` and stored sparsely (see _SparsePasses).  They come first:
-    index j < n_sparse is sparse row j and n_sparse + i is points[i].
-    Every center is copied into one dense buffer, a selected sparse row
-    scattered into it, and every sparse row gets a pass per center.  The
-    sparse rows' distances round differently, so rows that tie in exact
-    arithmetic can break either way, and a selected sparse row's own
-    distance is set to 0 (a dense row keeps its computed one, NaN for a
-    row holding a NaN).  When there are sparse rows, every radius is still
-    made an exact-kernel value: after the traversal, radius k is replayed
-    as min over i < k of the _LqPasses distance from center k to center
-    i.  (A dense row's distance is that value already unless `points` has
-    a single row, which einsum reduces on its own.)  Radii then need not
-    be nonincreasing; their running minimum is the least pairwise distance
-    of the centers so far.  Without sparse rows they are nonincreasing.
+    basis, if given, is (tree, u, w, vs): the images S e_v of the
+    vertices vs (see _BasisRows), as wide as `points` and indexed first
+    (j < len(vs) is basis row j, len(vs) + i is points[i]).  Basis pairs
+    take the closed form, O(1) each; a pair with a row of `points` takes
+    the _LqPasses kernel, its basis row built through summation.apply
+    (one _block_rows block at a time when the center is a row of
+    `points`).  Every distance held, so every radius, is then a certified
+    lower bound of the exact one (_BasisRows.lower and .fold); rounded
+    per pair, the radii need not be nonincreasing, and their running
+    minimum bounds the centers' least pairwise distance from below.
     """
-    n_sparse = 0 if sparse is None else len(sparse[0]) - 1
-    dist = np.full(n_sparse + points.shape[0], np.inf)
-    dense = dist[n_sparse:]
-    centers = np.zeros((max(n_select, 1), points.shape[1]))
-    evals = dict.fromkeys(("dense_evals", "sparse_evals", "replay_evals"), 0)
+    rows = None if basis is None else _BasisRows(*basis, q)
+    n_basis = 0 if rows is None else rows.vs.size
+    dist = np.full(n_basis + points.shape[0], np.inf)
+    held, dense = dist[:n_basis], dist[n_basis:]
+    lq_pass = _LqPasses(points, q)
+    evals = {"dense_evals": 0, "closed_form_evals": 0}
     selected = []
     radii = []
     c = start
-    with _LqPasses(points, q) as lq_pass:
-        if sparse is not None:
-            sparse_pass = _SparsePasses(*sparse, q, points.shape[1])
-        while True:
-            center = centers[len(selected)]
-            selected.append(c)
-            if c < n_sparse:
-                sparse_pass.row(c, center)
-            else:
-                center[:] = points[c - n_sparse]
-            if n_sparse:
-                sparse_pass(center, dist[:n_sparse])
-                evals["sparse_evals"] += n_sparse
-            evals["dense_evals"] += lq_pass(center, dense)
-            if c < n_sparse:
-                # the sparse arithmetic leaves a center's own row near
-                # 0, not at it, and that row must not be picked again
-                dist[c] = 0.0
-            if len(selected) >= n_select or (poll is not None
-                                             and poll() is not None):
-                break
-            c = int(np.argmax(dist))
-            radii.append(float(dist[c]))
-    del lq_pass  # its scratch goes before the replay takes its own
-    if n_sparse and len(selected) > 1:
-        radii = _exact_radii(centers[:len(selected)], q)
-        evals["replay_evals"] += len(radii) * (len(radii) + 1) // 2
+    while True:
+        selected.append(c)
+        if rows is None:
+            evals["dense_evals"] += lq_pass(points[c], dense)
+        elif c < n_basis:
+            np.minimum(held, rows.lower(c), out=held)
+            evals["closed_form_evals"] += n_basis
+            if dense.size:
+                evals["dense_evals"] += rows.fold(
+                    lq_pass, rows.dense([c])[0], dense, rows.err[c])
+        else:
+            center = points[c - n_basis]
+            evals["dense_evals"] += rows.fold(lq_pass, center, dense, 0.0)
+            step = _block_rows(points.shape[1])
+            for s in range(0, n_basis, step):
+                ids = np.arange(s, min(s + step, n_basis))
+                evals["dense_evals"] += rows.fold(
+                    _LqPasses(rows.dense(ids), q), center,
+                    held[s:s + step], rows.err[ids])
+        if len(selected) >= n_select or (poll is not None
+                                         and poll() is not None):
+            break
+        c = int(np.argmax(dist))
+        radii.append(float(dist[c]))
     if counts is not None:
         counts.update(evals)
     return selected, radii
-
-
-def _exact_radii(centers: np.ndarray, q: float) -> list:
-    """[min over i < k of the _LqPasses distance from centers[k] to
-    centers[i] for k >= 1], from one _LqPasses over the centers: row k
-    is paired with each earlier center, at most about _REPLAY_PAIRS
-    pairs at once.  The pool has at least 2 rows, so no block reduces a lone
-    row, which einsum rounds differently for wide rows; and the kernel is
-    symmetric in its two vectors, since |fl(a - b)| = |fl(b - a)|."""
-    n = centers.shape[0]
-    radii = np.full(n, np.inf)
-    with _LqPasses(centers, q) as lq_pass:
-        k = 1
-        while k < n:
-            # rows k .. stop - 1 hold k + (k + 1) + ... + (stop - 1) pairs
-            stop = min(n, max(k + 1, math.isqrt(k * k + 2 * _REPLAY_PAIRS)))
-            ks = np.arange(k, stop)
-            rows = np.repeat(ks, ks)
-            ends = np.cumsum(ks)
-            cols = np.arange(ends[-1]) - np.repeat(ends - ks, ks)
-            lq_pass.pairs(rows, cols, centers, radii)
-            k = stop
-    return radii[1:].tolist()
 
 
 def _sampled_images(matrix, p: float, ks, samples: int, seed: int):
@@ -631,8 +584,9 @@ def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None,
     feasible = [k for k in ks if 2 ** (k - 1) < points.shape[0]]
     values = {k: 0.0 for k in ks}
     if feasible:
-        centroid = points.mean(axis=0)
-        start = int(np.argmin(_lq_dist(points, centroid, q)))
+        dist = np.full(points.shape[0], np.inf)
+        _LqPasses(points, q)(points.mean(axis=0), dist)
+        start = int(np.argmin(dist))
         _, radii = _farthest_point_run(points, q,
                                        2 ** (feasible[-1] - 1) + 1,
                                        start=start, poll=poll,

@@ -46,7 +46,6 @@ from .summation import (
     WeightScheme,
     _require_critical,
     apply,
-    basis_images,
     hardy_bound,
     norm_oracle,
     weights_for_tree,
@@ -253,9 +252,9 @@ def _run_schuett_regimes(params, seed, budget):
 
 
 def _run_partition_stress(params, seed, budget):
-    n_trees = int(params["n_trees"])
-    max_vertices = int(params["max_vertices"])
-    k = int(params["max_branching"])
+    n_trees = _count(params, "n_trees", 1)
+    max_vertices = _count(params, "max_vertices", 2)
+    k = _count(params, "max_branching", 1)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x70617274]))
 
     rows = []
@@ -325,7 +324,8 @@ def _run_partition_stress(params, seed, budget):
 
 def _run_hardy_consistency(params, seed, budget):
     js = [int(j) for j in params["j_values"]]
-    height = int(params["height"])
+    height = _count(params, "height", 0)
+    restarts = _count(params, "restarts", 0)
     p, q = float(params["p"]), float(params["q"])
     m = int(params["m_star"])
     h, scheme = _critical_pack("power", params)
@@ -342,7 +342,7 @@ def _run_hardy_consistency(params, seed, budget):
                                   start_depth=j)
         u, w = weights_for_tree(scheme, tree, start_depth=j)
         est = norm_oracle(tree, u, w, p, q,
-                          {"restarts": int(params["restarts"]),
+                          {"restarts": restarts,
                            "seed": seed + idx}, poll=budget.exceeded)
         hb = hardy_bound(scheme, h, p, q, j)
         # an oracle stopped by a cap still brackets the norm: keep its row;
@@ -365,10 +365,9 @@ def _run_hardy_consistency(params, seed, budget):
     return rows, extra
 
 
-def _basis_images(tree, u, w, per_level_cap, seed):
-    """Images of stratified basis vectors, at most per_level_cap per depth
-    level, as sparse rows (see summation.basis_images), so deep and
-    shallow directions both appear among the witnesses."""
+def _basis_vertices(tree, per_level_cap, seed):
+    """Stratified basis vertices, at most per_level_cap per depth level, so
+    deep and shallow directions both appear among the witnesses."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
     per_level = []
     for d in range(tree.height + 1):
@@ -376,7 +375,7 @@ def _basis_images(tree, u, w, per_level_cap, seed):
         if ids.size > per_level_cap:
             ids = np.sort(rng.choice(ids, per_level_cap, replace=False))
         per_level.append(ids)
-    return basis_images(tree, u, w, np.concatenate(per_level))
+    return np.concatenate(per_level)
 
 
 def _witness_pool(tree, u, w, p, samples, seed, poll=None):
@@ -429,11 +428,13 @@ def _run_critical_scaling(kind, params, seed, budget):
     """Packing lower bounds and certificates for e_n, n_min <= n <= n_max,
     of a power or log critical pack.
 
-    The packing's witnesses are the stratified basis images (sparse rows)
-    and `samples` sphere-sample images (dense rows, which get a distance
-    pass per center).  Any finite subset of S(B_p) certifies a packing
-    bound (Carl & Stephani 1990), so the default of no samples packs the
-    basis images alone; the seed then only picks the basis columns of
+    The packing's witnesses are the stratified basis images S e_v, kept
+    in closed form (entropy._BasisRows), and `samples` sphere-sample
+    images (dense rows, which get a distance pass per center).  Any
+    finite subset of S(B_p) certifies a packing bound (Carl & Stephani
+    1990), so the default of no samples packs the basis images alone:
+    every distance then comes from the closed form, rounded down to a
+    certified lower bound, and the seed only picks the basis columns of
     the levels wider than per_level_cap.  The counts, (p, q) and the pack
     are validated before the tree is built.
     """
@@ -455,12 +456,11 @@ def _run_critical_scaling(kind, params, seed, budget):
     lows = {}
     counters = {}
     if budget.exceeded() is None:
-        basis = _basis_images(tree, u, w, per_level_cap, seed)
-        n_basis = basis[0].size - 1
+        vs = _basis_vertices(tree, per_level_cap, seed)
         n_sel = 2 ** (n_max - 1) + 1
-        if n_sel > n_basis + samples:
+        if n_sel > vs.size + samples:
             raise ValueError(
-                f"witness pool has {n_basis} basis and {samples} sample "
+                f"witness pool has {vs.size} basis and {samples} sample "
                 f"points, packing at n={n_max} needs {n_sel}; raise "
                 f"per_level_cap or samples")
         pool = _witness_pool(tree, u, w, p, samples, seed,
@@ -468,7 +468,8 @@ def _run_critical_scaling(kind, params, seed, budget):
         # polls are monotone: a cap that stopped the build trips this one
         if budget.exceeded() is None:
             _, radii = _farthest_point_run(pool, q, n_sel, start=0,
-                                           sparse=basis, poll=budget.exceeded,
+                                           basis=(tree, u, w, vs),
+                                           poll=budget.exceeded,
                                            counts=counters)
             # the first 2^(n-1) + 1 centers lie pairwise at least the
             # running minimum of their radii apart; a cap stops the
@@ -503,9 +504,11 @@ def _run_critical_scaling(kind, params, seed, budget):
 
 
 def _run_certificate_growth(params, seed, budget):
+    depth = _count(params, "depth", 0)
+    arity = _count(params, "arity", 1)
     p, q = float(params["p"]), float(params["q"])
     h, scheme = _critical_pack("power", params)
-    tree = full_tree(int(params["arity"]), int(params["depth"]))
+    tree = full_tree(arity, depth)
     expo = 1.0 / q - 1.0 / p
 
     uppers, extra, checks = _certificate_sweep(
@@ -533,9 +536,11 @@ def _run_kuhn_consistency(params, seed, budget):
     expo = 1.0 / p - 1.0 / q
     phi = lambda t: math.log(2.0 + t) ** expo
 
+    n_min = _count(params, "n_min", 0)
+    n_max = _count(params, "n_max", n_min)
     rows = []
     worst = 0.0
-    for n in range(int(params["n_min"]), int(params["n_max"]) + 1):
+    for n in range(n_min, n_max + 1):
         if budget.exceeded() is not None:
             break
         got = kuhn_value(n, p, q, phi)

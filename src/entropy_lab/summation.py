@@ -259,22 +259,6 @@ def apply_adjoint(tree: Tree, u, w, g):
     return _scale_rows(u, acc, out=acc)
 
 
-def basis_images(tree: Tree, u, w, vs):
-    """The images S e_v of the vertices vs as sparse rows (starts, ids,
-    data): row i is data[starts[i]:starts[i + 1]] at the vertices
-    ids[starts[i]:starts[i + 1]], and zero elsewhere.
-
-    S e_v is u_v w on the subtree of v and zero off it, so the rows cost
-    one Tree.subtrees sweep plus their total size.  Each entry w_x u_v is
-    the one apply(tree, u, w, e_v) computes, bit for bit: apply adds u_v
-    to zeros down the root path, then scales by w.
-    """
-    vs = np.asarray(vs, dtype=np.int64)
-    starts, ids = tree.subtrees(vs)
-    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
-    return starts, ids, w[ids] * np.repeat(u[vs], np.diff(starts))
-
-
 def operator_matrix(tree: Tree, u, w) -> np.ndarray:
     """Dense matrix of S (row xi, column xi'); for small trees and tests."""
     cols = apply(tree, u, w, np.eye(tree.n))

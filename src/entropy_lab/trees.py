@@ -163,18 +163,14 @@ class Tree:
         s = self.level_slice(d)
         return np.arange(s.start, s.stop, dtype=np.int64)
 
-    def subtrees(self, vs) -> tuple:
-        """The subtrees of the vertices vs as one (starts, ids) pair:
-        ids[starts[i]:starts[i + 1]] holds vs[i] and all its descendants,
-        in preorder, vs[i] first.
-
-        One sweep of the level plan, deepest level first, sums the subtree
-        sizes; one more, root first, places every vertex in preorder after
-        its parent and its earlier siblings' subtrees.  Each subtree is then
-        a contiguous preorder range, so all of them cost O(|V| log |V|)
-        plus their total size.
+    def preorder(self) -> tuple:
+        """(pre, size): each vertex's preorder rank (children in id order)
+        and its subtree's size, so the subtree of v holds the ranks pre[v]
+        to pre[v] + size[v] - 1, and one subtree lies in another exactly
+        when its range does.  One sweep of the level plan, deepest level
+        first, sums the sizes; one more, root first, places every vertex
+        after its parent and its earlier siblings' subtrees.
         """
-        vs = np.asarray(vs, dtype=np.int64)
         levels = self.levels()
         size = np.ones(self.n, dtype=np.int64)
         for level in levels[:0:-1]:
@@ -192,12 +188,7 @@ class Tree:
         pre = np.zeros(self.n, dtype=np.int64)
         for level in levels[1:]:
             pre[level.ids] = pre[level.parent] + 1 + offset[level.ids]
-        by_pre = np.empty(self.n, dtype=np.int64)
-        by_pre[pre] = np.arange(self.n)
-        counts = size[vs]
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        at = np.arange(starts[-1]) + np.repeat(pre[vs] - starts[:-1], counts)
-        return starts, by_pre[at]
+        return pre, size
 
     # -- serialization ---------------------------------------------------
 

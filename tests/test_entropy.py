@@ -1,5 +1,6 @@
 import math
 import threading
+from fractions import Fraction
 import warnings
 from unittest import mock
 
@@ -14,7 +15,6 @@ from entropy_lab.entropy import (
     EntropyEstimate,
     _farthest_point_run,
     _cover_radii,
-    _lq_dist,
     combine_scale,
     combine_sum,
     cover_profile,
@@ -26,12 +26,6 @@ from entropy_lab.entropy import (
     sample_lp_sphere,
     schuett,
     volumetric_lower,
-)
-from entropy_lab.summation import (
-    WeightScheme,
-    apply,
-    basis_images,
-    weights_for_tree,
 )
 from entropy_lab.trees import full_tree
 
@@ -345,9 +339,9 @@ def _assert_matches_reference(points, q, n_select, start):
     # NaN rows give NaN distances, which compare equal here
     assert sel == ref_sel
     assert np.array_equal(radii, ref_radii, equal_nan=True)
-    centroid = points.mean(axis=0)
-    assert np.array_equal(_lq_dist(points, centroid, q),
-                          _reference_lq_dist(points, centroid, q),
+    centroid, dist = points.mean(axis=0), np.full(points.shape[0], np.inf)
+    entropy._LqPasses(points, q)(centroid, dist)
+    assert np.array_equal(dist, _reference_lq_dist(points, centroid, q),
                           equal_nan=True)
 
 
@@ -363,17 +357,17 @@ def _assert_matches_reference(points, q, n_select, start):
 @given(n=st.integers(1, 40), m=st.sampled_from([1, 3, 32, 9000]),
        distinct=st.integers(1, 40), grid=st.booleans(),
        q=st.sampled_from([1.5, 2.0, 3.0, 4.0, math.inf]),
-       block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3, 5]),
+       block_rows=st.integers(0, 7),
        warp=st.sampled_from([(1.0, 0.0, None), (1e150, 0.0, None),
                              (1e-150, 0.0, None), (1e153, 0.0, None),
                              (1.0, 1e3, None), (1.0, 0.0, math.nan),
                              (1.0, 0.0, math.inf), (1.0, 0.0, -math.inf)]),
        seed=st.integers(0, 2 ** 32 - 1))
 # rows that tie in distance, where the lowest index must win
-@example(n=5, m=1, distinct=16, grid=True, q=1.5, block_rows=0, cpus=1,
+@example(n=5, m=1, distinct=16, grid=True, q=1.5, block_rows=0,
          warp=(1.0, 0.0, None), seed=0)
 def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, grid,
-                                                      q, block_rows, cpus,
+                                                      q, block_rows,
                                                       warp, seed):
     # block_rows = 0 makes the block narrower than one row; rows drawn
     # from a few distinct points make ties that must break to the lowest
@@ -391,7 +385,6 @@ def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, grid,
         points[rng.integers(0, n), rng.integers(0, m)] = bad
     block_bytes = max(1, 8 * m * block_rows)
     with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(entropy, "_cpu_count", lambda: cpus), \
             np.errstate(invalid="ignore", over="ignore"):
         _assert_matches_reference(points, q, min(n, 12), int(seed % n))
 
@@ -410,15 +403,15 @@ def test_gram_filter_bound_is_below_the_exact_distance():
             # near-duplicates: one ulp apart in one coordinate
             points[20:30] = points[:10]
             points[20:30, 0] = np.nextafter(points[20:30, 0], np.inf)
-            with entropy._LqPasses(points, 2.0) as lq_pass:
-                for c in (0, 5, 20, 39):
-                    exact = _reference_lq_dist(points, points[c], 2.0)
-                    lq_pass._candidates(points[c], np.zeros(40))
-                    assert np.all(lq_pass.lo <= exact)
-                    if big == 0.0:
-                        far = exact > 1e-6  # no near-duplicate of c
-                        assert np.all(lq_pass.lo[far]
-                                      >= exact[far] * (1 - 1e-9))
+            lq_pass = entropy._LqPasses(points, 2.0)
+            for c in (0, 5, 20, 39):
+                exact = _reference_lq_dist(points, points[c], 2.0)
+                lq_pass._candidates(points[c], np.zeros(40))
+                assert np.all(lq_pass.lo <= exact)
+                if big == 0.0:
+                    far = exact > 1e-6  # no near-duplicate of c
+                    assert np.all(lq_pass.lo[far]
+                                  >= exact[far] * (1 - 1e-9))
 
 
 @pytest.mark.parametrize("q", [2.0, 4.0])
@@ -430,20 +423,18 @@ def test_traversal_rows_wider_than_a_block(q):
     _assert_matches_reference(points, q, 5, 0)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("q", [2.0, 3.0, 4.0, math.inf])
-def test_traversal_threads_follow_the_callers_errstate(q, cpus):
+def test_traversal_threads_follow_the_callers_errstate(q):
     # two blocks of 2048 rows; the start row holds an inf, so its x - c is
-    # inf - inf, and with 2 CPUs a worker thread runs the block it is in
+    # inf - inf in the second block
     points = np.random.default_rng(5).standard_normal((4000, 64))
     points[3500, 0] = np.inf
     assert entropy._block_rows(64) == 2048
-    with mock.patch.object(entropy, "_cpu_count", lambda: cpus):
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("error")
-            _farthest_point_run(points, q, 3, 3500)
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            _farthest_point_run(points, q, 3, 3500)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        _farthest_point_run(points, q, 3, 3500)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        _farthest_point_run(points, q, 3, 3500)
 
 
 def test_traversal_on_many_blocks_and_threads():
@@ -515,152 +506,182 @@ def test_cover_radii_match_separate_traversals(n, m, distinct, q, ks, seed):
                                                           2 ** (k - 1))
 
 
-# -- sparse rows in the traversal ----------------------------------------------
+# -- basis rows in closed form -------------------------------------------------
 
 
-def _materialize(sparse, width):
-    starts, indices, data = sparse
-    rows = np.zeros((starts.size - 1, width))
-    for r in range(starts.size - 1):
-        rows[r, indices[starts[r]:starts[r + 1]]] = data[starts[r]:starts[r + 1]]
-    return rows
-
-
-def _close_in_qth_power(got, ref, rows, centers, q, rtol):
-    """|got^q - ref^q| <= rtol (||row||_q^q + max ||center||_q^q): how
-    close the sparse arithmetic comes, whatever the distance."""
-    scale = (np.sum(np.abs(rows) ** q, axis=1)
-             + np.max(np.sum(np.abs(centers) ** q, axis=1)))
-    return bool(np.all(np.abs(got ** q - ref ** q) <= rtol * scale))
-
-
-@settings(max_examples=100, deadline=None)
-@given(tree=trees(), q=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
-       own_row=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_sparse_distances_match_the_dense_kernel(tree, q, own_row, seed):
-    # basis images of a random tree and weights against a sample image or
-    # one of the rows itself (distance 0, where only the norm-relative
-    # error is small); entries already below the distance keep their bits
+def _basis_weights(tree, spread, seed):
+    """Signed u, w with |u_v| growing and |w_v| shrinking by `spread` per
+    level, as in the critical packs: images stay bounded while |u|^q and
+    the subtree sums W span many binades, so a margin scaled by the wrong
+    term shows."""
     rng = np.random.default_rng(seed)
-    u, w = rng.uniform(0.1, 2.0, tree.n), rng.uniform(0.1, 2.0, tree.n)
-    vs = rng.integers(0, tree.n, 20)
-    sparse = basis_images(tree, u, w, vs)
-    rows = _materialize(sparse, tree.n)
-    center = (rows[int(rng.integers(0, vs.size))].copy() if own_row
-              else apply(tree, u, w, rng.standard_normal(tree.n)))
-    ref = _reference_lq_dist(rows, center, q)
-    dist = np.full(vs.size, np.inf)
-    dist[::2] = ref[::2] / 2.0
-    entropy._SparsePasses(*sparse, q, tree.n)(center, dist)
-    assert np.array_equal(dist[::2], ref[::2] / 2.0)
-    assert _close_in_qth_power(dist[1::2], ref[1::2], rows[1::2],
-                               center[None], q, 1e-12)
-    far = ref[1::2] ** q >= 1e-2 * np.sum(np.abs(center) ** q)
-    assert np.allclose(dist[1::2][far], ref[1::2][far], rtol=1e-12, atol=0)
+    signs = rng.choice([-1.0, 1.0], (2, tree.n))
+    scale = spread ** tree.depth.astype(float)
+    return (signs[0] * rng.uniform(0.1, 2.0, tree.n) * scale,
+            signs[1] * rng.uniform(0.1, 2.0, tree.n) / scale)
 
 
-def _random_sparse(rng, n, m):
-    """n sparse rows of width m; only row 0 may be empty, so no two rows
-    are equal."""
-    counts = rng.integers(1, m + 1, n)
-    if n and rng.random() < 0.5:
-        counts[0] = 0
-    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    indices = np.concatenate(
-        [rng.choice(m, c, replace=False) for c in counts] + [np.empty(0)])
-    return (starts, indices.astype(np.int64),
-            rng.standard_normal(starts[-1]) * 10.0 ** rng.integers(-3, 4))
+def _exact_images(tree, u, w, vs):
+    """S e_v exactly, as {vertex: Fraction} over the subtree of v, found by
+    walking each vertex's root path."""
+    out = []
+    for v in vs:
+        image = {}
+        for x in range(tree.n):
+            y = x
+            while y > v:
+                y = int(tree.parent[y])
+            if y == v:
+                image[x] = Fraction(float(u[v])) * Fraction(float(w[x]))
+        out.append(image)
+    return out
 
 
-@settings(max_examples=120, deadline=None)
-@given(n_sparse=st.integers(0, 25), n_dense=st.integers(0, 25),
-       m=st.sampled_from([2, 5, 40, 9000]),
+def _qth_power_sum(a, b, q):
+    """(lo, hi) Fractions around sum |a_x - b_x|^q over dicts a, b; q is
+    a whole number or 1.5, whose |v| sqrt(|v|) is bracketed to 2^-100."""
+    lo = hi = Fraction(0)
+    for x in a.keys() | b.keys():
+        v = abs(a.get(x, 0) - b.get(x, 0))
+        if q == 1.5:
+            n, d = v.numerator, v.denominator
+            root = math.isqrt(n * d << 200)
+            lo += v * Fraction(root, d << 100)
+            hi += v * Fraction(root + 1, d << 100)
+        else:
+            lo += v ** int(q)
+            hi = lo
+    return lo, hi
+
+
+def _assert_brackets(r, lo, hi, q, rtol=1e-12):
+    """0 <= r <= d and r >= d (1 - rtol), for d^q in [lo, hi]."""
+    a, b = Fraction(q).as_integer_ratio()
+    r = Fraction(r)
+    assert r >= 0 and r ** a <= lo ** b
+    assert r ** a >= (1 - Fraction(rtol)) ** a * hi ** b
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=trees(max_n=20), q=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+       spread=st.sampled_from([1.0, 10.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_distances_bracket_the_exact_ones(tree, q, spread, seed):
+    # every vertex, and some twice; each pair's rounded closed form must
+    # lie at or below the exact distance of the exact images, and within
+    # 1e-12 of it
+    u, w = _basis_weights(tree, spread, seed)
+    vs = np.concatenate([np.arange(tree.n),
+                         np.random.default_rng(seed).integers(0, tree.n, 3)])
+    rows = entropy._BasisRows(tree, u, w, vs, q)
+    images = _exact_images(tree, u, w, vs)
+    for c in range(vs.size):
+        got = rows.lower(c)
+        for r in range(vs.size):
+            _assert_brackets(got[r], *_qth_power_sum(images[r], images[c], q),
+                             q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree=trees(max_n=16), n_dense=st.integers(0, 25),
        q=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
-       block_rows=st.integers(0, 7), cpus=st.sampled_from([1, 2, 3]),
-       dense_exp=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
-@example(n_sparse=18, n_dense=1, m=9000, q=2.0, block_rows=0, cpus=1,
-         dense_exp=0, seed=7)
-@example(n_sparse=6, n_dense=6, m=40, q=4.0, block_rows=1, cpus=2,
+       spread=st.sampled_from([1.0, 10.0, 1e3]),
+       block_rows=st.integers(0, 7), dense_exp=st.integers(-3, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(tree=full_tree(2, 3), n_dense=6, q=4.0, spread=1.0, block_rows=1,
          dense_exp=3, seed=0)
-def test_sparse_traversal_matches_the_reference_on_the_materialized_pool(
-        n_sparse, n_dense, m, q, block_rows, cpus, dense_exp, seed):
-    # continuous random rows leave no ties, so the selections agree, and
-    # every radius is the exact kernel's, bit for bit; large dense rows
-    # make one of them the first step's argmax (in the second example,
-    # which starts from a sparse row)
-    n = n_sparse + n_dense
-    if n == 0:
-        return
+def test_mixed_pool_traversal_matches_the_exact_reference(
+        tree, n_dense, q, spread, block_rows, dense_exp, seed):
+    # basis rows in closed form plus dense rows, against a brute-force
+    # traversal over the exact pool: every radius at or below the exact
+    # distance of its center from the earlier ones and within 1e-12 of
+    # it, and the same pick wherever the exact leader is not within
+    # 2e-12 of the runner-up (large dense rows make one of them the first
+    # pick in the example, which starts from a basis row)
     rng = np.random.default_rng(seed)
-    sparse = _random_sparse(rng, n_sparse, m)
-    dense = rng.standard_normal((n_dense, m)) * 10.0 ** dense_exp
-    pool = np.concatenate([_materialize(sparse, m), dense])
-    n_select, start = min(n, 12), int(seed % n)
+    u, w = _basis_weights(tree, spread, seed)
+    vs = rng.permutation(tree.n)[:int(rng.integers(1, tree.n + 1))]
+    dense = rng.standard_normal((n_dense, tree.n)) * 10.0 ** dense_exp
+    pool = _exact_images(tree, u, w, vs) + [
+        {x: Fraction(float(v)) for x, v in enumerate(row)} for row in dense]
+    n_select, start = min(len(pool), 12), int(seed % len(pool))
     with mock.patch.object(entropy, "_BLOCK_BYTES",
-                           max(1, 8 * m * block_rows)), \
-            mock.patch.object(entropy, "_cpu_count", lambda: cpus):
+                           max(1, 8 * tree.n * block_rows)):
         sel, radii = _farthest_point_run(dense, q, n_select, start,
-                                         sparse=sparse)
-    ref_sel, ref_radii, _ = _reference_farthest_point_run(
-        pool, q, n_select, start)
-    assert sel == ref_sel
-    assert np.array_equal(radii, ref_radii)
+                                         basis=(tree, u, w, vs))
+    assert sel[0] == start and len(radii) == n_select - 1
+    held = [(math.inf, math.inf)] * len(pool)
+    same_path = True
+    for k in range(1, n_select):
+        held = [min(h, _qth_power_sum(row, pool[sel[k - 1]], q))
+                for h, row in zip(held, pool)]
+        _assert_brackets(radii[k - 1], *held[sel[k]], q)
+        order = sorted(range(len(pool)), key=lambda i: -held[i][0])
+        lead, next_ = (float(held[i][0]) ** (1 / q) for i in order[:2])
+        same_path &= lead * (1 - 2e-12) > next_
+        if same_path:
+            assert sel[k] == order[0]
 
 
-@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
-def test_sparse_radii_are_the_exact_pairwise_distances_of_the_centers(q):
-    # depth-constant weights on a full tree make symmetric basis rows tie
-    # exactly, where the sparse arithmetic may break a tie another way;
-    # the radii must still be the exact kernel's distances of the centers
-    # selected, and their running minimum the least pairwise distance
-    tree = full_tree(2, 6)
-    scheme = WeightScheme("power-critical", kappa=1.0, alpha_u=0.125,
-                          alpha_w=0.125)
-    u, w = weights_for_tree(scheme, tree)
-    sparse = basis_images(tree, u, w, np.arange(tree.n))
-    samples = apply(tree, u, w, sample_lp_sphere(tree.n, 2.0, 40, 5).T).T
-    pool = np.concatenate([_materialize(sparse, tree.n), samples])
-    sel, radii = _farthest_point_run(samples, q, 65, 0, sparse=sparse)
-    assert len(set(sel)) == 65 and any(c < tree.n for c in sel[1:])
-    centers = pool[sel]
-    pair = np.array([_reference_lq_dist(centers, c, q) for c in centers])
-    for k in range(1, len(sel)):
-        assert radii[k - 1] == np.min(
-            _reference_lq_dist(centers[:k], centers[k], q))
-        assert np.minimum.accumulate(radii)[k - 1] == np.min(
-            pair[:k + 1, :k + 1][np.triu_indices(k + 1, 1)])
-
-
-@pytest.mark.parametrize("pairs", [1, 5, 40])
-@pytest.mark.parametrize("q", [2.0, 4.0])
-def test_radius_replay_in_small_chunks_matches_the_reference(q, pairs):
-    # the replay pairs each center with every earlier one, about
-    # _REPLAY_PAIRS pairs per call; how they are cut must not move a bit
-    centers = np.random.default_rng(8).standard_normal((30, 9))
-    ref = [float(np.min(_reference_lq_dist(centers[:k], centers[k], q)))
-           for k in range(1, 30)]
-    with mock.patch.object(entropy, "_REPLAY_PAIRS", pairs):
-        assert entropy._exact_radii(centers, q) == ref
-
-
-def test_a_selected_sparse_row_is_not_selected_again():
-    # the sparse distance of a large row to itself is only near 0, here
-    # above the distances of the small dense rows left to select
-    rng = np.random.default_rng(10)
-    sparse = (np.array([0, 0, 39]), rng.choice(40, 39, replace=False),
-              rng.standard_normal(39) * 100.0)
-    dense = rng.standard_normal((3, 40)) * 1e-3
-    pool = np.concatenate([_materialize(sparse, 40), dense])
+def test_a_dense_row_beside_a_basis_image_is_bounded_from_the_exact_image():
+    # the kernel sees the rounded image fl(u_v w_x): a dense row one ulp
+    # from it, towards the exact image, is nearer the exact image than the
+    # kernel's distance says, whichever of the two is the center
+    tree = full_tree(2, 0)
+    u, w = np.array([0.1]), np.array([0.3])
+    exact = Fraction(0.1) * Fraction(0.3)
+    image = float(u[0] * w[0])
+    assert Fraction(image) != exact
+    row = np.array([[math.nextafter(image, math.inf if exact > image
+                                    else -math.inf)]])
     for q in (1.5, 2.0, 4.0):
-        sel, radii = _farthest_point_run(dense, q, 5, 0, sparse=sparse)
-        ref_sel, ref_radii, _ = _reference_farthest_point_run(pool, q, 5, 0)
-        assert sel == ref_sel and radii == ref_radii
+        lo, _ = _qth_power_sum({0: Fraction(row[0, 0])}, {0: exact}, q)
+        a, b = Fraction(q).as_integer_ratio()
+        for start in (0, 1):
+            _, radii = _farthest_point_run(row, q, 2, start,
+                                           basis=(tree, u, w, [0]))
+            assert Fraction(radii[0]) ** a <= lo ** b
 
 
-def test_sparse_rows_need_a_finite_q():
-    sparse = (np.array([0, 1]), np.array([0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="finite q"):
-        _farthest_point_run(np.zeros((2, 3)), math.inf, 2, 0, sparse=sparse)
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 1e-300),
+                   st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0])),
+       k=st.integers(1, 2 ** 20), a=st.sampled_from([0.0, 5e-324, 1e-310, 1.0]))
+def test_round_down_is_below_the_widened_value(x, k, a):
+    # at most max(x / (1 + gamma_k) - a, 0), exactly, and not far below
+    gamma = Fraction(k, 2 ** 53 - k)
+    got = Fraction(float(entropy._round_down(x, k, a)))
+    bound = max(Fraction(x) / (1 + gamma) - Fraction(a), Fraction(0))
+    assert 0 <= got <= bound
+    assert got >= bound * (1 - 8 * gamma) - Fraction(4 * 5e-324 + 2e-16 * a)
+
+
+def test_closed_form_keeps_a_small_difference_of_large_subtree_sums():
+    # W_0 - W_1 = |w_0|^4 = 1e-8 beside W_1 = 2: two rounded sums would
+    # get the difference only to about u W_1 = 2e-16, 2e-8 relative
+    tree = full_tree(1, 2)
+    u, w = np.array([1.0, 1.0 + 2.0 ** -20, 1.0]), np.array([1e-2, 1.0, 1.0])
+    images = _exact_images(tree, u, w, [0, 1])
+    got = entropy._BasisRows(tree, u, w, [0, 1], 4.0).lower(1)[0]
+    _assert_brackets(got, *_qth_power_sum(images[0], images[1], 4.0), 4.0)
+
+
+@pytest.mark.parametrize("u0, w0", [(1e80, 1.0), (1.0, math.nan)])
+def test_basis_rows_past_float_range_are_refused(u0, w0):
+    # (2 max |u_v|)^q sum |w_x|^q must stay below 2^1000, and NaN fails it
+    tree = full_tree(2, 1)
+    u, w = np.ones(tree.n), np.ones(tree.n)
+    u[0], w[2] = u0, w0
+    with pytest.raises(ValueError, match="too large for float64"):
+        entropy._BasisRows(tree, u, w, np.arange(tree.n), 4.0)
+
+
+def test_basis_rows_need_a_finite_q_of_at_least_1():
+    tree = full_tree(2, 2)
+    basis = (tree, np.ones(tree.n), np.ones(tree.n), np.arange(tree.n))
+    for q in (math.inf, 0.5):
+        with pytest.raises(ValueError, match="finite q >= 1"):
+            _farthest_point_run(np.zeros((2, tree.n)), q, 2, 0, basis=basis)
 
 
 # -- packing lower bound ------------------------------------------------------

@@ -21,7 +21,7 @@ from entropy_lab.experiments import (
     ResourceBudget,
     Row,
     _EXPERIMENTS,
-    _basis_images,
+    _basis_vertices,
     _witness_pool,
     fit_slope,
     rows_to_csv,
@@ -320,11 +320,24 @@ def test_critical_scaling_pool_counts_basis_and_sample_rows(tmp_path):
      "need 1 < p <= q < inf, got p=2.0, q=1.5"),
     ("critical_scaling_log", {"q": 1.5},
      "need 1 < p <= q < inf, got p=2.0, q=1.5"),
+    ("partition_stress", {"n_trees": 0}, "n_trees must be >= 1, got 0"),
+    ("partition_stress", {"max_vertices": 1},
+     "max_vertices must be >= 2, got 1"),
+    ("partition_stress", {"max_branching": 0},
+     "max_branching must be >= 1, got 0"),
+    ("kuhn_consistency", {"n_min": 5, "n_max": 2},
+     "n_max must be >= 5, got 2"),
+    ("kuhn_consistency", {"n_min": -1}, "n_min must be >= 0, got -1"),
+    ("hardy_consistency", {"height": -1}, "height must be >= 0, got -1"),
+    ("hardy_consistency", {"restarts": -3}, "restarts must be >= 0, got -3"),
+    ("certificate_growth", {"depth": -1}, "depth must be >= 0, got -1"),
+    ("certificate_growth", {"arity": 0}, "arity must be >= 1, got 0"),
 ])
 def test_count_params_below_their_least_value_are_named(
         tmp_path, monkeypatch, name, params, message):
     built = []
-    for builder in ("full_tree", "generate_hset_tree", "cover_profile"):
+    for builder in ("full_tree", "generate_hset_tree", "random_tree",
+                    "cover_profile", "kuhn_value"):
         monkeypatch.setattr(experiments, builder,
                             lambda *a, **k: built.append(1))
     with pytest.raises(ValueError, match=message):
@@ -338,34 +351,38 @@ def test_count_params_below_their_least_value_are_named(
 @pytest.mark.parametrize("kind, depth", [("power", 7), ("log", 31)])
 def test_critical_scaling_manifest_counts_the_distance_evaluations(
         tmp_path, kind, depth):
-    # the sparse basis rows and the dense sample rows each get a pass per
-    # center; the counts stay out of the byte-stable summary
+    # a basis center reaches the basis rows through the closed form and
+    # the dense sample rows through the kernel; a sample center reaches
+    # both through the kernel; the counts stay out of the byte-stable
+    # summary
     params = {"depth": depth, "per_level_cap": 32, "samples": 256,
               "n_min": 3, "n_max": 6}
     n_basis = []
 
     def basis(*args):
-        out = _basis_images(*args)
-        n_basis.append(out[0].size - 1)
+        out = _basis_vertices(*args)
+        n_basis.append(out.size)
         return out
 
-    with mock.patch.object(experiments, "_basis_images", basis):
+    with mock.patch.object(experiments, "_basis_vertices", basis):
         res = run(ExperimentConfig(f"critical_scaling_{kind}",
                                    params=params, seed=0,
                                    output_dir=str(tmp_path)))
     assert res.passed
     counters = json.loads(Path(res.manifest_path).read_text())["counters"]
+    assert sorted(counters) == ["closed_form_evals", "dense_evals"]
     centers = 2 ** (6 - 1) + 1
-    assert counters["sparse_evals"] == centers * n_basis[0]
-    assert counters["dense_evals"] == centers * 256
-    assert counters["replay_evals"] == centers * (centers - 1) // 2
+    basis_centers, rest = divmod(counters["closed_form_evals"], n_basis[0])
+    assert rest == 0 and 0 < basis_centers <= centers
+    assert counters["dense_evals"] == \
+        centers * 256 + (centers - basis_centers) * n_basis[0]
     assert "counters" not in Path(res.summary_path).read_text()
 
 
 def test_critical_scaling_packs_with_the_running_minimum_radius(tmp_path):
-    # radii replayed exactly need not be nonincreasing; the first
+    # radii rounded down per pair need not be nonincreasing; the first
     # 2^(n-1) + 1 centers are only as far apart as the least radius so far
-    def traversal(points, q, n_select, start, *, sparse=None, poll=None,
+    def traversal(points, q, n_select, start, *, basis=None, poll=None,
                   counts=None):
         radii = [1.0] * (n_select - 1)
         radii[2] = 0.25
@@ -533,12 +550,11 @@ def _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed):
 
 
 def _built_pool(tree, u, w, p, samples, per_level_cap, seed):
-    """The witness pool as the critical-scaling runner builds it: sparse
-    basis rows, materialized here, ahead of the sample rows."""
-    starts, ids, data = _basis_images(tree, u, w, per_level_cap, seed)
-    basis = np.zeros((starts.size - 1, tree.n))
-    for r in range(starts.size - 1):
-        basis[r, ids[starts[r]:starts[r + 1]]] = data[starts[r]:starts[r + 1]]
+    """The witness pool as the critical-scaling runner builds it: the
+    basis rows, as the traversal builds them densely, ahead of the sample
+    rows."""
+    vs = _basis_vertices(tree, per_level_cap, seed)
+    basis = entropy._BasisRows(tree, u, w, vs, 2.0).dense(np.arange(vs.size))
     return basis, _witness_pool(tree, u, w, p, samples, seed)
 
 
@@ -620,25 +636,23 @@ def test_no_thread_outlives_a_witness_pool_build(monkeypatch, p):
 
 
 def test_witness_pool_peaks_near_its_own_size():
-    # numpy reports its buffers to tracemalloc: besides the sample rows
-    # and the basis rows' nonzeros, only block-sized scratch and a few
-    # nonzero- or vertex-sized temporaries may be live; a dense basis row
-    # block would hold over 30 times the nonzeros here
+    # numpy reports its buffers to tracemalloc: besides the sample rows,
+    # only block-sized scratch and a few vertex-sized temporaries may be
+    # live; the basis rows keep a few numbers each, where dense ones
+    # would take over 6 MB here
     tree = random_tree(1500, 3, seed=4)
     u, w = np.full(tree.n, 0.5), np.full(tree.n, 2.0)
     tracemalloc.start()
     try:
-        basis = _basis_images(tree, u, w, 64, 0)
+        vs = _basis_vertices(tree, 64, 0)
+        rows = entropy._BasisRows(tree, u, w, vs, 2.0)
         pool = _witness_pool(tree, u, w, 2.0, 1000, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    starts, ids, data = basis
-    assert pool.shape == (1000, tree.n) and starts.size - 1 > 500
-    assert (starts.size - 1) * tree.n >= 30 * ids.size
-    live = pool.nbytes + starts.nbytes + ids.nbytes + data.nbytes
-    assert peak - live <= 2 * data.nbytes + 16 * 8 * tree.n \
-        + 4 * entropy._BLOCK_BYTES
+    assert pool.shape == (1000, tree.n) and rows.vs.size > 500
+    assert rows.vs.size * tree.n * 8 > 6e6
+    assert peak - pool.nbytes <= 64 * 8 * tree.n + 4 * entropy._BLOCK_BYTES
 
 
 def test_certificate_growth_small(tmp_path):

@@ -17,7 +17,6 @@ from entropy_lab.summation import (
     _simplex_grid_upper,
     apply,
     apply_adjoint,
-    basis_images,
     hardy_bound,
     norm_oracle,
     operator_matrix,
@@ -316,25 +315,6 @@ def test_level_sweeps_cover_every_segment_shape():
             assert np.array_equal(apply_adjoint(tree, u, w, g),
                                   _ref_apply_adjoint(tree, u, w, g))
     assert shapes == {"unsorted", "pairs", "reduceat"}
-
-
-@settings(max_examples=150, deadline=None)
-@given(tree=trees(), seed=st.integers(0, 2 ** 32 - 1))
-def test_basis_images_are_the_columns_apply_computes(tree, seed):
-    # any vertices, repeated and out of order; the sparse rows scattered
-    # into zeros must be apply's columns bit for bit
-    rng = np.random.default_rng(seed)
-    u, w = rand_weights(tree.n, rng)
-    vs = rng.integers(0, tree.n, rng.integers(0, 2 * tree.n + 1))
-    starts, ids, data = basis_images(tree, u, w, vs)
-    basis = np.zeros((tree.n, vs.size))
-    basis[vs, np.arange(vs.size)] = 1.0
-    rows = np.zeros((vs.size, tree.n))
-    for i in range(vs.size):
-        rows[i, ids[starts[i]:starts[i + 1]]] = data[starts[i]:starts[i + 1]]
-    assert np.array_equal(rows, apply(tree, u, w, basis).T)
-    assert ids.size == starts[-1] == int(sum(
-        np.count_nonzero(rows[i] != 0) for i in range(vs.size)))
 
 
 def test_level_plan_is_cached_on_the_tree():

@@ -125,9 +125,9 @@ class TestConstruction:
 class TestStructureOps:
     def test_subtree_of_path(self):
         t = path_tree(6)
-        starts, ids = t.subtrees([3, 0, 5])
-        assert starts.tolist() == [0, 3, 9, 10]
-        assert ids.tolist() == [3, 4, 5, 0, 1, 2, 3, 4, 5, 5]
+        pre, size = t.preorder()
+        assert pre.tolist() == [0, 1, 2, 3, 4, 5]
+        assert size.tolist() == [6, 5, 4, 3, 2, 1]
 
     def test_json_roundtrip(self):
         t = full_tree(2, 3)
@@ -211,18 +211,14 @@ def _same(a, b):
 def test_level_walks_match_the_csr_walks_exactly(tree):
     ref = CsrReference(tree)
     assert _same(tree.n_children(), ref.n_children())
-    # every vertex, with repeats, in one subtrees sweep
-    vs = np.concatenate([np.arange(tree.n), np.arange(tree.n)[::-2]])
-    starts, ids = tree.subtrees(vs)
-    assert starts[0] == 0 and starts[-1] == ids.size
-    for i, v in enumerate(vs):
-        row = ids[starts[i]:starts[i + 1]]
-        # preorder: v first, each vertex after its parent
-        assert row[0] == v
-        pos = {int(x): j for j, x in enumerate(row)}
-        assert all(pos[int(tree.parent[x])] < j
-                   for j, x in enumerate(row) if j)
-        assert _same(np.sort(row), ref.subtree(v))
+    # every subtree is the range of preorder ranks its root opens
+    pre, size = tree.preorder()
+    assert _same(np.sort(pre), np.arange(tree.n))
+    # preorder: each vertex after its parent
+    assert np.all(pre[1:] > pre[tree.parent[1:]])
+    for v in range(tree.n):
+        inside = (pre >= pre[v]) & (pre < pre[v] + size[v])
+        assert _same(np.flatnonzero(inside), ref.subtree(v))
 
 
 class TestRandomTree:
