@@ -370,8 +370,8 @@ def _basis_vertices(tree, per_level_cap, seed):
     deep and shallow directions both appear among the witnesses."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
     per_level = []
-    for d in range(tree.height + 1):
-        ids = tree.level(d)
+    for level in tree.levels():
+        ids = np.arange(level.ids.start, level.ids.stop)
         if ids.size > per_level_cap:
             ids = np.sort(rng.choice(ids, per_level_cap, replace=False))
         per_level.append(ids)
@@ -445,11 +445,12 @@ def _run_critical_scaling(kind, params, seed, budget):
     p, q = float(params["p"]), float(params["q"])
     h, scheme = _critical_pack(kind, params)
     _require_critical(scheme, h, p, q)
+    depth = _count(params, "depth", 0)
     if kind == "power":
-        tree = full_tree(int(params["arity"]), int(params["depth"]))
+        tree = full_tree(_count(params, "arity", 1), depth)
     else:
-        tree = generate_hset_tree(h, scheme.m_star, int(params["depth"]),
-                                  seed=int(params["tree_seed"]))
+        tree = generate_hset_tree(h, scheme.m_star, depth,
+                                  seed=_count(params, "tree_seed", 0))
     u, w = weights_for_tree(scheme, tree)
     expo = 1.0 / q - 1.0 / p
 

@@ -240,19 +240,16 @@ def apply_adjoint(tree: Tree, u, w, g):
     """(S^T g)(xi') = u(xi') * sum over descendants xi >= xi' of w(xi) g(xi).
 
     g, u and w are shaped as in apply.  The descendant sums run one depth
-    level at a time, deepest first, over the tree's cached level plan: a
-    level with sorted parent ids adds its per-parent child sums
-    (np.add.reduceat, or two strided slices when every parent has two
-    children) into the parents' rows, any other level scatters through
-    np.add.at.
+    level at a time, deepest first, over the tree's cached level plan:
+    each parent's children are consecutive ids, so each level adds its
+    per-parent child sums (np.add.reduceat, or two strided slices when
+    every parent has two children) into the parents' rows.
     """
     g = _as_columns(g, tree.n)
     acc = _scale_rows(w, g)
     for level, seg in zip(tree.levels()[:0:-1], tree.segments()[:0:-1]):
         vals = acc[level.ids]
-        if seg is None:
-            np.add.at(acc, level.parent, vals)
-        elif seg.pairs:
+        if seg.pairs:
             acc[seg.targets] += vals[0::2] + vals[1::2]
         else:
             acc[seg.targets] += np.add.reduceat(vals, seg.starts, axis=0)

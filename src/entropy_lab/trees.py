@@ -1,9 +1,9 @@
 """Finite rooted trees, their depth levels and subtree partitions.
 
-Vertices are dense integers in BFS order: the root is 0, ``parent[i] < i``
-for every non-root vertex, and depths are non-decreasing along ids.  This
-makes every depth level a contiguous id range, so level slicing is O(1)
-and iteration order is reproducible.
+Vertices are dense integers in canonical BFS order: the root is 0,
+``parent[i] < i`` for every non-root vertex, and parent ids never decrease
+along ids.  So every depth level is a contiguous id range, each vertex's
+children are consecutive ids, and iteration order is reproducible.
 
 Trees are immutable after construction and safe to share across workers.
 """
@@ -11,6 +11,7 @@ Trees are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,8 +37,8 @@ class Level(NamedTuple):
 
 
 class Segments(NamedTuple):
-    """A level's children grouped by parent, for a level whose parent ids
-    are sorted, so that each parent's children form one segment.
+    """A level's children grouped by parent: the level's parent ids are
+    sorted, so each parent's children form one segment.
 
     targets holds the distinct parents in order, as a slice when they are
     contiguous; starts the segment starts within the level, for
@@ -51,10 +52,8 @@ class Segments(NamedTuple):
     pairs: bool
 
 
-def _segments(par: np.ndarray) -> Segments | None:
-    """The Segments of a level with parent ids par; None if unsorted."""
-    if np.any(par[1:] < par[:-1]):
-        return None
+def _segments(par: np.ndarray) -> Segments:
+    """The Segments of a level with sorted parent ids par."""
     starts = np.flatnonzero(np.concatenate(([True], par[1:] != par[:-1])))
     targets = par[starts]
     if targets[-1] - targets[0] + 1 == targets.size:
@@ -64,14 +63,16 @@ def _segments(par: np.ndarray) -> Segments | None:
 
 
 class Tree:
-    """A finite rooted tree given by a parent array in BFS order.
+    """A finite rooted tree given by a parent array in canonical BFS order.
 
     Parameters
     ----------
     parent : sequence of int
         ``parent[0] == -1`` for the root; ``0 <= parent[i] < i`` otherwise.
-        Vertex depths must be non-decreasing in id (BFS order), and there
-        are at most ``MAX_VERTICES`` vertices.
+        ``parent[1:]`` must be non-decreasing (BFS order with each
+        vertex's children consecutive), and there are at most
+        ``MAX_VERTICES`` vertices.  Entries must be integers; floats, whole
+        ones too, are refused, as a parent id is an index.
 
     Attributes
     ----------
@@ -92,42 +93,41 @@ class Tree:
                  "_levels", "_segments")
 
     def __init__(self, parent):
-        parent = np.asarray(parent, dtype=np.int64)
-        if parent.ndim != 1 or parent.size == 0:
+        raw = np.asarray(parent)
+        if raw.ndim != 1 or raw.size == 0:
             raise ValueError("parent must be a non-empty 1-d array")
-        n = parent.size
+        n = raw.size
         _check_size(n)
+        if raw.dtype.kind not in "iu":
+            raise ValueError(f"parent must hold integers, got "
+                             f"{raw.dtype.name} entries")
+        parent = raw.astype(np.int64, copy=False)
         if parent[0] != -1:
             raise ValueError("parent[0] must be -1 (root)")
-        if n > 1:
-            body = parent[1:]
-            if np.any(body < 0) or np.any(body >= np.arange(1, n)):
-                raise ValueError("need 0 <= parent[i] < i for non-root vertices")
+        body = parent[1:]
+        if np.any(body < 0) or np.any(body >= np.arange(1, n)):
+            raise ValueError("need 0 <= parent[i] < i for non-root vertices")
+        if np.any(body[1:] < body[:-1]):
+            raise ValueError("vertex ids must be in BFS order "
+                             "(parent ids non-decreasing)")
         self.parent = parent
         self.n = int(n)
 
-        # pointer doubling: after round r, ptr is the 2^r-th ancestor and
-        # d counts the ancestors covered, converging to the depth
-        d = (parent >= 0).astype(np.int64)
-        ptr = parent.copy()
-        while np.any(ptr > 0):
-            hop = ptr >= 0
-            d[hop] += d[ptr[hop]]
-            nxt = np.full(n, -1, dtype=np.int64)
-            nxt[hop] = ptr[ptr[hop]]
-            ptr = nxt
-        depth = d.astype(np.int32)
-        if np.any(np.diff(depth) < 0):
-            raise ValueError("vertex ids must be in BFS order (depths non-decreasing)")
-        self.depth = depth
-        self.height = int(depth[-1])
-
-        # level d occupies ids [_level_start[d], _level_start[d+1])
-        counts = np.bincount(depth, minlength=self.height + 1)
-        self._level_start = np.concatenate(([0], np.cumsum(counts)))
+        # in BFS order the children of v are the ids last[v - 1] + 1 to
+        # last[v], last the running child count, so the level after the
+        # one ending at id b ends at last[b - 1] + 1; level d occupies ids
+        # [_level_start[d], _level_start[d + 1])
+        last = np.bincount(body, minlength=n)
+        np.cumsum(last, out=last)
+        bounds = array("q", [0, 1])
+        while bounds[-1] < n:
+            bounds.append(last.item(bounds[-1] - 1) + 1)
+        self._level_start, self.height = bounds, len(bounds) - 2
+        self.depth = np.repeat(np.arange(self.height + 1, dtype=np.int32),
+                               np.diff(bounds))
 
         parent.setflags(write=False)
-        depth.setflags(write=False)
+        self.depth.setflags(write=False)
         self._levels = None
         self._segments = None
 
@@ -136,32 +136,21 @@ class Tree:
     def n_children(self) -> np.ndarray:
         return np.bincount(self.parent[1:], minlength=self.n)
 
-    def level_slice(self, d: int) -> slice:
-        """Ids of the vertices at depth d, as a contiguous slice."""
-        if d < 0 or d > self.height:
-            return slice(0, 0)
-        return self.levels()[d].ids
-
     def levels(self) -> tuple:
         """The depth levels 0..height as ``Level`` records, root first."""
         if self._levels is None:
-            bounds = self._level_start.tolist()
+            bounds = self._level_start
             self._levels = tuple(Level(slice(lo, hi), self.parent[lo:hi])
                                  for lo, hi in zip(bounds, bounds[1:]))
         return self._levels
 
     def segments(self) -> tuple:
         """Per depth level, its children grouped by parent as ``Segments``;
-        None for the root level and for levels whose parent ids are not
-        sorted."""
+        None for the root level."""
         if self._segments is None:
             self._segments = (None,) + tuple(
                 _segments(level.parent) for level in self.levels()[1:])
         return self._segments
-
-    def level(self, d: int) -> np.ndarray:
-        s = self.level_slice(d)
-        return np.arange(s.start, s.stop, dtype=np.int64)
 
     def preorder(self) -> tuple:
         """(pre, size): each vertex's preorder rank (children in id order)
@@ -169,21 +158,21 @@ class Tree:
         to pre[v] + size[v] - 1, and one subtree lies in another exactly
         when its range does.  One sweep of the level plan, deepest level
         first, sums the sizes; one more, root first, places every vertex
-        after its parent and its earlier siblings' subtrees.
+        after its parent and its earlier siblings' subtrees.  A vertex's
+        earlier siblings are the ids just before it, so one running sum
+        over ids, restarted at every parent, gives each child's offset.
         """
         levels = self.levels()
         size = np.ones(self.n, dtype=np.int64)
         for level in levels[:0:-1]:
             np.add.at(size, level.parent, size[level.ids])
-        # each child's offset past its parent: the sizes of its earlier
-        # siblings, an exclusive running sum restarted at every parent
-        kids = np.argsort(self.parent[1:], kind="stable") + 1
-        before = np.cumsum(size[kids]) - size[kids]
-        par = self.parent[kids]
-        first = np.ones(kids.size, dtype=bool)
+        # each child's offset past its parent: its earlier siblings' sizes
+        sizes, par = size[1:], self.parent[1:]
+        before = np.cumsum(sizes) - sizes
+        first = np.ones(par.size, dtype=bool)
         first[1:] = par[1:] != par[:-1]
-        offset = np.empty(self.n, dtype=np.int64)
-        offset[kids] = before - np.maximum.accumulate(
+        offset = np.zeros(self.n, dtype=np.int64)
+        offset[1:] = before - np.maximum.accumulate(
             np.where(first, before, 0))
         pre = np.zeros(self.n, dtype=np.int64)
         for level in levels[1:]:
@@ -218,13 +207,17 @@ class Tree:
 
 def full_tree(arity: int, height: int) -> Tree:
     """Complete rooted tree where every vertex has `arity` children."""
+    if arity < 1:
+        raise ValueError(f"arity must be >= 1, got {arity}")
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
     # 1 + arity + ... + arity^height; a branching tree taller than the
     # cap's bit length is past the cap, so the sum stops there
     n = height + 1 if arity == 1 else sum(
         arity ** d for d in range(min(height, MAX_VERTICES.bit_length()) + 1))
     _check_size(n)
     # in BFS order vertex v's children are arity v + 1, ..., arity v + arity
-    return Tree(np.arange(-1, n - 1) // max(arity, 1))
+    return Tree(np.arange(-1, n - 1) // arity)
 
 
 def random_tree(n: int, max_children: int, seed: int) -> Tree:

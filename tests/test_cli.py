@@ -142,6 +142,21 @@ def test_gen_tree_rejects_non_finite_explicit_weights(tmp_path, capsys,
     assert not tree_file.exists()
 
 
+@pytest.mark.parametrize("parent, message", [
+    ([-1, 0, 0, 2, 1], "BFS order"),
+    ([-1, 0.9, 1.5], "parent must hold integers")])
+def test_norm_refuses_a_parent_array_it_cannot_take_as_is(
+        tmp_path, capsys, parent, message):
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text(json.dumps({"parent": parent}))
+    rc = main(["norm", "--tree", str(tree_file), "--p", "2", "--q", "4"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1, err
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_norm_missing_file_is_usage_error(tmp_path, capsys):
     rc = main(["norm", "--tree", str(tmp_path / "nope.json"),
                "--p", "2", "--q", "2"])

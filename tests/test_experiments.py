@@ -332,6 +332,11 @@ def test_critical_scaling_pool_counts_basis_and_sample_rows(tmp_path):
     ("hardy_consistency", {"restarts": -3}, "restarts must be >= 0, got -3"),
     ("certificate_growth", {"depth": -1}, "depth must be >= 0, got -1"),
     ("certificate_growth", {"arity": 0}, "arity must be >= 1, got 0"),
+    ("critical_scaling_power", {"depth": -1}, "depth must be >= 0, got -1"),
+    ("critical_scaling_power", {"arity": 0}, "arity must be >= 1, got 0"),
+    ("critical_scaling_log", {"depth": -1}, "depth must be >= 0, got -1"),
+    ("critical_scaling_log", {"tree_seed": -1},
+     "tree_seed must be >= 0, got -1"),
 ])
 def test_count_params_below_their_least_value_are_named(
         tmp_path, monkeypatch, name, params, message):
@@ -534,7 +539,7 @@ def _reference_witness_pool(tree, u, w, p, samples, per_level_cap, seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x706f6f6c]))
     per_level = []
     for d in range(tree.height + 1):
-        sl = tree.level_slice(d)
+        sl = tree.levels()[d].ids
         ids = np.arange(sl.start, sl.stop)
         if ids.size > per_level_cap:
             ids = np.sort(rng.choice(ids, per_level_cap, replace=False))

@@ -41,7 +41,7 @@ def check_hset_census(tree, h, m_star, seed, max_samples):
     checked = 0
     for _ in range(max_samples):
         j = int(rng.integers(0, tree.height))
-        ls = tree.level_slice(j)
+        ls = tree.levels()[j].ids
         v = int(rng.integers(ls.start, ls.stop))
         l = int(rng.integers(1, tree.height - j + 1))
         card = ref.descendants_at_distance(v, l).size
@@ -169,7 +169,7 @@ class TestGenerate:
         assert t.n == 127
         assert np.all(t.n_children()[: 63] == 2)
         for l in range(7):
-            assert t.level(l).size == 2 ** l
+            assert t.levels()[l].parent.size == 2 ** l
         # per-vertex: card V_l(xi) = 2^l exactly
         ref = CsrReference(t)
         rng = np.random.default_rng(0)
@@ -205,9 +205,9 @@ class TestGenerate:
         t = generate_hset_tree(h, m_star=1, depth=depth, seed=11)
         targets = h_level_target(h, 1, np.arange(depth + 1))
         for j in range(depth + 1):
-            assert abs(t.level(j).size - targets[j]) <= 2.0
+            assert abs(t.levels()[j].parent.size - targets[j]) <= 2.0
         # grows roughly linearly in depth
-        assert 0.3 * depth <= t.level(depth).size <= 2.0 * depth
+        assert 0.3 * depth <= t.levels()[depth].parent.size <= 2.0 * depth
 
     def test_census_two_sided(self):
         h = HProfile(theta=0.0, gamma=-1.0, c3=4.0)
@@ -263,7 +263,7 @@ class TestGenerate:
                 c_hat = max(c_hat, card / tgt, tgt / card)
         rng = np.random.default_rng(2)
         for _ in range(25):
-            v = int(rng.integers(0, t.level_slice(8).stop))
+            v = int(rng.integers(0, t.levels()[8].ids.stop))
             j = int(t.depth[v])
             j1 = int(rng.integers(j + 1, 20))
             j2 = int(rng.integers(j1 + 1, 25))

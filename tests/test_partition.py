@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import CsrReference, labelled_partition, path_tree, trees
+from tree_cases import (
+    CsrReference,
+    bfs_tree,
+    labelled_partition,
+    path_tree,
+    trees,
+)
 
 from entropy_lab.partition import (
     PartitionFamily,
@@ -36,16 +42,7 @@ def bounded_random_tree(n, k, rng):
         parent.append(v)
         counts[v] += 1
         counts.append(0)
-    depth = [0] * n
-    for i in range(1, n):
-        depth[i] = depth[parent[i]] + 1
-    order = np.argsort(depth, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    new_parent = np.full(n, -1, dtype=np.int64)
-    for i in range(1, n):
-        new_parent[rank[i]] = rank[parent[i]]
-    return Tree(new_parent)
+    return bfs_tree(parent)
 
 
 # -- VertexWeight ------------------------------------------------------------

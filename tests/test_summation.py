@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_cases import path_tree, trees, unsorted_bfs_tree
+from tree_cases import bfs_order, bfs_tree, path_tree, trees
 
 from entropy_lab.hset import HProfile, TauFn, generate_hset_tree
 from entropy_lab.summation import (
@@ -29,22 +29,30 @@ GOLDEN = 1.618033988749895          # largest singular value, 2-step path
 PATH3_NORM = 2.246979603717467      # 1 / (2 sin(pi/14)), 3-step path
 
 
-def random_parent(n, rng, max_reach=6):
+def random_parent_array(n, rng, max_reach=6):
+    """Each vertex i > 0 draws its parent among the max_reach ids before it."""
     parent = np.full(n, -1, dtype=np.int64)
     for i in range(1, n):
         lo = max(0, i - max_reach)
         parent[i] = rng.integers(lo, i)
-    # re-sort into BFS order
+    return parent
+
+
+def random_parent(n, rng, max_reach=6):
+    return bfs_tree(random_parent_array(n, rng, max_reach))
+
+
+def weighted_random_tree(n, rng):
+    """random_parent's tree and rand_weights' draws, dealt to its vertices
+    in order of depth, ties by the order the vertices were drawn."""
+    parent = random_parent_array(n, rng)
+    u, w = rand_weights(n, rng)
     depth = np.zeros(n, dtype=np.int64)
     for i in range(1, n):
         depth[i] = depth[parent[i]] + 1
-    order = np.argsort(depth, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    new_parent = np.full(n, -1, dtype=np.int64)
-    for i in range(1, n):
-        new_parent[rank[i]] = rank[parent[i]]
-    return Tree(new_parent)
+    # the draw dealt to each vertex of the BFS tree
+    dealt = np.argsort(np.argsort(depth, kind="stable"))[bfs_order(parent)]
+    return bfs_tree(parent), u[dealt], w[dealt]
 
 
 def dense_matrix(tree, u, w):
@@ -176,7 +184,7 @@ def _ref_apply(tree, u, w, f):
     acc = np.empty_like(z)
     acc[0] = z[0]
     for d in range(1, tree.height + 1):
-        sl = tree.level_slice(d)
+        sl = tree.levels()[d].ids
         acc[sl] = acc[tree.parent[sl]] + z[sl]
     return _ref_scale_rows(w, acc)
 
@@ -195,7 +203,7 @@ def _ref_apply_adjoint(tree, u, w, g):
     g = np.asarray(g, dtype=float)
     acc = _ref_scale_rows(w, g).copy()
     for d in range(tree.height, 0, -1):
-        sl = tree.level_slice(d)
+        sl = tree.levels()[d].ids
         _ref_scatter_add(acc, tree.parent[sl], acc[sl])
     return _ref_scale_rows(u, acc)
 
@@ -210,7 +218,7 @@ def _ref_row_hoelder_upper(tree, u, w, p, q):
     up = np.asarray(u, dtype=float) ** pp
     cum[0] = up[0]
     for d in range(1, tree.height + 1):
-        sl = tree.level_slice(d)
+        sl = tree.levels()[d].ids
         cum[sl] = cum[tree.parent[sl]] + up[sl]
     return float(np.sum(np.asarray(w) ** q * cum ** (q / pp)) ** (1.0 / q))
 
@@ -300,21 +308,20 @@ def test_level_sweeps_match_reference_kernels_exactly(tree, cols, seed):
 
 
 def test_level_sweeps_cover_every_segment_shape():
-    """Sorted levels with two children per parent, with uniform, mixed and
-    wide fan-out, and unsorted ones."""
+    """Levels with two children per parent, and with uniform, mixed and
+    wide fan-out."""
     rng = np.random.default_rng(21)
     shapes = set()
     for tree in (full_tree(2, 5), full_tree(3, 4), random_tree(300, 3, 1),
-                 random_tree(300, 14, 2), unsorted_bfs_tree(200, 4, 3)):
+                 random_tree(300, 14, 2)):
         for seg in tree.segments()[1:]:
-            shapes.add("unsorted" if seg is None else
-                       "pairs" if seg.pairs else "reduceat")
+            shapes.add("pairs" if seg.pairs else "reduceat")
         u, w = rand_weights(tree.n, rng)
         for cols in (0, 3):
             g = _block(rng, tree.n, cols)
             assert np.array_equal(apply_adjoint(tree, u, w, g),
                                   _ref_apply_adjoint(tree, u, w, g))
-    assert shapes == {"unsorted", "pairs", "reduceat"}
+    assert shapes == {"pairs", "reduceat"}
 
 
 def test_level_plan_is_cached_on_the_tree():
@@ -681,8 +688,7 @@ def test_norm_oracle_steps_only_the_live_restarts(monkeypatch):
     """A restart that has converged leaves the block: the ascent passes
     fewer vertex-columns to apply than restarts x iterations x |V|."""
     rng = np.random.default_rng(10)
-    t = random_parent(60, rng)
-    u, w = rand_weights(60, rng)
+    t, u, w = weighted_random_tree(60, rng)
     cols = []
 
     def counting_apply(tree, u, w, f):
@@ -704,8 +710,7 @@ def test_norm_oracle_steps_only_the_live_restarts(monkeypatch):
 
 def test_norm_oracle_restart_iterations():
     rng = np.random.default_rng(11)
-    t = random_parent(40, rng)
-    u, w = rand_weights(40, rng)
+    t, u, w = weighted_random_tree(40, rng)
     est = norm_oracle(t, u, w, 1.5, 3.0, {"restarts": 5, "seed": 2})
     stopped = est.meta["restart_iterations"]
     assert len(stopped) == 5 and all(isinstance(s, int) for s in stopped)

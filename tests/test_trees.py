@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -83,8 +84,33 @@ class TestConstruction:
 
     def test_rejects_non_bfs(self):
         # vertex 3 at depth 1 after vertex 2 at depth 2: depths decrease
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="BFS order"):
             Tree([-1, 0, 1, 0])
+
+    def test_rejects_parents_out_of_order_within_a_level(self):
+        # depths 0, 1, 1, 2, 2 never decrease, but vertex 4's parent 1
+        # comes after vertex 3's parent 2
+        with pytest.raises(ValueError, match="BFS order"):
+            Tree([-1, 0, 0, 2, 1])
+
+    @pytest.mark.parametrize("parent", [
+        [-1, 0.9, 1.5], [-1.0, 0.0], ["-1", "0"], [-1, 0, None]])
+    def test_rejects_entries_that_are_not_integers(self, parent):
+        # none is truncated or parsed into a tree it does not describe
+        with pytest.raises(ValueError, match="parent must hold integers"):
+            Tree(parent)
+        with pytest.raises(ValueError, match="parent must hold integers"):
+            Tree.from_json(json.dumps({"parent": parent}))
+
+    def test_builds_in_linear_memory(self):
+        parent = full_tree(2, 17).parent
+        tracemalloc.start()
+        try:
+            Tree(parent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * parent.size
 
     def test_vertex_cap(self):
         with mock.patch.object(trees_module, "MAX_VERTICES", 50):
@@ -111,8 +137,14 @@ class TestConstruction:
     def test_full_binary_counts(self):
         t = full_tree(2, 4)
         assert t.n == 31
-        assert [t.level(d).size for d in range(5)] == [1, 2, 4, 8, 16]
+        assert [lv.parent.size for lv in t.levels()] == [1, 2, 4, 8, 16]
         assert t.n_children().max() == 2
+
+    def test_full_tree_names_its_bad_counts(self):
+        with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
+            full_tree(0, 3)
+        with pytest.raises(ValueError, match="height must be >= 0, got -1"):
+            full_tree(2, -1)
 
     def test_full_tree_matches_the_per_vertex_loop(self):
         for arity in range(1, 5):
@@ -211,6 +243,11 @@ def _same(a, b):
 def test_level_walks_match_the_csr_walks_exactly(tree):
     ref = CsrReference(tree)
     assert _same(tree.n_children(), ref.n_children())
+    # depths rebuilt from the parent array, one vertex at a time
+    depth = np.zeros(tree.n, dtype=np.int32)
+    for v in range(1, tree.n):
+        depth[v] = depth[tree.parent[v]] + 1
+    assert _same(tree.depth, depth)
     # every subtree is the range of preorder ranks its root opens
     pre, size = tree.preorder()
     assert _same(np.sort(pre), np.arange(tree.n))
