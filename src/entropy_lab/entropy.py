@@ -244,21 +244,28 @@ def _round_down(x, k: int, a):
 class _LqPasses:
     """l_q distance passes from centers to the rows of a fixed pool.
 
-    A pass min-folds each row's distance to one center into the caller's
-    `dist` (a first pass folds into +inf).  Rows go through the per-row
-    arithmetic in blocks of about _BLOCK_BYTES: each block's x - c goes
-    into one reused scratch buffer (a filtered pass gathers its rows into
-    it), is reduced per row, and is folded, so no pass allocates anything
-    pool-sized.  Passes run serially in the calling thread.  Per row the
-    arithmetic is the one-shot expression's (same subtraction, same
-    reduction over a 2-D block of at least min_rows rows, same final
+    A pass min-folds each row's distance to one center into `self.dist`
+    (+inf before the first pass and after restart()).  Rows go through the
+    per-row arithmetic in blocks of about _BLOCK_BYTES: each block's
+    x - c goes into one reused scratch buffer (a filtered pass gathers its
+    rows into it), is reduced per row, and is folded, so no pass allocates
+    anything pool-sized.  Passes run serially in the calling thread.  Per
+    row the arithmetic is the one-shot expression's (same subtraction,
+    same reduction over a 2-D block of at least min_rows rows, same final
     power; the |x - c| is skipped where q = 2 or 4 squares it, since IEEE
     squaring is sign-blind), so every distance is bit-identical to it, bar
     the sign bit of a NaN, whichever block or pass it is computed in.
 
-    At q = 2 a pass first runs the Gram filter of _candidates and sends
-    only the rows it cannot rule out through that arithmetic, gathered
-    into the same blocks; every other row provably keeps its `dist` bits.
+    At q = 2 a pass whose center is pool row `row` first runs the Gram
+    filter of _candidates and sends only the rows it cannot rule out
+    through that arithmetic, gathered into the same blocks; every other
+    row provably keeps its `dist` bits.  The filter reads x . c from a
+    Gram block, points[block] @ points.T for the center and the B - 1 rows
+    of largest `dist`, the likeliest next centers of a farthest-point
+    traversal, and keeps the block for every later center found in it; B
+    rows of the pool fill one _BLOCK_BYTES block, so a block is one BLAS-3
+    product (Goto & van de Geijn, ACM TOMS 34, 2008), counted in
+    `products`.  Passes from other centers compute every row.
     """
 
     def __init__(self, points: np.ndarray, q: float):
@@ -273,23 +280,41 @@ class _LqPasses:
         self.min_rows = min(n, 2)
         buf_rows = max(self.rows, self.min_rows)
         self.buf, self.red = np.zeros((buf_rows, m)), np.empty(buf_rows)
+        self.dist = np.full(n, np.inf)
+        self.products = 0
         if q == 2.0:
             self.pad = m * _GRAM_PAD
             self.coef = 8.0 * (m + 2) * 2.0 ** -53
             with np.errstate(invalid="ignore", over="ignore"):
                 sq = np.einsum("ij,ij->i", points, points)
                 self.base = sq - self.coef * (sq + self.pad)
-            self.base[~(sq <= _GRAM_MAX)] = np.nan
-            self.lo = np.empty(n)
-            self.skip = np.empty(n, dtype=bool)
+            # rows whose squared norm is out of range or not a number: their
+            # NaN base keys them to the exact path, and their Gram columns
+            # are zeroed so that no NaN reaches the skip test
+            self.bad = np.flatnonzero(~(sq <= _GRAM_MAX))
+            self.base[self.bad] = np.nan
+            self.key = np.full(n, -np.inf)
+            self.block = np.empty(0, dtype=np.intp)
+            self.gram = np.empty((min(_block_rows(n), n), n))
+            self.lhs = np.empty(n)
+            self.live = np.empty(n, dtype=bool)
 
-    def __call__(self, center: np.ndarray, dist: np.ndarray) -> int:
-        """dist = min(dist, distances to `center`); returns the number of
-        rows whose distance was computed."""
-        idx = self._candidates(center, dist) if self.q == 2.0 else None
-        if idx is not None and idx.size == dist.size:
-            idx = None
-        q, buf, red = self.q, self.buf, self.red
+    def restart(self):
+        """Forget every center: dist back to +inf."""
+        self.dist.fill(np.inf)
+        if self.q == 2.0:
+            self.key.fill(-np.inf)
+
+    def __call__(self, center: np.ndarray, row: int | None = None) -> int:
+        """dist = min(dist, distances to `center`), which is pool row `row`
+        if given; returns the number of rows whose distance was
+        computed."""
+        idx = None
+        if self.q == 2.0 and row is not None:
+            idx = self._candidates(center, row)
+            if idx is not None and idx.size == self.dist.size:
+                idx = None
+        q, buf, red, dist = self.q, self.buf, self.red, self.dist
         k = dist.size if idx is None else idx.size
         for s in range(0, k, self.rows):
             e = min(s + self.rows, k)
@@ -322,19 +347,48 @@ class _LqPasses:
                 out **= 1.0 / q
             out = np.minimum(dist[rows], out[:e - s], out=out[:e - s])
             dist[rows] = out
+            if q == 2.0:
+                self._rekey(rows, out)
         return k
 
-    def _candidates(self, center, dist):
-        """Rows whose distance to `center` may fall below their `dist`.
+    def _rekey(self, rows, dist):
+        """key[rows] = the skip keys of _candidates for the rows' new
+        `dist` (overwritten): D = fl(dist^2) stepped up, so D >= dist^2,
+        and key = fl(fl(base - D) stepped down / 2) <= (base - D) / 2 +
+        eta / 2, or -inf where that is NaN."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.multiply(dist, dist, out=dist)
+            np.nextafter(dist, np.inf, out=dist)
+            np.subtract(self.base[rows], dist, out=dist)
+            np.nextafter(dist, -np.inf, out=dist)
+            dist *= 0.5
+        # fmax drops a NaN: such a key would let every center skip the row
+        self.key[rows] = np.fmax(dist, -np.inf, out=dist)
 
-        For a row x and the center c, of width m, the filter forms
-        lo^2 = fl(fl(-2 g + a_x) + b) from the BLAS product g = fl(x . c),
-        a_x = fl(n_x - fl(C fl(n_x + A))) (once per pool) and
-        b = n_c - C (n_c + A) - A, where n_x, n_c are the computed squared
-        norms, C = 8 (m + 2) u and A = m 2^-1070.  It is certified: with
-        u = 2^-53, gamma_k = k u / (1 - k u), eta = 2^-1074, d = ||x - c||
-        and R* = (||x|| + ||c||)^2 <= 2 (||x||^2 + ||c||^2), in any
-        summation order, with or without FMA and gradual underflow,
+    def _gram_block(self, row: int):
+        """Gram rows of `row` and of the B - 1 other rows of largest dist."""
+        b, n = self.gram.shape
+        top = np.argpartition(self.dist, n - b)[n - b:]
+        self.block = np.concatenate(([row], top[top != row][:b - 1]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.matmul(self.points[self.block], self.points.T, out=self.gram)
+        self.gram[:, self.bad] = 0.0
+        self.products += 1
+
+    def _candidates(self, center, row):
+        """Rows whose distance to `center`, pool row `row`, may fall below
+        their `dist`; None if the center's squared norm is out of range
+        (every row then may).
+
+        For a row x and the center c, of width m, the filter skips x when
+        fl(g - h) <= key_x, with g = fl(x . c) from the Gram block, h =
+        fl(b / 2), key_x as _rekey sets it from a_x and dist_x, a_x =
+        fl(n_x - fl(C fl(n_x + A))) (once per pool) and b = n_c - C (n_c +
+        A) - A, where n_x, n_c are the computed squared norms, C = 8 (m +
+        2) u and A = m 2^-1070.  It is certified: with u = 2^-53, gamma_k =
+        k u / (1 - k u), eta = 2^-1074, d = ||x - c|| and R* = (||x|| +
+        ||c||)^2 <= 2 (||x||^2 + ||c||^2), in any summation order, with or
+        without FMA and gradual underflow,
           exact kernel  S = fl(sum fl(x_i - c_i)^2) >= (1 - gamma_{m+2})
                         d^2 - m eta, and it returns fl(sqrt(S));
           Gram terms    |n_x - ||x||^2| <= gamma_m ||x||^2 + m eta, alike
@@ -342,32 +396,35 @@ class _LqPasses:
                         + m eta, so T = n_x - 2 g + n_c <= d^2 + gamma_m
                         R* + 4 m eta and S >= T - (gamma_m +
                         gamma_{m+2}) R* - 5 m eta;
-          rounding      the two sums and a_x, b add at most 3u (n_x +
-                        2|g| + n_c) + 3 eta <= 3u (1 + gamma_m) R* + 3 eta.
+          skip test     |h - b / 2| <= eta / 2, fl(g - h) >= (g - h) -
+                        u |g - h| (a subnormal difference is exact), and
+                        _rekey keeps D_x >= dist_x^2 and key_x <= (a_x -
+                        D_x) / 2 + eta / 2, so a skip gives dist_x^2 <=
+                        a_x + b - 2 g + 2u |g| + u |b| + 3 eta;
+          rounding      a_x and b exceed their real expressions by at
+                        most u n_x + 2u n_c + 2 eta to first order, so all
+                        the rounding is at most 4u (n_x + 2|g| + n_c) +
+                        5 eta <= 4u (1 + gamma_m) R* + 5 eta.
         Since R* <= 2 (n_x + n_c + 2 m eta) (1 + 2 gamma_m), the
-        subtracted C (n_x + n_c + 2A) + A covers all of it for
-        (m + 2) u <= 2^-4, so lo^2 <= S, and as sqrt is correctly rounded
-        and monotone, lo = fl(sqrt(max(lo^2, 0))) <= fl(sqrt(S)).  A row
-        with lo >= dist therefore has min(dist, exact) == dist bit for
-        bit.  Squared norms above _GRAM_MAX = 2^1018 (and inf or NaN ones)
-        make a_x or b NaN, so nothing overflows: a NaN lo fails
-        `lo >= dist` like a NaN or +inf dist does, and those rows take
-        the exact path.
+        subtracted C (n_x + n_c + 2A) + A covers all of it for (m + 2) u
+        <= 2^-4 (A = 16 m eta >= 5 m eta + 5 eta), so a skip gives
+        dist_x^2 <= S, and as sqrt is correctly rounded and monotone and
+        dist_x is a float, fl(sqrt(S)) >= dist_x: min(dist, exact) ==
+        dist bit for bit.  Squared norms above _GRAM_MAX = 2^1018 (and inf
+        or NaN ones) make a_x NaN, so key_x is -inf (as for a NaN or +inf
+        dist) and the zeroed Gram column keeps g finite, and they make the
+        center take the exact path, so nothing overflows.
         """
-        lo, skip = self.lo, self.skip
         sq_c = float(np.dot(center, center))
-        b = (sq_c - self.coef * (sq_c + self.pad) - self.pad
-             if sq_c <= _GRAM_MAX else math.nan)
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.dot(self.points, center, out=lo)
-            lo *= -2.0
-            lo += self.base
-            lo += b
-            np.maximum(lo, 0.0, out=lo)
-            np.sqrt(lo, out=lo)
-            np.greater_equal(lo, dist, out=skip)
-        np.logical_not(skip, out=skip)
-        return np.flatnonzero(skip)
+        if not sq_c <= _GRAM_MAX:
+            return None
+        h = 0.5 * (sq_c - self.coef * (sq_c + self.pad) - self.pad)
+        hit = np.flatnonzero(self.block == row)
+        if hit.size == 0:
+            self._gram_block(row)  # puts row first
+        np.subtract(self.gram[hit[0] if hit.size else 0], h, out=self.lhs)
+        np.greater(self.lhs, self.key, out=self.live)
+        return np.flatnonzero(self.live)
 
 
 def _exact_units(x: np.ndarray) -> np.ndarray:
@@ -485,10 +542,10 @@ class _BasisRows:
         eta)^{1/q}) covers the last two terms and what underflow in dense()
         adds to err, (eta / 2) m^{1/q}.
         """
-        d = np.full(dist.size, np.inf)
-        count = lq_pass(center, d)
-        np.minimum(dist, _round_down(d, self.k_dense, self.slack + err),
-                   out=dist)
+        lq_pass.restart()
+        count = lq_pass(center)
+        np.minimum(dist, _round_down(lq_pass.dist, self.k_dense,
+                                     self.slack + err), out=dist)
         return count
 
 
@@ -502,15 +559,17 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     is called once before each selection after the first; when it returns
     a cap name the run stops and returns what it has selected so far.
     counts, if given, is a dict that receives the numbers of (row, center)
-    distances the run computes: "dense_evals" through the _LqPasses
-    kernel and "closed_form_evals" between basis rows.
+    distances the run computes, "dense_evals" through the _LqPasses
+    kernel and "closed_form_evals" between basis rows, and of the q = 2
+    filter's Gram-block products, "gram_products".
 
     Each center gets one pass over the rows, so every row holds its
     distance to all centers so far and the argmax is the greedy
     traversal's pick, which needs nothing but pairwise distances
     (Gonzalez, Theoret. Comput. Sci. 38, 1985).  Over `points` alone a
     pass is one _LqPasses pass (at q = 2 its Gram filter recomputes only
-    the rows whose distance may fall), and the radii are the kernel's
+    the rows whose distance may fall, and its Gram blocks hold the rows of
+    largest distance, the next centers), and the radii are the kernel's
     distances, nonincreasing.
 
     basis, if given, is (tree, u, w, vs): the images S e_v of the
@@ -526,9 +585,10 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     """
     rows = None if basis is None else _BasisRows(*basis, q)
     n_basis = 0 if rows is None else rows.vs.size
-    dist = np.full(n_basis + points.shape[0], np.inf)
-    held, dense = dist[:n_basis], dist[n_basis:]
     lq_pass = _LqPasses(points, q)
+    dist = (lq_pass.dist if rows is None
+            else np.full(n_basis + points.shape[0], np.inf))
+    held, dense = dist[:n_basis], dist[n_basis:]
     evals = {"dense_evals": 0, "closed_form_evals": 0}
     selected = []
     radii = []
@@ -536,7 +596,7 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
     while True:
         selected.append(c)
         if rows is None:
-            evals["dense_evals"] += lq_pass(points[c], dense)
+            evals["dense_evals"] += lq_pass(points[c], c)
         elif c < n_basis:
             np.minimum(held, rows.lower(c), out=held)
             evals["closed_form_evals"] += n_basis
@@ -558,7 +618,7 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
         c = int(np.argmax(dist))
         radii.append(float(dist[c]))
     if counts is not None:
-        counts.update(evals)
+        counts.update(evals, gram_products=lq_pass.products)
     return selected, radii
 
 
@@ -584,9 +644,10 @@ def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None,
     feasible = [k for k in ks if 2 ** (k - 1) < points.shape[0]]
     values = {k: 0.0 for k in ks}
     if feasible:
-        dist = np.full(points.shape[0], np.inf)
-        _LqPasses(points, q)(points.mean(axis=0), dist)
-        start = int(np.argmin(dist))
+        centroid = _LqPasses(points, q)
+        centroid(points.mean(axis=0))
+        start = int(np.argmin(centroid.dist))
+        del centroid  # else its scratch stays resident through the run
         _, radii = _farthest_point_run(points, q,
                                        2 ** (feasible[-1] - 1) + 1,
                                        start=start, poll=poll,

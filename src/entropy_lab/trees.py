@@ -193,6 +193,13 @@ class Tree:
     def from_json(text: str):
         """Parse the JSON tree format; returns (tree, u, w) with u, w optional."""
         doc = json.loads(text)
+        for name in ("parent", "u", "w"):
+            value = doc[name] if name in doc else []
+            # numpy reads JSON true and false as 1 and 0 among numbers
+            if bool in map(type, value if isinstance(value, list)
+                           else [value]):
+                raise ValueError(
+                    f"{name} must hold numbers, got a JSON boolean")
         tree = Tree(doc["parent"])
         u = np.asarray(doc["u"], dtype=float) if "u" in doc else None
         w = np.asarray(doc["w"], dtype=float) if "w" in doc else None

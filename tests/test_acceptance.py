@@ -4,7 +4,7 @@ Each criterion emits one pass/fail line (visible with `pytest -s`).  The
 five reporting experiments run once in a module fixture; the determinism
 criterion re-runs them with the same seeds and compares bytes, and one
 more test pins the critical packings' basis-only default on the same
-runs.
+runs, as does one that bounds the q = 2 traversal's Gram products.
 """
 
 import json
@@ -155,6 +155,15 @@ def test_default_critical_packings_are_basis_only(experiment_runs):
     assert [r.n_or_k for r in res.rows] == list(range(3, 11))
     assert all(r.lower >= low
                for r, low in zip(res.rows, SAMPLED_POWER_LOWER))
+
+
+def test_schuett_regimes_shares_each_gram_block(experiment_runs):
+    # the q = 2 cover traversal selects 8,193 centers; a Gram block holds
+    # eight rows of its 16,384-row pool, and most centers find theirs in
+    # the block of an earlier one
+    res, _ = experiment_runs["schuett_regimes"]
+    manifest = json.loads(Path(res.manifest_path).read_text())
+    assert 0 < manifest["counters"]["gram_products"] <= 1400
 
 
 def test_criterion_6_budget_identity():

@@ -144,7 +144,8 @@ def test_gen_tree_rejects_non_finite_explicit_weights(tmp_path, capsys,
 
 @pytest.mark.parametrize("parent, message", [
     ([-1, 0, 0, 2, 1], "BFS order"),
-    ([-1, 0.9, 1.5], "parent must hold integers")])
+    ([-1, 0.9, 1.5], "parent must hold integers"),
+    ([-1, 0, True], "JSON boolean")])
 def test_norm_refuses_a_parent_array_it_cannot_take_as_is(
         tmp_path, capsys, parent, message):
     tree_file = tmp_path / "t.json"

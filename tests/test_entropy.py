@@ -333,16 +333,22 @@ def _reference_farthest_point_run(points, q, n_select, start):
 
 
 def _assert_matches_reference(points, q, n_select, start):
-    sel, radii = _farthest_point_run(points, q, n_select, start)
+    """Checks the traversal and a centroid pass; returns the counts."""
+    counts = {}
+    sel, radii = _farthest_point_run(points, q, n_select, start,
+                                     counts=counts)
     ref_sel, ref_radii, _ = _reference_farthest_point_run(
         points, q, n_select, start)
     # NaN rows give NaN distances, which compare equal here
     assert sel == ref_sel
     assert np.array_equal(radii, ref_radii, equal_nan=True)
-    centroid, dist = points.mean(axis=0), np.full(points.shape[0], np.inf)
-    entropy._LqPasses(points, q)(centroid, dist)
-    assert np.array_equal(dist, _reference_lq_dist(points, centroid, q),
+    centroid = points.mean(axis=0)
+    lq_pass = entropy._LqPasses(points, q)
+    lq_pass(centroid)
+    assert np.array_equal(lq_pass.dist,
+                          _reference_lq_dist(points, centroid, q),
                           equal_nan=True)
+    return counts
 
 
 # widths past 8192 columns are where einsum rounds a lone row differently
@@ -366,6 +372,20 @@ def _assert_matches_reference(points, q, n_select, start):
 # rows that tie in distance, where the lowest index must win
 @example(n=5, m=1, distinct=16, grid=True, q=1.5, block_rows=0,
          warp=(1.0, 0.0, None), seed=0)
+# q = 2 Gram blocks of B = _BLOCK_BYTES // (8 n) pool rows: B = 1, B = 2
+# (the speculated rows miss), and B >= n (one block holds the whole
+# Gram); a NaN or inf row ranks first after the start, so it becomes a
+# center, which must take the exact path
+@example(n=40, m=32, distinct=40, grid=False, q=2.0, block_rows=0,
+         warp=(1.0, 0.0, None), seed=1)
+@example(n=40, m=32, distinct=40, grid=False, q=2.0, block_rows=3,
+         warp=(1.0, 0.0, None), seed=2)
+@example(n=40, m=32, distinct=40, grid=False, q=2.0, block_rows=3,
+         warp=(1.0, 0.0, math.nan), seed=3)
+@example(n=12, m=32, distinct=12, grid=False, q=2.0, block_rows=7,
+         warp=(1.0, 0.0, None), seed=4)
+@example(n=12, m=32, distinct=12, grid=False, q=2.0, block_rows=7,
+         warp=(1.0, 0.0, math.inf), seed=5)
 def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, grid,
                                                       q, block_rows,
                                                       warp, seed):
@@ -384,17 +404,36 @@ def test_blocked_traversal_matches_one_shot_reference(n, m, distinct, grid,
     if bad is not None:
         points[rng.integers(0, n), rng.integers(0, m)] = bad
     block_bytes = max(1, 8 * m * block_rows)
+    n_select = min(n, 12)
     with mock.patch.object(entropy, "_BLOCK_BYTES", block_bytes), \
             np.errstate(invalid="ignore", over="ignore"):
-        _assert_matches_reference(points, q, min(n, 12), int(seed % n))
+        counts = _assert_matches_reference(points, q, n_select,
+                                           int(seed % n))
+        gram_rows = min(entropy._block_rows(n), n)
+    # one product per center at most, and one in all if a block is the pool
+    assert counts["gram_products"] <= (
+        0 if q != 2.0 else 1 if gram_rows == n else n_select)
+
+
+def _wrong_skips(lq_pass, points, c, dist, exact):
+    """Rows the q = 2 filter skips for center c although their exact
+    distance is below `dist`, and whether each row was skipped."""
+    lq_pass.dist[:] = dist
+    lq_pass._rekey(slice(None), dist.copy())
+    live = lq_pass._candidates(points[c], c)
+    skipped = np.ones(dist.size, dtype=bool)
+    skipped[slice(None) if live is None else live] = False
+    return np.flatnonzero(skipped & (exact < dist)), skipped
 
 
 def test_gram_filter_bound_is_below_the_exact_distance():
-    # the filter may skip a row only if its bound lo never exceeds the
-    # distance the exact kernel computes; large norms with tiny
-    # separations and near-duplicates put the most rounding into lo, and
-    # on well-separated rows (big = 0) lo must still be tight
+    # a skipped row must have exact >= dist; the adversarial dist is the
+    # exact distance and one ulp either side of it.  Large norms with tiny
+    # separations and near-duplicates put the most rounding into the Gram
+    # form; on well-separated rows (big = 0) the test must stay tight, and
+    # the same filter without its rounding margin must skip wrongly
     rng = np.random.default_rng(6)
+    margin_free_wrong = 0
     for m in (1, 3, 32, 9000):
         base = rng.standard_normal(m)
         for big, sep in ((0.0, 1.0), (1e3, 1e-12), (1e8, 1e-8),
@@ -404,14 +443,30 @@ def test_gram_filter_bound_is_below_the_exact_distance():
             points[20:30] = points[:10]
             points[20:30, 0] = np.nextafter(points[20:30, 0], np.inf)
             lq_pass = entropy._LqPasses(points, 2.0)
+            margin_free = entropy._LqPasses(points, 2.0)
+            margin_free.coef = margin_free.pad = 0.0
+            margin_free.base = np.einsum("ij,ij->i", points, points)
             for c in (0, 5, 20, 39):
                 exact = _reference_lq_dist(points, points[c], 2.0)
-                lq_pass._candidates(points[c], np.zeros(40))
-                assert np.all(lq_pass.lo <= exact)
+                for dist in (np.nextafter(exact, -np.inf), exact,
+                             np.nextafter(exact, np.inf)):
+                    wrong, _ = _wrong_skips(lq_pass, points, c, dist, exact)
+                    assert wrong.size == 0, (m, big, c, wrong)
+                    margin_free_wrong += _wrong_skips(
+                        margin_free, points, c, dist, exact)[0].size
                 if big == 0.0:
                     far = exact > 1e-6  # no near-duplicate of c
-                    assert np.all(lq_pass.lo[far]
-                                  >= exact[far] * (1 - 1e-9))
+                    _, skipped = _wrong_skips(lq_pass, points, c,
+                                              exact * (1 - 1e-9), exact)
+                    assert np.all(skipped[far])
+    assert margin_free_wrong > 0
+    # a row whose squared norm is past the filter's range stays live
+    points = rng.standard_normal((40, 3))
+    points[7] = 2e153
+    exact = _reference_lq_dist(points, points[0], 2.0)
+    wrong, skipped = _wrong_skips(entropy._LqPasses(points, 2.0), points, 0,
+                                  np.nextafter(exact, np.inf), exact)
+    assert wrong.size == 0 and not skipped[7]
 
 
 @pytest.mark.parametrize("q", [2.0, 4.0])

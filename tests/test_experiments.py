@@ -375,7 +375,9 @@ def test_critical_scaling_manifest_counts_the_distance_evaluations(
                                    output_dir=str(tmp_path)))
     assert res.passed
     counters = json.loads(Path(res.manifest_path).read_text())["counters"]
-    assert sorted(counters) == ["closed_form_evals", "dense_evals"]
+    assert sorted(counters) == ["closed_form_evals", "dense_evals",
+                                "gram_products"]
+    assert counters["gram_products"] == 0  # q = 4: no Gram filter
     centers = 2 ** (6 - 1) + 1
     basis_centers, rest = divmod(counters["closed_form_evals"], n_basis[0])
     assert rest == 0 and 0 < basis_centers <= centers

@@ -169,6 +169,15 @@ class TestStructureOps:
         assert np.array_equal(t2.parent, t.parent)
         assert np.allclose(u2, u) and np.allclose(w2, w)
 
+    @pytest.mark.parametrize("doc", [
+        {"parent": [-1, 0, True]}, {"parent": [-1, 0], "u": [1.0, True]},
+        {"parent": [-1, 0], "w": [False, 2.0]}, {"parent": [-1], "u": True}])
+    def test_json_refuses_booleans(self, doc):
+        # numpy would read them as 1 and 0: [-1, 0, true] as the tree
+        # [-1, 0, 1]
+        with pytest.raises(ValueError, match="JSON boolean"):
+            Tree.from_json(json.dumps(doc))
+
     def test_json_length_mismatch(self):
         with pytest.raises(ValueError):
             Tree.from_json(json.dumps({"parent": [-1, 0], "u": [1.0]}))
