@@ -37,7 +37,6 @@ from .summation import (
     apply_adjoint,
     hardy_bound,
     norm_oracle,
-    operator_matrix,
     validate_critical,
     weights_for_tree,
 )

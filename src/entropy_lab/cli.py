@@ -103,7 +103,8 @@ def _cmd_gen_tree(args) -> int:
         kind = spec.pop("kind")
         scheme = WeightScheme(kind, m_star=m_star, **spec)
         u, w = weights_for_tree(scheme, tree, start_depth=start_depth)
-    Path(args.out).write_text(tree.to_json(u, w) + "\n")
+    with open(args.out, "w") as out:
+        tree.to_json(out, u, w)
     print(f"wrote {args.out}: {tree.n} vertices, height {tree.height}, "
           f"weights {'embedded' if u is not None else 'default'}")
     return EXIT_PASS
@@ -111,11 +112,9 @@ def _cmd_gen_tree(args) -> int:
 
 def _cmd_norm(args) -> int:
     tree, u, w = Tree.from_json(Path(args.tree).read_text())
-    if u is None:
-        u = np.ones(tree.n)
-    if w is None:
-        w = np.ones(tree.n)
-    est = norm_oracle(tree, u, w, args.p, args.q)
+    ones = np.ones(tree.n)
+    est = norm_oracle(tree, ones if u is None else u,
+                      ones if w is None else w, args.p, args.q)
     print(json.dumps({"vertices": tree.n, "p": args.p, "q": args.q,
                       "lower": est.lower, "upper": est.upper}))
     return EXIT_PASS

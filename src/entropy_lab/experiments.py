@@ -330,10 +330,8 @@ def _run_hardy_consistency(params, seed, budget):
     m = int(params["m_star"])
     h, scheme = _critical_pack("power", params)
 
-    # the analytic bound is the diagonal envelope sup u_s w_s; the norm
-    # exceeds it by the Hardy constant, so it goes into the reference
-    # column and the certified upper for the row invariant is the
-    # oracle's own row-wise Hoelder bound
+    # the envelope sup u_s w_s is below the norm by the Hardy constant, so it
+    # is the reference column; the oracle's Schur bound is the certified upper
     rows = []
     for idx, j in enumerate(js):
         if budget.exceeded() is not None:

@@ -3,9 +3,9 @@
 S f(xi) = w(xi) * sum_{xi' <= xi} u(xi') f(xi'), the sum running along the
 root path.  The module provides the operator itself, critical weight
 schemes and their validator against a profile, a norm oracle (certified
-lower bound by multiplicative ascent, certified upper bound by row-wise
-Hoelder), and the explicit Hardy-type norm bounds for subtrees rooted at a
-given depth.
+lower bound by multiplicative ascent, upper bound by a generalized Schur
+test; its first iterate, row-wise Hoelder, prices the certificate's
+blocks), and the Hardy-type norm bounds for subtrees rooted at depth j.
 
 The regime is 1 < p <= q < infinity throughout.
 """
@@ -13,6 +13,7 @@ The regime is 1 < p <= q < infinity throughout.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ _TAIL_REL = 1e-12
 _TAIL_CAP = 10 ** 6
 _ORACLE_TOL = 1e-10
 _ORACLE_STEPS = 10_000
-_GRID_POINTS = 200_000
+_SCHUR_STEPS = 8
 
 
 def _check_pq(p: float, q: float):
@@ -161,12 +162,10 @@ class WeightScheme:
         if self.kind != "explicit":
             if self.m_star < 1 or self.m_star != int(self.m_star):
                 raise ValueError("m_star must be a positive integer")
-        else:
-            if len(self.u) == 0 or len(self.u) != len(self.w):
-                raise ValueError("explicit scheme needs equal-length u, w")
-            if not (_positive(self.u) and _positive(self.w)):
-                raise ValueError("weights must be finite and strictly positive")
-
+        elif len(self.u) == 0 or len(self.u) != len(self.w):
+            raise ValueError("explicit scheme needs equal-length u, w")
+        elif not (_positive(self.u) and _positive(self.w)):
+            raise ValueError("weights must be finite and strictly positive")
 
 
 def _depth_weights(scheme: WeightScheme, first: int, count: int):
@@ -256,12 +255,6 @@ def apply_adjoint(tree: Tree, u, w, g):
     return _scale_rows(u, acc, out=acc)
 
 
-def operator_matrix(tree: Tree, u, w) -> np.ndarray:
-    """Dense matrix of S (row xi, column xi'); for small trees and tests."""
-    cols = apply(tree, u, w, np.eye(tree.n))
-    return cols
-
-
 # -- norm oracle ------------------------------------------------------------
 
 
@@ -289,49 +282,65 @@ def _row_hoelder_upper(cum, w, p: float, q: float) -> float:
                  ** (1.0 / q))
 
 
-def _simplex_grid_upper(tree: Tree, u, w, p: float, q: float,
-                        hoelder: float) -> float:
-    """Tightened upper bound for |V| <= 12 by sign-free grid maximization.
+def _round_up(x, k: int):
+    """A float >= x / (1 - gamma_k), x >= 0: entropy._round_down's upward
+    twin.  1 / (1 - gamma_k) = (1 - ku) / (1 - 2ku), both exact, and one
+    np.nextafter step up from fl(z) reaches a real z."""
+    f = math.nextafter((1 - k * 2.0 ** -53) / (1 - k * 2.0 ** -52), math.inf)
+    return np.nextafter(np.multiply(x, f), math.inf)
 
-    For the nonnegative kernel the norm is attained at f >= 0, so f = g^{1/p}
-    with g on the probability simplex.  Any such g has a grid point within
-    l1 distance V/N, and |a^{1/p} - b^{1/p}|^p <= |a - b| turns that into an
-    l_p mesh of (V/N)^{1/p}; the Hoelder bound is a Lipschitz constant.
+
+def _schur_upper(tree: Tree, u, w, p: float, q: float) -> float:
+    """Certified upper bound on ||S||_{p->q}: the least of the row-wise
+    Hoelder bound and _SCHUR_STEPS iterates of the generalized Schur test
+    (Okikiolu 1970; Zhao 2015) at alpha = 1/2, each rounded outward.  For
+    K(x, y) = w_x u_y [y <= x], s <= p' and h1, h2 > 0, sum_y K^{s/2} h1^s
+    <= C1 h2^s and sum_x K^{q/2} h2^q <= C2 h1^q give ||S|| <= C1^{1/s}
+    C2^{1/q} (Hoelder, then Minkowski, q/p >= 1).  h2^q = first^{q/s},
+    first = apply(u^{s/2}, w^{s/2}, h1^s), makes C1 = 1 and C2 = max_y
+    second / h1^q, second = apply_adjoint(u^{q/2}, w^{q/2}, h2^q); then
+    r = h1^q <- second / max.  At alpha = 1, h1 = 1 it is the Hoelder bound.
+
+    Margin: np.errstate(all="raise") ends the Hoelder bound or the Schur
+    iteration at an underflow, overflow or NaN (inf if no bound is reached),
+    so every result is normal: +, x, / are within u, a power within 8u (as
+    _BasisRows.lower assumes), a rounded exponent moves x^e by 1 +- gamma_720.
+    With s = fl(p'), n = |V|: s for p' costs n^{gamma_2} <= 1 + gamma_n;
+    first is exact to gamma_{n+745}, so C1^{1/s} <= 1 / (1 - gamma_{n+1465
+    +8 ceil(s/q)}) for the h2 the floats define; second / r is exact to
+    gamma_{n+18}, its root to 728 more; the Hoelder bound to gamma_{ceil(q/s)
+    (n+7) + n + 1464}.  K = (ceil(q/s) + ceil(s/q) + 3) (n + 1000) covers both.
     """
-    from itertools import combinations
-
-    n = tree.n
-    nn = 1
-    while math.comb(nn + n, n - 1) <= _GRID_POINTS:
-        nn += 1
-    mat = operator_matrix(tree, u, w)
-    # compositions of nn into n parts via stars and bars, as one array
-    bars = np.array(list(combinations(range(nn + n - 1), n - 1)), dtype=np.int64)
-    edges = np.hstack([np.full((bars.shape[0], 1), -1), bars,
-                       np.full((bars.shape[0], 1), nn + n - 1)])
-    g = np.diff(edges, axis=1) - 1
-    f = (g / nn) ** (1.0 / p)
-    best = float(np.max(_lp_norm(mat @ f.T, q, axis=0)))
-    return float(best + hoelder * (n / nn) ** (1.0 / p))
+    s = _conj(p)
+    k = (math.ceil(q / s) + math.ceil(s / q) + 3) * (tree.n + 1000)
+    r, best = np.ones(tree.n), math.inf
+    with suppress(FloatingPointError), np.errstate(all="raise"):
+        cum = apply(tree, u ** s, r, r)
+        best = float(_round_up(_row_hoelder_upper(cum, w, p, q), k))
+    with suppress(FloatingPointError), np.errstate(all="raise"):
+        up, wp, uq, wq = (x ** (e / 2) for e in (s, q) for x in (u, w))
+        for _ in range(_SCHUR_STEPS):
+            first = apply(tree, up, wp, r ** (s / q))
+            second = apply_adjoint(tree, uq, wq, first ** (q / s))
+            c2 = np.max(second / r) ** (1 / q)
+            best = min(best, float(_round_up(c2, k)))
+            r = second / np.max(second)
+    return best
 
 
 def norm_oracle(tree: Tree, u, w, p: float, q: float,
                 cfg: dict | None = None, *, poll=None) -> NormEstimate:
     """Certified two-sided estimate of ||S||_{l_p -> l_q}.
 
-    Lower bound: multiplicative fixed-point ascent (the power-method
-    generalization f <- (S^T (Sf)^{q-1})^{p'-1}), restarted from a uniform
-    vector plus seeded random starts.  Each restart stops on its own once
-    ||Sf||_q changes by at most _ORACLE_TOL relative in one step; its
-    iterate and value are frozen there, and later steps apply S and S^T
-    to the live restarts only; the ascent ends after _ORACLE_STEPS steps
-    at most.  Every iterate is a feasible point, so the
-    ratio ||Sf||_q / ||f||_p recomputed at the best restart's iterate is a
-    certified lower bound even when the ascent is not provably globally
-    optimal.
+    Lower bound: multiplicative fixed-point ascent f <- (S^T (Sf)^{q-1})^{p'-1}
+    from a uniform start and seeded random ones.  A restart freezes once
+    ||Sf||_q moves by at most _ORACLE_TOL relative in a step, and later
+    steps apply S and S^T to the live restarts only, for _ORACLE_STEPS
+    steps at most.  Every iterate is feasible, so ||Sf||_q / ||f||_p at the
+    best restart's iterate is a lower bound, optimal or not.
 
-    Upper bound: row-wise Hoelder, tightened by a simplex-grid search for
-    trees with at most 12 vertices; the smaller certified value is returned.
+    Upper bound: _schur_upper's generalized Schur test, rounded outward and
+    not clamped to the lower bound, so lower <= upper can fail.
 
     poll, if given, is called once before each ascent step; when it
     returns a cap name the ascent stops and the bounds are computed from
@@ -354,12 +363,6 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
         raise ValueError("weights must be finite and strictly positive")
 
     cols = max(1, restarts)
-    if tree.n == 1:
-        v = float(u[0] * w[0])
-        return NormEstimate(v, v, np.ones(1),
-                            {"iterations": 0, "seed": seed, "restarts": restarts,
-                             "restart_iterations": [0] * cols})
-
     pp = _conj(p)
     # row r is restart r: its final iterate, and first its start
     final = np.empty((cols, tree.n))
@@ -419,14 +422,9 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     witness = final[best].copy()
     lower = float(_lp_norm(apply(tree, u, w, witness), q) / _lp_norm(witness, p))
 
-    ones = np.ones(tree.n)
-    upper = _row_hoelder_upper(apply(tree, u ** pp, ones, ones), w, p, q)
-    if tree.n <= 12:
-        upper = min(upper, _simplex_grid_upper(tree, u, w, p, q, upper))
-    upper = max(upper, lower)
     meta = {"iterations": iterations, "seed": seed, "restarts": restarts,
             "restart_iterations": stopped.tolist()}
-    return NormEstimate(lower, upper, witness, meta)
+    return NormEstimate(lower, _schur_upper(tree, u, w, p, q), witness, meta)
 
 
 # -- Hardy-type analytic bounds ---------------------------------------------

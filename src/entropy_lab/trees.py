@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_VERTICES = 1 << 22  # keeps every tree, JSON-loaded too, at desk scale
+_JSON_CHUNK = 1 << 14
 
 
 def _check_size(n) -> None:
@@ -181,13 +182,18 @@ class Tree:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self, u=None, w=None) -> str:
-        doc = {"parent": self.parent.tolist()}
-        if u is not None:
-            doc["u"] = np.asarray(u, dtype=float).tolist()
-        if w is not None:
-            doc["w"] = np.asarray(w, dtype=float).tolist()
-        return json.dumps(doc)
+    def to_json(self, out, u=None, w=None) -> None:
+        """Write json.dumps's text of {"parent", "u", "w"} (u, w if given) and
+        a newline to the text stream out, _JSON_CHUNK entries at a time."""
+        for name, arr in (("parent", self.parent), ("u", u), ("w", w)):
+            if arr is not None:
+                arr = arr if name == "parent" else np.asarray(arr, float)
+                out.write(f'{", " if name != "parent" else "{"}"{name}": [')
+                for at in range(0, arr.size, _JSON_CHUNK):
+                    out.write(", " * (at > 0) + json.dumps(
+                        arr[at:at + _JSON_CHUNK].tolist())[1:-1])
+                out.write("]")
+        out.write("}\n")
 
     @staticmethod
     def from_json(text: str):

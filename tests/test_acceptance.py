@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from tree_cases import dense_matrix
 
 from entropy_lab.certificate import entropy_certificate
 from entropy_lab.entropy import net_upper, packing_profile
 from entropy_lab.experiments import ExperimentConfig, run
 from entropy_lab.hset import HProfile, generate_hset_tree
-from entropy_lab.summation import WeightScheme, norm_oracle, operator_matrix
+from entropy_lab.summation import WeightScheme, norm_oracle
 from entropy_lab.trees import full_tree, random_tree
 
 SEED = 0
@@ -217,7 +218,7 @@ def test_criterion_8_norm_oracle_vs_svd():
         u = np.exp(rng.normal(0.0, 1.0, n))
         w = np.exp(rng.normal(0.0, 1.0, n))
         est = norm_oracle(tree, u, w, 2.0, 2.0, {"seed": i})
-        sigma = float(np.linalg.norm(operator_matrix(tree, u, w), 2))
+        sigma = float(np.linalg.norm(dense_matrix(tree, u, w), 2))
         worst_rel = max(worst_rel, abs(est.lower - sigma) / sigma)
         if est.upper < sigma * (1.0 - 1e-12):
             upper_violations += 1

@@ -353,6 +353,19 @@ def test_count_params_below_their_least_value_are_named(
     assert not (tmp_path / f"{name}.csv").exists()
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="basis images too large for float64 distances: "
+                          "_BasisRows refuses trees whose factored form "
+                          "leaves the float range")
+@pytest.mark.parametrize("params", [{"m_star": 2}, {"depth": 255}])
+def test_critical_scaling_log_configs_past_the_factored_float_range(
+        tmp_path, params):
+    # both passed every check before the closed-form basis rows
+    res = run(ExperimentConfig("critical_scaling_log", params=params, seed=0,
+                               output_dir=str(tmp_path)))
+    assert res.passed
+
+
 @pytest.mark.parametrize("kind, depth", [("power", 7), ("log", 31)])
 def test_critical_scaling_manifest_counts_the_distance_evaluations(
         tmp_path, kind, depth):

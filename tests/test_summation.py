@@ -1,25 +1,26 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from tree_cases import bfs_order, bfs_tree, path_tree, trees
+from tree_cases import bfs_order, bfs_tree, dense_matrix, path_tree, trees
 
 from entropy_lab.hset import HProfile, TauFn, generate_hset_tree
 from entropy_lab.summation import (
+    _SCHUR_STEPS,
     NormEstimate,
     WeightScheme,
     _check_pq,
     _conj,
     _depth_weights,
+    _round_up,
     _row_hoelder_upper,
-    _simplex_grid_upper,
     apply,
     apply_adjoint,
     hardy_bound,
     norm_oracle,
-    operator_matrix,
     validate_critical,
     weights_for_tree,
 )
@@ -53,18 +54,6 @@ def weighted_random_tree(n, rng):
     # the draw dealt to each vertex of the BFS tree
     dealt = np.argsort(np.argsort(depth, kind="stable"))[bfs_order(parent)]
     return bfs_tree(parent), u[dealt], w[dealt]
-
-
-def dense_matrix(tree, u, w):
-    """Kernel matrix built by walking parent chains; independent of apply."""
-    n = tree.n
-    mat = np.zeros((n, n))
-    for i in range(n):
-        v = i
-        while v != -1:
-            mat[i, v] = w[i] * u[v]
-            v = int(tree.parent[v])
-    return mat
 
 
 def rand_weights(n, rng):
@@ -163,13 +152,6 @@ def test_adjoint_is_transpose():
                                    rtol=1e-12, atol=1e-12)
 
 
-def test_operator_matrix_agrees_with_dense():
-    rng = np.random.default_rng(15)
-    t = random_parent(12, rng)
-    u, w = rand_weights(12, rng)
-    np.testing.assert_allclose(operator_matrix(t, u, w), dense_matrix(t, u, w))
-
-
 # -- the per-vertex kernels the level sweeps replaced, kept as references ----
 
 
@@ -223,6 +205,24 @@ def _ref_row_hoelder_upper(tree, u, w, p, q):
     return float(np.sum(np.asarray(w) ** q * cum ** (q / pp)) ** (1.0 / q))
 
 
+def _ref_schur_upper(tree, u, w, p, q):
+    """_schur_upper on the reference kernels, one bound at a time: the
+    row-wise Hoelder bound, then _SCHUR_STEPS Schur steps at alpha = 1/2 on
+    r = h1^q, each rounded outward by the same margin."""
+    s = _conj(p)
+    k = (math.ceil(q / s) + math.ceil(s / q) + 3) * (tree.n + 1000)
+    bounds = [_ref_row_hoelder_upper(tree, u, w, p, q)]
+    r = np.ones(tree.n)
+    with np.errstate(all="raise"):
+        for _ in range(_SCHUR_STEPS):
+            first = _ref_apply(tree, u ** (s / 2), w ** (s / 2), r ** (s / q))
+            second = _ref_apply_adjoint(tree, u ** (q / 2), w ** (q / 2),
+                                        first ** (q / s))
+            bounds.append(np.max(second / r) ** (1 / q))
+            r = second / np.max(second)
+    return min(float(_round_up(b, k)) for b in bounds)
+
+
 def _ref_norm_oracle(tree, u, w, p, q, cfg):
     cfg = dict(cfg)
     restarts = int(cfg.pop("restarts", 16))
@@ -232,11 +232,6 @@ def _ref_norm_oracle(tree, u, w, p, q, cfg):
     _check_pq(p, q)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if tree.n == 1:
-        v = float(u[0] * w[0])
-        return NormEstimate(v, v, np.ones(1),
-                            {"iterations": 0,
-                             "restart_iterations": [0] * max(1, restarts)})
     pp = _conj(p)
     vals, iterates, stopped = [], [], []
     for r in range(max(1, restarts)):
@@ -270,10 +265,7 @@ def _ref_norm_oracle(tree, u, w, p, q, cfg):
     witness = iterates[best].copy()
     lower = float(_ref_lp_norm(_ref_apply(tree, u, w, witness), q)
                   / _ref_lp_norm(witness, p))
-    upper = _ref_row_hoelder_upper(tree, u, w, p, q)
-    if tree.n <= 12:
-        upper = min(upper, _simplex_grid_upper(tree, u, w, p, q, upper))
-    upper = max(upper, lower)
+    upper = _ref_schur_upper(tree, u, w, p, q)
     return NormEstimate(lower, upper, witness,
                         {"iterations": max(stopped),
                          "restart_iterations": stopped})
@@ -537,6 +529,54 @@ def test_norm_matches_svd_on_random_trees():
         assert est.upper >= sigma * (1 - 1e-12)
 
 
+def _rounded_hoelder(tree, u, w, p, q):
+    """The row-wise Hoelder bound rounded outward by _schur_upper's margin."""
+    s = _conj(p)
+    k = (math.ceil(q / s) + math.ceil(s / q) + 3) * (tree.n + 1000)
+    ones = np.ones(tree.n)
+    cum = apply(tree, u ** s, ones, ones)
+    return float(_round_up(_row_hoelder_upper(cum, w, p, q), k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=trees(), pq=st.sampled_from([(2.0, 2.0), (3.0, 3.0), (1.5, 2.5),
+                                         (2.0, 4.0), (1.2, 6.0)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(tree=path_tree(1), pq=(3.0, 3.0), seed=0)  # unrounded, 1 ulp low
+def test_schur_upper_brackets_the_norm(tree, pq, seed):
+    """The upper bound is at least the oracle's lower bound, exactly, at
+    most the outward-rounded Hoelder bound, and at p = q = 2 at least the
+    largest singular value."""
+    rng = np.random.default_rng(seed)
+    u, w = rand_weights(tree.n, rng)
+    est = norm_oracle(tree, u, w, *pq, {"restarts": 4, "seed": seed})
+    assert est.lower <= est.upper <= _rounded_hoelder(tree, u, w, *pq)
+    if pq == (2.0, 2.0):
+        sigma = np.linalg.norm(dense_matrix(tree, u, w), 2)
+        assert est.upper >= sigma * (1 - 1e-12)
+
+
+def test_schur_upper_is_inf_when_its_arithmetic_underflows():
+    # ||S|| scales with w, but at w ~ 1e-90 and q = 4 the terms w^q
+    # underflow: no bound is certified, and a sum of the flushed terms
+    # would report one far below the norm
+    t = full_tree(2, 5)
+    u, w = rand_weights(t.n, np.random.default_rng(0))
+    assert math.isinf(norm_oracle(t, u, w * 1e-90, 2.0, 4.0).upper)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 1e-300),
+                   st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0])),
+       k=st.integers(1, 2 ** 20))
+def test_round_up_is_above_the_widened_value(x, k):
+    # at least x / (1 - gamma_k), exactly, and not far above
+    gamma = Fraction(k, 2 ** 53 - k)
+    got = Fraction(float(_round_up(x, k)))
+    bound = Fraction(x) / (1 - gamma)
+    assert bound <= got <= bound * (1 + 8 * gamma) + Fraction(4 * 5e-324)
+
+
 def test_hoelder_bound_drops_zero_rows_and_keeps_nan():
     tree = path_tree(4)
     ones = np.ones(tree.n)
@@ -702,10 +742,11 @@ def test_norm_oracle_steps_only_the_live_restarts(monkeypatch):
                       poll=lambda: polls.append(1))
     steps = est.meta["iterations"]
     assert len(polls) == steps > 1
-    # one apply per step, then the witness and the Hoelder bound
-    assert len(cols) == steps + 2
-    assert sum(cols[:-2]) < 6 * steps * t.n
-    assert sum(cols[:-2]) == t.n * sum(est.meta["restart_iterations"])
+    # one apply per step, then the witness, the Hoelder bound and one per
+    # Schur step
+    assert len(cols) == steps + 2 + _SCHUR_STEPS
+    assert sum(cols[:steps]) < 6 * steps * t.n
+    assert sum(cols[:steps]) == t.n * sum(est.meta["restart_iterations"])
 
 
 def test_norm_oracle_restart_iterations():

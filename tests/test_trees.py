@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 from unittest import mock
@@ -165,9 +166,36 @@ class TestStructureOps:
         t = full_tree(2, 3)
         u = np.linspace(1, 2, t.n)
         w = np.linspace(2, 3, t.n)
-        t2, u2, w2 = Tree.from_json(t.to_json(u=u, w=w))
+        out = io.StringIO()
+        t.to_json(out, u=u, w=w)
+        t2, u2, w2 = Tree.from_json(out.getvalue())
         assert np.array_equal(t2.parent, t.parent)
         assert np.allclose(u2, u) and np.allclose(w2, w)
+
+    def test_json_is_written_in_chunks_in_bounded_memory(self, tmp_path):
+        t = full_tree(2, 17)  # 2^18 - 1 vertices
+        path = tmp_path / "t.json"
+        with open(path, "w") as out:
+            tracemalloc.start()
+            try:
+                t.to_json(out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert path.read_text() == json.dumps(
+            {"parent": t.parent.tolist()}) + "\n"
+        # json.dumps of the whole document peaks at 16 MB here
+        assert peak < 4 * 2 ** 20
+
+    def test_json_chunks_keep_the_json_dumps_bytes(self):
+        t = full_tree(2, 14)  # two chunks and a part
+        u, w = np.linspace(0.1, 3.0, t.n), np.geomspace(1e-300, 1e300, t.n)
+        for weights in ({}, {"u": u}, {"u": u, "w": w}):
+            out = io.StringIO()
+            t.to_json(out, **weights)
+            assert out.getvalue() == json.dumps(
+                {"parent": t.parent.tolist(),
+                 **{k: v.tolist() for k, v in weights.items()}}) + "\n"
 
     @pytest.mark.parametrize("doc", [
         {"parent": [-1, 0, True]}, {"parent": [-1, 0], "u": [1.0, True]},

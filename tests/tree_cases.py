@@ -1,7 +1,7 @@
 """Hypothesis strategies for trees that cover every branch of the level sweeps,
 path trees, BFS renaming of any parent array, the CSR walks the level walks
-are checked against, and a builder of subtree partitions from explicit
-parts.
+are checked against, a builder of subtree partitions from explicit parts,
+and the summation operator's dense matrix.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -16,6 +16,19 @@ from entropy_lab.trees import SubtreePartition, Tree, random_tree
 def path_tree(n: int) -> Tree:
     """The path 0 - 1 - ... - n-1, rooted at 0."""
     return Tree(np.arange(-1, n - 1))
+
+
+def dense_matrix(tree, u, w):
+    """Kernel matrix of the summation operator built by walking parent
+    chains; independent of summation.apply."""
+    n = tree.n
+    mat = np.zeros((n, n))
+    for i in range(n):
+        v = i
+        while v != -1:
+            mat[i, v] = w[i] * u[v]
+            v = int(tree.parent[v])
+    return mat
 
 
 def bfs_order(parent) -> np.ndarray:
