@@ -446,7 +446,9 @@ class _BasisRows:
     sweep sums t_x = fl(|w_x|^q) over every subtree exactly, in Python
     integers, and keeps W_v as hi_v = fl(S_v), lo_v = fl(S_v - hi_v): the
     t_x of T_b then cancel exactly in W_a - W_b, as they would not between
-    two rounded sums.  q must be finite and >= 1.
+    two rounded sums.  The rows are of u 2^-s and w 2^s, the same images,
+    with s chosen to keep |u_v|^q and t_x in range.  q must be finite and
+    >= 1.
     """
 
     def __init__(self, tree, u, w, vs, q: float):
@@ -456,21 +458,32 @@ class _BasisRows:
         self.vs = np.asarray(vs, dtype=np.int64)
         pre, size = tree.preorder()
         self.first, self.end = pre[self.vs], pre[self.vs] + size[self.vs]
-        self.uv = np.asarray(u, dtype=float)[self.vs]
+        uv, w = np.asarray(u, dtype=float)[self.vs], np.asarray(w, float)
+        # u 2^-s and w 2^s have the same products u_v w_x, the images, and
+        # max |u_v| and max |w_x| a binade or so apart: on deep log packs
+        # |u_v|^q and t_x = fl(|w_x|^q) then stay normal
+        eu, ew = (np.frexp(np.max(np.abs(x), initial=0.0))[1]
+                  for x in (uv, w))
+        s = int(eu - ew + 1) // 2
         with np.errstate(over="ignore", invalid="ignore"):
-            self.uq = np.abs(self.uv) ** q
-            t = np.abs(np.asarray(w, dtype=float)) ** q
-            # bounds every product and sum lower() forms, NaN included
-            top = (2.0 * np.max(np.abs(self.uv), initial=0.0)) ** q * t.sum()
-        if not top < 2.0 ** 1000:
+            self.uv, wx = np.ldexp(uv, -s), np.ldexp(w, s)
+            if not (np.array_equal(np.ldexp(self.uv, s), uv)
+                    and np.array_equal(np.ldexp(wx, -s), w)):
+                self.uv, wx = uv, w  # inexact past the normal range
+            self.uq, t = np.abs(self.uv) ** q, np.abs(wx) ** q
+            # bound the terms of lower(), NaN included
+            fits = (t.sum() < 2.0 ** 1000 and (2.0 * np.max(
+                np.abs(self.uv), initial=0.0)) ** q < 2.0 ** 1000)
+            if fits:
+                exact = tree.subtree_sums(_exact_units(t))[self.vs]
+                # int / int true division is correctly rounded
+                self.hi = (exact / _UNIT).astype(float)
+                self.lo = ((exact - _exact_units(self.hi))
+                           / _UNIT).astype(float)
+                fits = 2.0 ** q * np.max(self.uq * self.hi,
+                                         initial=0.0) < 2.0 ** 1000
+        if not fits:
             raise ValueError("basis images too large for float64 distances")
-        exact = _exact_units(t)
-        for level in tree.levels()[:0:-1]:
-            np.add.at(exact, level.parent, exact[level.ids])
-        exact = exact[self.vs]
-        # int / int true division is correctly rounded
-        self.hi = (exact / _UNIT).astype(float)
-        self.lo = ((exact - _exact_units(self.hi)) / _UNIT).astype(float)
         self.k = math.ceil(q) + 27
         self.pad = (4 * tree.n + 16) * _ETA
         self.k_dense = tree.n + math.ceil(q) + 15
@@ -504,8 +517,11 @@ class _BasisRows:
         distances.  16u^2 and (4n + 16) eta cover T and its own rounding,
         so L = max(D' - T, 0), stepped toward 0, is at most D (1 + gamma_K),
         fl(L^{1/q}) at most d (1 + gamma_{K+8}) + 4 eta, and
-        _round_down(., K + 8, 4 eta) at most d.  __init__'s check keeps
-        every value below 2^1003.
+        _round_down(., K + 8, 4 eta) at most d.  __init__'s checks keep
+        (2 max |u_v|)^q, so A and B, sum t_x, so hi, and each row's own
+        2^q |u_v|^q hi_v below 2^1000; as |u_o - u_i| <= 2 max(|u_o|,
+        |u_i|) and W_i <= W_o, each product above is at most one row's
+        own 2^q |u|^q W, so every value stays below 2^1003.
         """
         first, end, hi, lo = self.first, self.end, self.hi, self.lo
         inner = (first >= first[c]) & (first < end[c])  # T_r in T_c

@@ -398,13 +398,16 @@ def _witness_pool(tree, u, w, p, samples, seed, poll=None):
 
 
 def _certificate_sweep(tree, scheme, h, ns, p, q, eps, budget):
-    """({n: B(n)}, extra, checks) of the certificates for ns in turn.
+    """({n: B(n)}, extra, checks) of the certificates for ns in turn;
+    extra["certificate_index"] lists each one's index K(n), the index of
+    the entropy number that B(n) bounds.
 
     The budget is polled before each certificate, and the sweep stops at
     the first poll that trips.
     """
     uppers = {}
     budget_constants = []
+    index = []
     c_guarantee = None
     for n in ns:
         if budget.exceeded() is not None:
@@ -412,8 +415,9 @@ def _certificate_sweep(tree, scheme, h, ns, p, q, eps, budget):
         cert = entropy_certificate(tree, scheme, h, n, p, q, eps=eps)
         uppers[n] = float(cert.bound.value)
         budget_constants.append(cert.c_budget)
+        index.append(cert.k_total)
         c_guarantee = cert.c_guarantee
-    extra = {"budget_constants": budget_constants}
+    extra = {"budget_constants": budget_constants, "certificate_index": index}
     checks = {}
     if budget_constants:
         extra["c_guarantee"] = c_guarantee

@@ -225,33 +225,19 @@ def apply(tree: Tree, u, w, f):
 
     f may be a vector or a (|V|, r) block of columns processed together;
     u and w are per-vertex vectors, or blocks shaped like f that repeat them
-    across the columns.  The prefix sums run one depth level at a time over
-    the tree's cached level plan.
+    across the columns.  The prefix sums are the tree's Tree.path_scan.
     """
-    f = _as_columns(f, tree.n)
-    acc = _scale_rows(u, f)
-    for level in tree.levels()[1:]:
-        acc[level.ids] += acc[level.parent]
+    acc = tree.path_scan(_scale_rows(u, _as_columns(f, tree.n)))
     return _scale_rows(w, acc, out=acc)
 
 
 def apply_adjoint(tree: Tree, u, w, g):
     """(S^T g)(xi') = u(xi') * sum over descendants xi >= xi' of w(xi) g(xi).
 
-    g, u and w are shaped as in apply.  The descendant sums run one depth
-    level at a time, deepest first, over the tree's cached level plan:
-    each parent's children are consecutive ids, so each level adds its
-    per-parent child sums (np.add.reduceat, or two strided slices when
-    every parent has two children) into the parents' rows.
+    g, u and w are shaped as in apply.  The descendant sums are the tree's
+    Tree.subtree_sums.
     """
-    g = _as_columns(g, tree.n)
-    acc = _scale_rows(w, g)
-    for level, seg in zip(tree.levels()[:0:-1], tree.segments()[:0:-1]):
-        vals = acc[level.ids]
-        if seg.pairs:
-            acc[seg.targets] += vals[0::2] + vals[1::2]
-        else:
-            acc[seg.targets] += np.add.reduceat(vals, seg.starts, axis=0)
+    acc = tree.subtree_sums(_scale_rows(w, _as_columns(g, tree.n)))
     return _scale_rows(u, acc, out=acc)
 
 
@@ -288,6 +274,15 @@ def _round_up(x, k: int):
     np.nextafter step up from fl(z) reaches a real z."""
     f = math.nextafter((1 - k * 2.0 ** -53) / (1 - k * 2.0 ** -52), math.inf)
     return np.nextafter(np.multiply(x, f), math.inf)
+
+
+def _unit_scale(x):
+    """(x 2^-e, e), e the exponent of max x, so that the scaled max lies in
+    [1/2, 1); (x, 0) where the scaling is inexact, an entry going
+    subnormal."""
+    e = int(np.frexp(np.max(x))[1])
+    y = np.ldexp(x, -e)
+    return (y, e) if np.array_equal(np.ldexp(y, e), x) else (x, 0)
 
 
 def _schur_upper(tree: Tree, u, w, p: float, q: float) -> float:
@@ -342,6 +337,12 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
     Upper bound: _schur_upper's generalized Schur test, rounded outward and
     not clamped to the lower bound, so lower <= upper can fail.
 
+    ||S|| is homogeneous in u and w, so both bounds are taken for u 2^-eu
+    and w 2^-ew (_unit_scale) and multiplied by 2^(eu + ew), so weights
+    far from 1 flush neither the ascent's sums nor the Schur terms to zero.
+    That product is exact unless it leaves the normal range; there each
+    bound steps outward.
+
     poll, if given, is called once before each ascent step; when it
     returns a cap name the ascent stops and the bounds are computed from
     the iterates reached (still certified).
@@ -361,6 +362,7 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
         raise ValueError("u, w must be per-vertex arrays")
     if not (_positive(u) and _positive(w)):
         raise ValueError("weights must be finite and strictly positive")
+    (u, eu), (w, ew) = _unit_scale(u), _unit_scale(w)
 
     cols = max(1, restarts)
     pp = _conj(p)
@@ -420,11 +422,18 @@ def norm_oracle(tree: Tree, u, w, p: float, q: float,
 
     best = int(np.argmax(vals))
     witness = final[best].copy()
-    lower = float(_lp_norm(apply(tree, u, w, witness), q) / _lp_norm(witness, p))
+    low = _lp_norm(apply(tree, u, w, witness), q) / _lp_norm(witness, p)
+    up = _schur_upper(tree, u, w, p, q)
+    with np.errstate(over="ignore"):
+        lower, upper = (float(np.ldexp(x, eu + ew)) for x in (low, up))
+        if np.ldexp(lower, -eu - ew) > low:
+            lower = math.nextafter(lower, 0.0)
+        if np.ldexp(upper, -eu - ew) < up:
+            upper = math.nextafter(upper, math.inf)
 
     meta = {"iterations": iterations, "seed": seed, "restarts": restarts,
             "restart_iterations": stopped.tolist()}
-    return NormEstimate(lower, _schur_upper(tree, u, w, p, q), witness, meta)
+    return NormEstimate(lower, upper, witness, meta)
 
 
 # -- Hardy-type analytic bounds ---------------------------------------------

@@ -37,7 +37,7 @@ class Level(NamedTuple):
     parent: np.ndarray
 
 
-class Segments(NamedTuple):
+class _Segments(NamedTuple):
     """A level's children grouped by parent: the level's parent ids are
     sorted, so each parent's children form one segment.
 
@@ -53,14 +53,14 @@ class Segments(NamedTuple):
     pairs: bool
 
 
-def _segments(par: np.ndarray) -> Segments:
-    """The Segments of a level with sorted parent ids par."""
+def _segments(par: np.ndarray) -> _Segments:
+    """The _Segments of a level with sorted parent ids par."""
     starts = np.flatnonzero(np.concatenate(([True], par[1:] != par[:-1])))
     targets = par[starts]
     if targets[-1] - targets[0] + 1 == targets.size:
         targets = slice(int(targets[0]), int(targets[-1]) + 1)
     pairs = bool(np.all(np.diff(starts, append=par.size) == 2))
-    return Segments(targets, starts, pairs)
+    return _Segments(targets, starts, pairs)
 
 
 class Tree:
@@ -83,11 +83,12 @@ class Tree:
     height : int
         Maximum depth.
 
-    The level plan (``levels`` and ``segments``), the tree's only index of
-    its structure, serves every walk and level-at-a-time sweep.  It is
-    computed on first use and cached on the tree.  Two threads may both
-    compute it on first use; either result is correct and immutable, so
-    the race is benign.
+    The level plan (``levels``, and the per-level child segments that
+    ``subtree_sums`` reads), the tree's only index of its structure, serves
+    every walk and both level sweeps, ``path_scan`` (root first) and
+    ``subtree_sums`` (deepest first).  It is computed on first use and
+    cached on the tree.  Two threads may both compute it on first use;
+    either result is correct and immutable, so the race is benign.
     """
 
     __slots__ = ("parent", "depth", "height", "n", "_level_start",
@@ -145,40 +146,54 @@ class Tree:
                                  for lo, hi in zip(bounds, bounds[1:]))
         return self._levels
 
-    def segments(self) -> tuple:
-        """Per depth level, its children grouped by parent as ``Segments``;
-        None for the root level."""
+    def path_scan(self, x, op=np.add):
+        """x[v] = op(x[v], x[parent[v]]) for every vertex but the root, root
+        first, in place; returns x.  With np.add, the root-path prefix sums
+        of x; with np.maximum, its root-path maxima.  x is indexed by vertex
+        along its first axis."""
+        for level in self.levels()[1:]:
+            own = x[level.ids]
+            op(own, x[level.parent], out=own)
+        return x
+
+    def subtree_sums(self, x):
+        """x[v] = the sum of x over the subtree of v, for every vertex, in
+        place; returns x.  One level at a time, deepest first: each
+        parent's children are consecutive ids, so a level adds its
+        per-parent child sums (np.add.reduceat, or two strided slices when
+        every parent has two children) into the parents' rows.  x is
+        indexed by vertex along its first axis, of any dtype numpy adds
+        (Python ints in an object array are summed exactly)."""
         if self._segments is None:
-            self._segments = (None,) + tuple(
-                _segments(level.parent) for level in self.levels()[1:])
-        return self._segments
+            self._segments = tuple(_segments(level.parent)
+                                   for level in self.levels()[1:])
+        for level, seg in zip(self.levels()[:0:-1], self._segments[::-1]):
+            vals = x[level.ids]
+            if seg.pairs:
+                x[seg.targets] += vals[0::2] + vals[1::2]
+            else:
+                x[seg.targets] += np.add.reduceat(vals, seg.starts, axis=0)
+        return x
 
     def preorder(self) -> tuple:
         """(pre, size): each vertex's preorder rank (children in id order)
         and its subtree's size, so the subtree of v holds the ranks pre[v]
         to pre[v] + size[v] - 1, and one subtree lies in another exactly
-        when its range does.  One sweep of the level plan, deepest level
-        first, sums the sizes; one more, root first, places every vertex
-        after its parent and its earlier siblings' subtrees.  A vertex's
-        earlier siblings are the ids just before it, so one running sum
-        over ids, restarted at every parent, gives each child's offset.
+        when its range does.  The sizes are subtree sums of ones; a rank is
+        the root-path sum of 1 + the vertex's offset past its parent, the
+        sizes of its earlier siblings.  Those are the ids just before it,
+        so one running sum over ids, restarted at every parent, gives each
+        child's offset.
         """
-        levels = self.levels()
-        size = np.ones(self.n, dtype=np.int64)
-        for level in levels[:0:-1]:
-            np.add.at(size, level.parent, size[level.ids])
-        # each child's offset past its parent: its earlier siblings' sizes
+        size = self.subtree_sums(np.ones(self.n, dtype=np.int64))
         sizes, par = size[1:], self.parent[1:]
         before = np.cumsum(sizes) - sizes
         first = np.ones(par.size, dtype=bool)
         first[1:] = par[1:] != par[:-1]
-        offset = np.zeros(self.n, dtype=np.int64)
-        offset[1:] = before - np.maximum.accumulate(
-            np.where(first, before, 0))
         pre = np.zeros(self.n, dtype=np.int64)
-        for level in levels[1:]:
-            pre[level.ids] = pre[level.parent] + 1 + offset[level.ids]
-        return pre, size
+        pre[1:] = 1 + before - np.maximum.accumulate(
+            np.where(first, before, 0))
+        return self.path_scan(pre), size
 
     # -- serialization ---------------------------------------------------
 
@@ -326,7 +341,7 @@ def _hanging_parts(tree: Tree, marked: np.ndarray) -> SubtreePartition:
     roots = np.flatnonzero(marked)
     label = np.full(tree.n + 1, -1, dtype=np.int64)
     label[roots] = np.arange(roots.size)
-    for level in tree.levels()[1:]:
-        label[level.ids] = np.where(marked[level.ids], label[level.ids],
-                                    label[level.parent])
+    # roots rise with depth along a root path: the nearest marked ancestor
+    # holds the largest label on it
+    tree.path_scan(label[:-1], np.maximum)
     return SubtreePartition(roots, label)

@@ -121,3 +121,45 @@ def test_package_starts_no_thread():
                       or name.startswith("concurrent.futures")
                       or name == "concurrent.futures"]
     assert found == []
+
+
+def _functions(tree):
+    """Each def in a module's AST by its dotted name (methods as
+    Class.method)."""
+    found = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            found.update({f"{stmt.name}.{node.name}": node
+                          for node in stmt.body
+                          if isinstance(node, ast.FunctionDef)})
+        elif isinstance(stmt, ast.FunctionDef):
+            found[stmt.name] = stmt
+    return found
+
+
+def test_level_sweeps_live_on_the_tree():
+    # the root-path scan and the subtree sum are Tree.path_scan and
+    # Tree.subtree_sums: no scatter-add, no caller of the child segments,
+    # and no level loop in the functions that sweep through them
+    package = Path(entropy_lab.__file__).resolve().parent
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in package.glob("*.py")}
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "at":
+                assert not (isinstance(node.value, ast.Attribute)
+                            and node.value.attr == "add"), \
+                    f"{name}: np.add.at"
+            ident = getattr(node, "attr", getattr(node, "id", ""))
+            assert name == "trees" or "segments" not in ident, \
+                f"{name}: {ident}"
+    sweepers = {"summation": ["apply", "apply_adjoint"],
+                "trees": ["Tree.preorder", "_hanging_parts"],
+                "entropy": ["_BasisRows.__init__"]}
+    for name, funcs in sweepers.items():
+        defs = _functions(modules[name])
+        for func in funcs:
+            loops = [node for node in ast.walk(defs[func])
+                     if isinstance(node, (ast.For, ast.While))
+                     or getattr(node, "attr", None) == "levels"]
+            assert loops == [], f"{name}.{func} holds a level loop"

@@ -619,12 +619,17 @@ def _assert_brackets(r, lo, hi, q, rtol=1e-12):
 
 @settings(max_examples=40, deadline=None)
 @given(tree=trees(max_n=20), q=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
-       spread=st.sampled_from([1.0, 10.0, 1e3]),
+       spread=st.sampled_from([1.0, 10.0, 1e3, "2^300"]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(tree=full_tree(2, 3), q=4.0, spread="2^300", seed=0)
 def test_closed_form_distances_bracket_the_exact_ones(tree, q, spread, seed):
     # every vertex, and some twice; each pair's rounded closed form must
     # lie at or below the exact distance of the exact images, and within
-    # 1e-12 of it
+    # 1e-12 of it.  "2^300" spreads |u| up to 2^300 and |w| down to 2^-300
+    # over the tree's height, as on the deep log packs: |u_v|^q and
+    # |w_x|^q leave the float range unless the rows are scaled
+    if spread == "2^300":
+        spread = 2.0 ** (300 / max(tree.height, 1))
     u, w = _basis_weights(tree, spread, seed)
     vs = np.concatenate([np.arange(tree.n),
                          np.random.default_rng(seed).integers(0, tree.n, 3)])
@@ -723,7 +728,8 @@ def test_closed_form_keeps_a_small_difference_of_large_subtree_sums():
 
 @pytest.mark.parametrize("u0, w0", [(1e80, 1.0), (1.0, math.nan)])
 def test_basis_rows_past_float_range_are_refused(u0, w0):
-    # (2 max |u_v|)^q sum |w_x|^q must stay below 2^1000, and NaN fails it
+    # an image entry of 1e80 has a q-th power past the float range at any
+    # scaling of u and w, and NaN fails every range check
     tree = full_tree(2, 1)
     u, w = np.ones(tree.n), np.ones(tree.n)
     u[0], w[2] = u0, w0

@@ -353,14 +353,24 @@ def test_count_params_below_their_least_value_are_named(
     assert not (tmp_path / f"{name}.csv").exists()
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="basis images too large for float64 distances: "
-                          "_BasisRows refuses trees whose factored form "
-                          "leaves the float range")
+@pytest.mark.parametrize("name, index", [
+    ("critical_scaling_power", [3, 36, 5, 62, 79, 90, 9, 121]),
+    ("critical_scaling_log", [3, 4, 5, 6, 7, 8, 104, 121]),
+    ("certificate_growth", [90, 203, 811, 908]),
+])
+def test_summary_records_each_certificate_index(tmp_path, name, index):
+    # K(n), the index of the entropy number each row's upper bound
+    # bounds, one entry per certified row in row order
+    res = run(ExperimentConfig(name, seed=0, output_dir=str(tmp_path)))
+    assert res.summary["certificate_index"] == index
+    assert len(index) == sum(r.upper is not None for r in res.rows)
+
+
 @pytest.mark.parametrize("params", [{"m_star": 2}, {"depth": 255}])
 def test_critical_scaling_log_configs_past_the_factored_float_range(
         tmp_path, params):
-    # both passed every check before the closed-form basis rows
+    # max u_v is 2^258 and min w_x 2^-259 here: unscaled, |u_v|^4 and
+    # |w_x|^4 leave the float range, though every image entry is at most 1
     res = run(ExperimentConfig("critical_scaling_log", params=params, seed=0,
                                output_dir=str(tmp_path)))
     assert res.passed

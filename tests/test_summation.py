@@ -230,8 +230,11 @@ def _ref_norm_oracle(tree, u, w, p, q, cfg):
     max_iter = int(cfg.pop("max_iter", 10_000))
     seed = int(cfg.pop("seed", 0))
     _check_pq(p, q)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
+    # the bounds of u 2^-eu and w 2^-ew, max u and max w each scaled into
+    # [1/2, 1), times 2^(eu + ew)
+    eu, ew = (int(np.frexp(np.max(x))[1]) for x in (u, w))
+    u = np.ldexp(np.asarray(u, dtype=float), -eu)
+    w = np.ldexp(np.asarray(w, dtype=float), -ew)
     pp = _conj(p)
     vals, iterates, stopped = [], [], []
     for r in range(max(1, restarts)):
@@ -266,6 +269,7 @@ def _ref_norm_oracle(tree, u, w, p, q, cfg):
     lower = float(_ref_lp_norm(_ref_apply(tree, u, w, witness), q)
                   / _ref_lp_norm(witness, p))
     upper = _ref_schur_upper(tree, u, w, p, q)
+    lower, upper = (math.ldexp(b, eu + ew) for b in (lower, upper))
     return NormEstimate(lower, upper, witness,
                         {"iterations": max(stopped),
                          "restart_iterations": stopped})
@@ -306,19 +310,25 @@ def test_level_sweeps_cover_every_segment_shape():
     shapes = set()
     for tree in (full_tree(2, 5), full_tree(3, 4), random_tree(300, 3, 1),
                  random_tree(300, 14, 2)):
-        for seg in tree.segments()[1:]:
-            shapes.add("pairs" if seg.pairs else "reduceat")
         u, w = rand_weights(tree.n, rng)
         for cols in (0, 3):
             g = _block(rng, tree.n, cols)
             assert np.array_equal(apply_adjoint(tree, u, w, g),
                                   _ref_apply_adjoint(tree, u, w, g))
+        # the child segments subtree_sums cached on the tree
+        shapes |= {"pairs" if seg.pairs else "reduceat"
+                   for seg in tree._segments}
     assert shapes == {"pairs", "reduceat"}
 
 
 def test_level_plan_is_cached_on_the_tree():
     t = random_tree(50, 3, 4)
-    assert t.levels() is t.levels() and t.segments() is t.segments()
+    assert t._segments is None  # built on the first subtree sum
+    t.subtree_sums(np.ones(t.n))
+    segments = t._segments
+    t.subtree_sums(np.ones(t.n))
+    assert t.levels() is t.levels() and t._segments is segments
+    assert len(segments) == t.height
     for d, lv in enumerate(t.levels()):
         assert np.array_equal(np.arange(t.n)[lv.ids], np.flatnonzero(t.depth == d))
         assert np.array_equal(lv.parent, t.parent[t.depth == d])
@@ -530,12 +540,17 @@ def test_norm_matches_svd_on_random_trees():
 
 
 def _rounded_hoelder(tree, u, w, p, q):
-    """The row-wise Hoelder bound rounded outward by _schur_upper's margin."""
+    """The row-wise Hoelder bound rounded outward by _schur_upper's margin,
+    taken as norm_oracle takes it, for u and w scaled by powers of two
+    into [1/2, 1) and scaled back."""
     s = _conj(p)
     k = (math.ceil(q / s) + math.ceil(s / q) + 3) * (tree.n + 1000)
+    eu, ew = (int(np.frexp(np.max(x))[1]) for x in (u, w))
+    u, w = np.ldexp(u, -eu), np.ldexp(w, -ew)
     ones = np.ones(tree.n)
     cum = apply(tree, u ** s, ones, ones)
-    return float(_round_up(_row_hoelder_upper(cum, w, p, q), k))
+    return math.ldexp(float(_round_up(_row_hoelder_upper(cum, w, p, q), k)),
+                      eu + ew)
 
 
 @settings(max_examples=100, deadline=None)
@@ -556,13 +571,43 @@ def test_schur_upper_brackets_the_norm(tree, pq, seed):
         assert est.upper >= sigma * (1 - 1e-12)
 
 
+def test_norm_oracle_brackets_weights_far_from_one():
+    # ||S|| scales with w: at w ~ 1e-90 and q = 4 the terms w^q would
+    # underflow, and so would the ascent's |Sf|^q, but the bounds are
+    # taken at weights scaled by powers of two near 1
+    t = full_tree(2, 5)
+    u, w = rand_weights(t.n, np.random.default_rng(0))
+    base = norm_oracle(t, u, w, 2.0, 4.0)
+    est = norm_oracle(t, u, w * 1e-90, 2.0, 4.0)
+    assert est.lower == pytest.approx(8.61555061823665e-90, rel=1e-12)
+    assert est.upper == pytest.approx(9.70013708273805e-90, rel=1e-12)
+    assert est.lower == pytest.approx(base.lower * 1e-90, rel=1e-12)
+    assert est.upper == pytest.approx(base.upper * 1e-90, rel=1e-12)
+
+
+def test_norm_oracle_bounds_step_outward_into_the_subnormals():
+    # weights scaled by 2^-k give the unscaled bounds times 2^-k; in the
+    # subnormal range that product rounds, and each bound must round away
+    # from the norm
+    t = full_tree(2, 3)
+    u, w = rand_weights(t.n, np.random.default_rng(1))
+    base = norm_oracle(t, u, w, 2.0, 4.0)
+    for k in range(1050, 1080, 3):
+        est = norm_oracle(t, np.ldexp(u, -(k // 2)), np.ldexp(w, k // 2 - k),
+                          2.0, 4.0)
+        assert Fraction(est.lower) <= Fraction(base.lower) / 2 ** k
+        assert Fraction(est.upper) >= Fraction(base.upper) / 2 ** k
+
+
 def test_schur_upper_is_inf_when_its_arithmetic_underflows():
-    # ||S|| scales with w, but at w ~ 1e-90 and q = 4 the terms w^q
-    # underflow: no bound is certified, and a sum of the flushed terms
+    # weights spread over 2^-1000 underflow at q = 4 under any common
+    # scale: no upper bound is certified, and a sum of the flushed terms
     # would report one far below the norm
     t = full_tree(2, 5)
     u, w = rand_weights(t.n, np.random.default_rng(0))
-    assert math.isinf(norm_oracle(t, u, w * 1e-90, 2.0, 4.0).upper)
+    w[1::2] *= 2.0 ** -1000
+    est = norm_oracle(t, u, w, 2.0, 4.0)
+    assert math.isinf(est.upper) and 0 < est.lower < math.inf
 
 
 @settings(max_examples=200, deadline=None)

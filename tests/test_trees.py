@@ -295,6 +295,67 @@ def test_level_walks_match_the_csr_walks_exactly(tree):
         assert _same(np.flatnonzero(inside), ref.subtree(v))
 
 
+def _root_path(tree, v):
+    """The root path of v, root first, by walking parent ids."""
+    path = [v]
+    while tree.parent[path[-1]] >= 0:
+        path.append(int(tree.parent[path[-1]]))
+    return path[::-1]
+
+
+def _combine(op, a, b):
+    """op on two entries or rows, Python ints past int64 included."""
+    if op is np.add:
+        return a + b
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+
+
+def _ref_path_scan(tree, x, op):
+    # each vertex folds its root path from the root down, as
+    # path_scan's x[v] = op(x[v], x[parent[v]]) does
+    out = x.copy()
+    for v in range(tree.n):
+        path = _root_path(tree, v)
+        acc = x[path[0]]
+        for a in path[1:]:
+            acc = _combine(op, x[a], acc)
+        out[v] = acc
+    return out
+
+
+def _ref_subtree_sums(tree, x):
+    out = np.zeros_like(x)
+    for v in range(tree.n):
+        for a in _root_path(tree, v):
+            out[a] = out[a] + x[v]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=trees(), seed=st.integers(0, 2 ** 32 - 1))
+def test_level_sweeps_match_the_parent_walks_exactly(tree, seed):
+    # int64, float64 whose every sum is exact (any order then agrees),
+    # a float64 block of columns, and Python ints past float range
+    rng = np.random.default_rng(seed)
+    n = tree.n
+    cases = [rng.integers(-1000, 1000, n),
+             rng.integers(-2 ** 40, 2 ** 40, n) * 2.0 ** -30,
+             rng.integers(-2 ** 40, 2 ** 40, (n, 3)) * 2.0 ** -30,
+             np.array([int(v) << 2000 for v in rng.integers(-99, 99, n)],
+                      dtype=object)]
+    for x in cases:
+        for op in (np.add, np.maximum):
+            y = x.copy()
+            assert tree.path_scan(y, op) is y
+            assert _same(y, _ref_path_scan(tree, x, op))
+        y = x.copy()
+        assert tree.subtree_sums(y) is y
+        assert _same(y, _ref_subtree_sums(tree, x))
+    # rounded prefix sums: the same additions in the same order
+    f = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-6, 7, (n, 2))
+    assert _same(tree.path_scan(f.copy()), _ref_path_scan(tree, f, np.add))
+
+
 class TestRandomTree:
     def test_size_branching_and_order(self):
         for seed in range(6):
