@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import EXPERIMENT_NAMES, ExperimentConfig, _whole, run
+from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, _number,
+                          _whole, run)
 from .hset import HProfile, generate_hset_tree
 from .summation import WeightScheme, norm_oracle, weights_for_tree
 from .trees import Tree
@@ -89,9 +90,9 @@ def _cmd_gen_tree(args) -> int:
     if unknown:
         raise ValueError(f"unknown profile fields: {unknown}; "
                          f"allowed: {sorted(_PROFILE_FIELDS)}")
-    h = HProfile(theta=float(profile.get("theta", 0.0)),
-                 gamma=float(profile.get("gamma", 0.0)),
-                 c3=float(profile.get("c3", 4.0)))
+    h = HProfile(theta=float(_number("theta", profile.get("theta", 0.0))),
+                 gamma=float(_number("gamma", profile.get("gamma", 0.0))),
+                 c3=float(_number("c3", profile.get("c3", 4.0))))
     m_star = _whole("m_star", profile.get("m_star", 1))
     start_depth = _whole("start_depth", profile.get("start_depth", 0))
     tree = generate_hset_tree(h, m_star, args.depth,

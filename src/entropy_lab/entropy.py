@@ -33,7 +33,6 @@ _NET_CAP = 4_000_000
 _GRAM_MAX = 2.0 ** 1018   # squared norms the q = 2 filter takes
 _GRAM_PAD = 2.0 ** -1070  # 16 least subnormals, per column
 _ETA = 2.0 ** -1074       # the least subnormal
-_UNIT = 1 << 1127         # exact sums count in units of 2^-1127
 
 
 @dataclass(frozen=True)
@@ -427,12 +426,13 @@ class _LqPasses:
         return np.flatnonzero(self.live)
 
 
-def _exact_units(x: np.ndarray) -> np.ndarray:
-    """Finite floats x >= 0 as exact Python ints, in units of 2^-1127:
-    x = m 2^e with 2^53 m a whole number below 2^53 and e >= -1073."""
+def _exact_units(x: np.ndarray, e0: int) -> np.ndarray:
+    """Finite floats x >= 0 as exact Python ints, in units of 2^(e0 - 53):
+    x = m 2^e with 2^53 m a whole number below 2^53, so x is a whole
+    number of units when x = 0 or e >= e0."""
     m, e = np.frexp(x)
     return (np.ldexp(m, 53).astype(np.int64).astype(object)
-            << (e + 1074).astype(object))
+            << np.maximum(e - e0, 0).astype(object))
 
 
 class _BasisRows:
@@ -475,11 +475,17 @@ class _BasisRows:
             fits = (t.sum() < 2.0 ** 1000 and (2.0 * np.max(
                 np.abs(self.uv), initial=0.0)) ** q < 2.0 ** 1000)
             if fits:
-                exact = tree.subtree_sums(_exact_units(t))[self.vs]
+                # count in units of 2^(e0 - 53), e0 the least exponent of
+                # a nonzero t_x (at most 53, so the unit's inverse is an
+                # int): every t_x is whole, and so is every nonzero
+                # hi_v >= 2^(e0 - 1)
+                e0 = int(np.frexp(t)[1][t > 0].min(initial=53))
+                unit = 1 << (53 - e0)
+                exact = tree.subtree_sums(_exact_units(t, e0))[self.vs]
                 # int / int true division is correctly rounded
-                self.hi = (exact / _UNIT).astype(float)
-                self.lo = ((exact - _exact_units(self.hi))
-                           / _UNIT).astype(float)
+                self.hi = (exact / unit).astype(float)
+                self.lo = ((exact - _exact_units(self.hi, e0))
+                           / unit).astype(float)
                 fits = 2.0 ** q * np.max(self.uq * self.hi,
                                          initial=0.0) < 2.0 ** 1000
         if not fits:
@@ -640,14 +646,28 @@ def _farthest_point_run(points: np.ndarray, q: float, n_select: int,
 
 def _sampled_images(matrix, p: float, ks, samples: int, seed: int):
     """Sorted distinct indices (validated) and the images of `samples`
-    l_p-ball points: the common prologue of the sampled estimators."""
+    l_p-ball points: the common prologue of the sampled estimators.
+
+    A square operator maps the sample in place, one _block_rows row block
+    at a time, so the sample is the only sample-sized array; a non-square
+    one takes a single product, whose image cannot share the sample's
+    rows.  A block's product may differ from the one-shot product in the
+    last bit (BLAS blocking depends on the shape); at the identity both
+    are exact."""
     matrix = np.asarray(matrix, dtype=float)
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise ValueError("indices must be >= 1")
     if ks[-1] > _SAMPLED_K_CAP:
         raise ValueError(f"k capped at {_SAMPLED_K_CAP} for sampled methods")
-    return ks, sample_lp_ball(matrix.shape[1], p, samples, seed) @ matrix.T
+    points = sample_lp_ball(matrix.shape[1], p, samples, seed)
+    if matrix.shape[0] != matrix.shape[1]:
+        return ks, points @ matrix.T
+    rows = _block_rows(matrix.shape[1])
+    for s in range(0, samples, rows):
+        block = points[s:s + rows]
+        block[:] = block @ matrix.T
+    return ks, points
 
 
 def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None,

@@ -560,9 +560,19 @@ def _run_kuhn_consistency(params, seed, budget):
 # -- registry and the run entry point -----------------------------------------
 
 
+def _number(name, value):
+    """value itself; ValueError naming it unless it is an int or a float
+    (a JSON boolean or string is neither)."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _whole(name, value) -> int:
-    """value as an int; ValueError if it has a fraction int() would drop."""
-    if not float(value).is_integer():
+    """value as an int; ValueError if it is not a number (_number) or has
+    a fraction int() would drop."""
+    if not float(_number(name, value)).is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)
 
@@ -613,13 +623,21 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown params for {self.experiment}: "
                              f"{unknown}; allowed: {sorted(allowed)}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if _whole("seed", self.seed) < 0:
             raise ValueError("seed must be a nonnegative integer")
-        # an int param, or a list of them, is read through int()
+        # a param is a number, or a list of numbers where its default is a
+        # list; an int param, or a list of them, is read through int()
         for name, value in self.params.items():
-            if np.ravel(allowed[name]).dtype.kind == "i":
-                for v in np.ravel(value):
-                    _whole(f"param {name}", v)
+            listed = isinstance(allowed[name], list)
+            if listed != isinstance(value, (list, tuple)):
+                raise ValueError(
+                    f"param {name} must be "
+                    f"{'a list of numbers' if listed else 'a number'}, "
+                    f"got {value!r}")
+            check = (_whole if np.ravel(allowed[name]).dtype.kind == "i"
+                     else _number)
+            for v in value if listed else [value]:
+                check(f"param {name}", v)
 
     def resolved_params(self) -> dict:
         out = dict(_EXPERIMENTS[self.experiment][1])

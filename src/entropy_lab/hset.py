@@ -188,17 +188,19 @@ def generate_hset_tree(h: HProfile, m_star: int, depth: int, seed: int,
     shares = np.array([1.0])
     level_first = 0
     for j in range(depth):
-        rho = ratios[j]
+        rho = float(ratios[j])
         carry = float(rng.uniform(-0.5, 0.5))
         m_level = shares.size
-        counts = np.empty(m_level, dtype=np.int64)
-        for i in range(m_level):
-            x = shares[i] * rho
-            c = int(math.floor(x + carry + 0.5))
+        # the carry is sequential: one pass over Python floats, the same
+        # IEEE operations as on numpy scalars at a fraction of the cost
+        counts = []
+        for x in (shares * rho).tolist():
+            c = math.floor(x + carry + 0.5)
             if c < 1:
                 c = 1
-            counts[i] = c
+            counts.append(c)
             carry += x - c
+        counts = np.array(counts, dtype=np.int64)
         _check_size(level_first + m_level + counts.sum())
         parents.append(np.repeat(np.arange(level_first, level_first + m_level),
                                  counts))

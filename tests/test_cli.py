@@ -262,6 +262,55 @@ def test_gen_tree_rejects_non_integral_integer_fields(tmp_path, capsys,
     assert not tree_file.exists()
 
 
+@pytest.mark.parametrize("config, name", [
+    ({"experiment": "schuett_regimes", "seed": "3",
+      "params": {"samples": 64}}, "seed"),
+    ({"experiment": "schuett_regimes", "params": {"p": True}}, "param p"),
+    ({"experiment": "schuett_regimes", "params": {"cover_k_cap": "4"}},
+     "param cover_k_cap"),
+    ({"experiment": "kuhn_consistency", "params": {"n_min": False}},
+     "param n_min"),
+    ({"experiment": "kuhn_consistency", "params": {"q": None}}, "param q"),
+    ({"experiment": "kuhn_consistency", "params": {"p": [2, 3]}},
+     "param p"),
+    ({"experiment": "hardy_consistency", "params": {"j_values": [16, True]}},
+     "param j_values"),
+    ({"experiment": "hardy_consistency", "params": {"j_values": 16}},
+     "param j_values"),
+    ({"experiment": "certificate_growth", "params": {"n_values": ["8"]}},
+     "param n_values"),
+])
+def test_run_refuses_a_value_that_is_not_a_number(tmp_path, capsys, config,
+                                                  name):
+    # a JSON boolean or string is neither an int nor a float, and a list
+    # param takes a list of numbers, nothing else
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert rc == 1 and out == "" and len(lines) == 1, err
+    assert lines[0].startswith(f"error: {name} must be a")
+    assert not (tmp_path / f"{config['experiment']}.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("theta", True), ("gamma", "0"), ("c3", False), ("m_star", True),
+    ("seed", "2"), ("start_depth", None)])
+def test_gen_tree_refuses_a_field_that_is_not_a_number(tmp_path, capsys,
+                                                       field, value):
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({"theta": 1.0, field: value}))
+    tree_file = tmp_path / "t.json"
+    rc = main(["gen-tree", "--profile", str(profile),
+               "--depth", "3", "--out", str(tree_file)])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert rc == 1 and out == "" and len(lines) == 1, err
+    assert lines[0] == f"error: {field} must be a number, got {value!r}"
+    assert not tree_file.exists()
+
+
 def test_gen_tree_past_float_range_prints_only_the_cap_error(tmp_path):
     # theta = 1 at depth 2000: the level targets overflow to inf
     (tmp_path / "p.json").write_text(json.dumps({"theta": 1.0}))

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 import warnings
 from unittest import mock
@@ -302,6 +303,43 @@ def test_sampler_determinism():
     c = sample_lp_sphere(4, 2, 128, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_sampled_images_hold_one_sample_sized_array():
+    # a square operator maps the sample in place: besides the 16 MiB
+    # sample, the sampler's and the map's block scratch (a one-shot
+    # product would hold a second 16 MiB image)
+    tracemalloc.start()
+    try:
+        _, points = entropy._sampled_images(np.eye(32), 1.0, [1], 65536, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - points.nbytes <= 6 * entropy._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("samples", [3, 7, 23])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_square_images_are_mapped_block_by_block(samples, p):
+    # 7 rows a block: fewer samples than a block, one block, and blocks
+    # with a partial last one; the identity and a doubled signed
+    # permutation map exactly, so every row must be mapped exactly once
+    nu = 4
+    ball = sample_lp_ball(nu, p, samples, seed=6)
+    perm = 2.0 * np.eye(nu)[[2, 0, 3, 1]] * [1.0, -1.0, 1.0, -1.0]
+    with mock.patch.object(entropy, "_BLOCK_BYTES", 8 * nu * 7):
+        _, same = entropy._sampled_images(np.eye(nu), p, [1], samples, 6)
+        _, moved = entropy._sampled_images(perm, p, [1], samples, 6)
+    assert np.array_equal(same, ball)
+    assert np.array_equal(moved, ball @ perm.T)
+
+
+def test_a_non_square_operator_gets_the_one_shot_product():
+    a = np.random.default_rng(3).standard_normal((5, 3))
+    _, images = entropy._sampled_images(a, 1.5, [1, 2], 100, 8)
+    assert np.array_equal(images, sample_lp_ball(3, 1.5, 100, seed=8) @ a.T)
+    _, images = entropy._sampled_images(a.T, 1.5, [1, 2], 100, 8)
+    assert np.array_equal(images, sample_lp_ball(5, 1.5, 100, seed=8) @ a)
 
 
 # -- farthest-point engine ----------------------------------------------------

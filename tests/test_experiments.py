@@ -102,6 +102,12 @@ def test_config_from_file_with_overrides(tmp_path):
     assert cfg.params == {"n_max": 4}
 
 
+def test_config_refuses_a_seed_that_is_not_a_number():
+    for seed in (True, "3", None):
+        with pytest.raises(ValueError, match="seed must be a number"):
+            ExperimentConfig("kuhn_consistency", seed=seed)
+
+
 def test_config_from_file_rejects_junk(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"experiment": "kuhn_consistency", "extra": 1}))

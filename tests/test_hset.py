@@ -85,7 +85,8 @@ def bfs_census(tree, v, l):
 
 
 def ref_generate_hset_tree(h, m_star, depth, seed, start_depth=0):
-    """generate_hset_tree with its parent array grown as one Python list."""
+    """generate_hset_tree with its parent array grown as one Python list
+    and its carry walked on numpy scalars."""
     if depth == 0:
         return np.array([-1], dtype=np.int64)
     targets = h_level_target(h, m_star, np.arange(depth + 1), start_depth)
@@ -236,6 +237,10 @@ class TestGenerate:
         *[(HProfile(theta=1.0), 10, idx, j)
           for idx, j in enumerate([16, 32, 64, 128, 256, 512])],
         (HProfile(theta=0.0, gamma=-1.0), 0, 0, 0),
+        # fractional growth ratios: the carry rounds both ways
+        (HProfile(theta=0.7, gamma=-0.5), 14, 5, 0),
+        (HProfile(theta=0.5, gamma=0.5, tau=TauFn("log-power", nu=2.0)),
+         12, 1, 3),
     ])
     def test_matches_the_list_building_reference(self, h, depth, seed,
                                                  start_depth):
