@@ -8,6 +8,7 @@ errors.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ EXIT_VIOLATION = 2
 
 _PROFILE_FIELDS = {"theta", "gamma", "c3", "m_star", "seed", "start_depth",
                    "scheme"}
+# m_star comes from the profile: the tree reads it too
+_SCHEME_FIELDS = {f.name for f in fields(WeightScheme)} - {"m_star"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,6 +85,30 @@ def _cmd_run(args) -> int:
     return EXIT_PASS
 
 
+def _scheme(spec, m_star: int) -> WeightScheme:
+    """A profile's scheme block as a WeightScheme of the profile's m_star:
+    an object with a string kind, numbers for its other fields, and lists
+    of numbers for u and w; ValueError naming the field otherwise."""
+    if not (isinstance(spec, dict) and isinstance(spec.get("kind"), str)):
+        raise ValueError(f"scheme must be an object with a string kind, "
+                         f"got {spec!r}")
+    unknown = sorted(set(spec) - _SCHEME_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown scheme fields: {unknown}; "
+                         f"allowed: {sorted(_SCHEME_FIELDS)}")
+    weights = {}
+    for name, value in spec.items():
+        if name in ("u", "w"):
+            if not isinstance(value, list):
+                raise ValueError(f"scheme field {name} must be a list of "
+                                 f"numbers, got {value!r}")
+            weights[name] = tuple(_number(f"scheme field {name}", v)
+                                  for v in value)
+        elif name != "kind":
+            weights[name] = _number(f"scheme field {name}", value)
+    return WeightScheme(spec["kind"], m_star=m_star, **weights)
+
+
 def _cmd_gen_tree(args) -> int:
     profile = json.loads(Path(args.profile).read_text())
     if not isinstance(profile, dict):
@@ -100,9 +127,7 @@ def _cmd_gen_tree(args) -> int:
                               start_depth=start_depth)
     u = w = None
     if "scheme" in profile:
-        spec = dict(profile["scheme"])
-        kind = spec.pop("kind")
-        scheme = WeightScheme(kind, m_star=m_star, **spec)
+        scheme = _scheme(profile["scheme"], m_star)
         u, w = weights_for_tree(scheme, tree, start_depth=start_depth)
     with open(args.out, "w") as out:
         tree.to_json(out, u, w)

@@ -156,14 +156,10 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
 
     Coordinates are drawn from the generalized Gaussian density
     proportional to exp(-|x|^p) (gamma trick) and normalized; for p = inf
-    the coordinates are uniform on [-1, 1].  At p = 2 that density is a
-    Gaussian's, so the coordinates are standard normal draws, with no
-    gamma draw, sign draw or power: a normalized Gaussian vector is
-    exactly uniform on the l_2 sphere, because its law is rotation
-    invariant (Muller 1959).  Counter-based generator keyed by (seed, tag)
-    for reproducibility.  Every coordinate is drawn straight into the
-    result in one call; then, one _block_rows row block at a time, the
-    signs are drawn (at p other than 2 and inf) and the rows normalized
+    the coordinates are uniform on [-1, 1].  Counter-based generator keyed
+    by (seed, tag) for reproducibility.  Every coordinate is drawn
+    straight into the result in one call; then, one _block_rows row block
+    at a time, the signs are drawn (at finite p) and the rows normalized
     through reused block-sized scratch, so the only sample-sized array is
     the result.  A Philox stream is a function of its key and a counter,
     consumed in sequence, so the per-block sign draws give the numbers of
@@ -172,9 +168,7 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
     """
     out = np.empty((n_samples, nu))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
-    if p == 2:
-        rng.standard_normal(out=out)
-    elif math.isinf(p):
+    if math.isinf(p):
         rng.random(out=out)
     else:
         rng.standard_gamma(1.0 / p, out=out)
@@ -188,10 +182,6 @@ def sample_lp_sphere(nu: int, p: float, n_samples: int, seed: int,
             x *= 2.0
             x -= 1.0
             np.max(np.abs(x, out=block), axis=1, out=norm)
-        elif p == 2:
-            np.multiply(x, x, out=block)
-            np.sum(block, axis=1, out=norm)
-            np.sqrt(norm, out=norm)
         else:
             x **= 1.0 / p
             signs = rng.integers(0, 2, x.shape)
@@ -251,7 +241,7 @@ class _LqPasses:
     anything pool-sized.  Passes run serially in the calling thread.  Per
     row the arithmetic is the one-shot expression's (same subtraction,
     same reduction over a 2-D block of at least min_rows rows, same final
-    power; the |x - c| is skipped where q = 2 or 4 squares it, since IEEE
+    power; the |x - c| is skipped where q = 2 squares it, since IEEE
     squaring is sign-blind), so every distance is bit-identical to it, bar
     the sign bit of a NaN, whichever block or pass it is computed in.
 
@@ -335,10 +325,6 @@ class _LqPasses:
             elif q == 2.0:
                 np.einsum("ij,ij->i", wide, wide, out=out)
                 np.sqrt(out, out=out)
-            elif q == 4.0:
-                diff *= diff
-                np.einsum("ij,ij->i", wide, wide, out=out)
-                out **= 0.25
             else:
                 np.abs(diff, out=diff)
                 diff **= q
@@ -648,12 +634,12 @@ def _sampled_images(matrix, p: float, ks, samples: int, seed: int):
     """Sorted distinct indices (validated) and the images of `samples`
     l_p-ball points: the common prologue of the sampled estimators.
 
-    A square operator maps the sample in place, one _block_rows row block
-    at a time, so the sample is the only sample-sized array; a non-square
-    one takes a single product, whose image cannot share the sample's
-    rows.  A block's product may differ from the one-shot product in the
-    last bit (BLAS blocking depends on the shape); at the identity both
-    are exact."""
+    The sample is mapped one _block_rows row block at a time (rows of
+    the wider side): in place through a square operator, so the sample is
+    the only sample-sized array, and into one image array otherwise.  A
+    block's product may differ from the one-shot product in the last bit
+    (BLAS blocking depends on the shape); at the identity both are
+    exact."""
     matrix = np.asarray(matrix, dtype=float)
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -661,13 +647,12 @@ def _sampled_images(matrix, p: float, ks, samples: int, seed: int):
     if ks[-1] > _SAMPLED_K_CAP:
         raise ValueError(f"k capped at {_SAMPLED_K_CAP} for sampled methods")
     points = sample_lp_ball(matrix.shape[1], p, samples, seed)
-    if matrix.shape[0] != matrix.shape[1]:
-        return ks, points @ matrix.T
-    rows = _block_rows(matrix.shape[1])
+    images = (points if matrix.shape[0] == matrix.shape[1]
+              else np.empty((samples, matrix.shape[0])))
+    rows = _block_rows(max(matrix.shape))
     for s in range(0, samples, rows):
-        block = points[s:s + rows]
-        block[:] = block @ matrix.T
-    return ks, points
+        images[s:s + rows] = points[s:s + rows] @ matrix.T
+    return ks, images
 
 
 def _cover_radii(points: np.ndarray, q: float, ks, *, poll=None,
@@ -713,11 +698,10 @@ def packing_profile(matrix, p: float, q: float, ks,
     ks, points = _sampled_images(matrix, p, ks, samples, seed)
     method = f"packing(samples={samples})"
     feasible = [k for k in ks if 2 ** (k - 1) + 1 <= samples]
-    radii = []
-    if feasible and np.any(points):
+    if feasible:
         _, radii = _farthest_point_run(points, q,
                                        2 ** (feasible[-1] - 1) + 1, start=0)
-    out = [EntropyEstimate(k, radii[2 ** (k - 1) - 1] / 2.0 if radii else 0.0,
+    out = [EntropyEstimate(k, radii[2 ** (k - 1) - 1] / 2.0,
                            "certified_lower", method, seed) for k in feasible]
     return out + [EntropyEstimate(k, 0.0, "certified_lower",
                                   method + "[insufficient samples]", seed)

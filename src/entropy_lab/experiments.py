@@ -618,6 +618,9 @@ class ExperimentConfig:
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {list(EXPERIMENT_NAMES)}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be an object of named values, "
+                             f"got {self.params!r}")
         allowed = _EXPERIMENTS[self.experiment][1]
         unknown = sorted(set(self.params) - set(allowed))
         if unknown:

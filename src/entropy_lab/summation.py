@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -130,6 +130,12 @@ def _require_critical(scheme: WeightScheme, h: HProfile, p: float,
 # -- weight schemes -------------------------------------------------------
 
 
+# the weight fields each kind reads (m_star aside, which the tree reads too)
+_SCHEME_READS = {"power-critical": ("kappa", "alpha_u", "alpha_w"),
+                 "log-critical": ("kappa", "alpha", "lambda_u", "lambda_w"),
+                 "explicit": ("u", "w")}
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """Per-depth weight pair (u_j, w_j).
@@ -143,6 +149,7 @@ class WeightScheme:
         u_j = 2^{kappa m_* j} (m_* j + 1)^{alpha}  L_j^{-lambda_u}
         w_j = 2^{-kappa m_* j} (m_* j + 1)^{-alpha} L_j^{-lambda_w}
     kind "explicit": arrays given directly.
+    A weight field that the kind does not read must keep its default.
     """
 
     kind: str
@@ -157,8 +164,14 @@ class WeightScheme:
     w: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("power-critical", "log-critical", "explicit"):
+        if self.kind not in _SCHEME_READS:
             raise ValueError(f"unknown weight scheme kind {self.kind!r}")
+        reads = ("kind", "m_star", *_SCHEME_READS[self.kind])
+        unread = [f.name for f in fields(self) if f.name not in reads
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"{self.kind} weight scheme does not read "
+                             f"{', '.join(unread)}")
         if self.kind != "explicit":
             if self.m_star < 1 or self.m_star != int(self.m_star):
                 raise ValueError("m_star must be a positive integer")

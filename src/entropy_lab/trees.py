@@ -5,7 +5,7 @@ Vertices are dense integers in canonical BFS order: the root is 0,
 along ids.  So every depth level is a contiguous id range, each vertex's
 children are consecutive ids, and iteration order is reproducible.
 
-Trees are immutable after construction and safe to share across workers.
+Trees are immutable after construction.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class Tree:
     ``subtree_sums`` reads), the tree's only index of its structure, serves
     every walk and both level sweeps, ``path_scan`` (root first) and
     ``subtree_sums`` (deepest first).  It is computed on first use and
-    cached on the tree.  Two threads may both compute it on first use;
-    either result is correct and immutable, so the race is benign.
+    cached on the tree.
     """
 
     __slots__ = ("parent", "depth", "height", "n", "_level_start",

@@ -322,3 +322,59 @@ def test_gen_tree_past_float_range_prints_only_the_cap_error(tmp_path):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: ")
     assert lines[0].endswith("cap is 4194304")
+
+
+@pytest.mark.parametrize("params", [["p"], "p", None])
+def test_run_refuses_params_that_are_not_an_object(tmp_path, capsys,
+                                                   params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "kuhn_consistency",
+                               "params": params}))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert rc == 1 and out == "" and len(lines) == 1, err
+    assert lines[0] == (f"error: params must be an object of named values, "
+                        f"got {params!r}")
+    assert not (tmp_path / "kuhn_consistency.csv").exists()
+
+
+@pytest.mark.parametrize("scheme, names", [
+    ({"kind": "power-critical", "kappa": True}, ["kappa"]),
+    ({"kind": "power-critical", "kappa": 1.0, "alpha_u": "0.125"},
+     ["alpha_u"]),
+    ([1, 2], ["scheme", "kind"]),
+    ({"kappa": 1.0}, ["scheme", "kind"]),
+    ({"kind": "explicit", "u": 1.0, "w": [1.0]}, ["u"]),
+    ({"kind": "power-critical", "kappa": 1.0, "lambda_u": 0.3, "alpha": 7},
+     ["alpha", "lambda_u"]),
+    ({"kind": "explicit", "u": [1.0], "w": [1.0], "kappa": 1.0}, ["kappa"]),
+])
+def test_gen_tree_refuses_a_bad_scheme_field_by_name(tmp_path, capsys,
+                                                     scheme, names):
+    _assert_scheme_refused(tmp_path, capsys, scheme, names)
+
+
+@pytest.mark.parametrize("scheme, names", [
+    ({"kind": "explicit", "u": [1.0, "2"], "w": [1.0, 1.0]}, ["u"]),
+    ({"kind": "power-critical", "kappa": 1.0, "m_star": 2}, ["m_star"]),
+])
+def test_gen_tree_keeps_naming_scheme_fields(tmp_path, capsys, scheme,
+                                             names):
+    # refused by name before the scheme block was checked, too: m_star
+    # belongs to the profile, and u and w take numbers only
+    _assert_scheme_refused(tmp_path, capsys, scheme, names)
+
+
+def _assert_scheme_refused(tmp_path, capsys, scheme, names):
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({"theta": 1.0, "scheme": scheme}))
+    tree_file = tmp_path / "t.json"
+    rc = main(["gen-tree", "--profile", str(profile),
+               "--depth", "3", "--out", str(tree_file)])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert rc == 1 and out == "" and len(lines) == 1, err
+    assert lines[0].startswith("error: ")
+    assert all(name in lines[0] for name in names), lines[0]
+    assert not tree_file.exists()

@@ -226,9 +226,6 @@ def _reference_sphere(nu, p, n_samples, seed, tag=0x6c7073):
     if math.isinf(p):
         x = rng.uniform(-1.0, 1.0, (n_samples, nu))
         norms = np.max(np.abs(x), axis=1)
-    elif p == 2:
-        x = rng.standard_normal((n_samples, nu))
-        norms = np.sqrt(np.sum(x * x, axis=1))
     else:
         mags = rng.gamma(1.0 / p, 1.0, (n_samples, nu)) ** (1.0 / p)
         signs = rng.integers(0, 2, (n_samples, nu)) * 2 - 1
@@ -297,6 +294,19 @@ def test_a_failed_draw_reaches_the_caller():
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("p", [2, 2.0])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1])
+def test_l2_sphere_is_the_gamma_draw(p, seed):
+    # p = 2 takes the generalized-Gaussian draw of every other finite p:
+    # gamma(1/2) magnitudes, one sign per coordinate, then the l_2 norm
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed, 0x6c7073])))
+    mags = rng.standard_gamma(0.5, (300, 5)) ** 0.5
+    x = mags * (rng.integers(0, 2, (300, 5)) * 2 - 1)
+    want = x / np.sum(np.abs(x) ** 2, axis=1)[:, None] ** 0.5
+    assert np.array_equal(sample_lp_sphere(5, p, 300, seed), want)
+
+
 def test_sampler_determinism():
     a = sample_lp_sphere(4, 2, 128, seed=9)
     b = sample_lp_sphere(4, 2, 128, seed=9)
@@ -342,6 +352,31 @@ def test_a_non_square_operator_gets_the_one_shot_product():
     assert np.array_equal(images, sample_lp_ball(5, 1.5, 100, seed=8) @ a)
 
 
+def test_non_square_images_are_mapped_block_by_block():
+    # rows of the wider side a block, so the product's temporary is at
+    # most one block; 3 rows a block with a lone last row, through both a
+    # wide and a tall operator; a square operator still maps in place
+    rng = np.random.default_rng(12)
+    samples = 100
+    for a in (rng.standard_normal((40, 300)), rng.standard_normal((300, 40))):
+        ball = sample_lp_ball(a.shape[1], 1.5, samples, seed=9)
+        with mock.patch.object(entropy, "_BLOCK_BYTES", 8 * 300 * 3):
+            _, images = entropy._sampled_images(a, 1.5, [1], samples, 9)
+        want = np.concatenate([ball[s:s + 3] @ a.T
+                               for s in range(0, samples, 3)])
+        assert np.array_equal(images, want)
+    drawn = []
+
+    def ball_spy(*args):
+        drawn.append(sample_lp_ball(*args))
+        return drawn[-1]
+
+    with mock.patch.object(entropy, "sample_lp_ball", ball_spy):
+        _, images = entropy._sampled_images(rng.standard_normal((6, 6)),
+                                            1.5, [1], samples, 9)
+    assert images is drawn[0]
+
+
 # -- farthest-point engine ----------------------------------------------------
 
 
@@ -352,10 +387,20 @@ def _reference_lq_dist(points, center, q):
         return np.max(diff, axis=1)
     if q == 2.0:
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if q == 4.0:
-        diff *= diff
-        return np.einsum("ij,ij->i", diff, diff) ** 0.25
     return np.sum(diff ** q, axis=1) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("m", [3, 64, 9000])
+def test_q4_distances_are_the_general_kernel(m):
+    # the general finite-q kernel's arithmetic at q = 4: the fourth power
+    # through pow, the row sums through np.sum, then the fourth root
+    rng = np.random.default_rng(m)
+    points = rng.standard_normal((50, m)) * rng.uniform(0.1, 10.0, m)
+    for c in (0, 17, 49):
+        lq_pass = entropy._LqPasses(points, 4.0)
+        lq_pass(points[c], c)
+        want = np.sum(np.abs(points - points[c]) ** 4, axis=1) ** 0.25
+        assert np.array_equal(lq_pass.dist, want)
 
 
 def _reference_farthest_point_run(points, q, n_select, start):

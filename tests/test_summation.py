@@ -383,6 +383,23 @@ def test_explicit_scheme():
             WeightScheme("power-critical", m_star=m_star)
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("power-critical", "alpha", 7.0), ("power-critical", "lambda_w", 0.3),
+    ("power-critical", "u", (1.0,)), ("log-critical", "alpha_u", 0.125),
+    ("log-critical", "w", (1.0,)), ("explicit", "kappa", 1.0),
+    ("explicit", "alpha", 0.5)])
+def test_a_scheme_refuses_a_weight_field_its_kind_does_not_read(kind, field,
+                                                                value):
+    fields = {"u": (1.0,), "w": (1.0,)} if kind == "explicit" else {}
+    with pytest.raises(ValueError, match=f"{kind} weight scheme does not "
+                                         f"read {field}$"):
+        WeightScheme(kind, **fields, **{field: value})
+    # at its default the field is as good as absent, and m_star is read
+    # by every kind's tree
+    default = WeightScheme.__dataclass_fields__[field].default
+    WeightScheme(kind, m_star=2, **fields, **{field: default})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_explicit_scheme_rejects_non_finite_weights(bad):
     with pytest.raises(ValueError, match="finite"):
